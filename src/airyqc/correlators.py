@@ -18,6 +18,18 @@ recursion itself yields no constant term for them).
 
 A value is nonzero only on the dimension shell sum(a_i) = 3g - 3 + n; keys
 off that shell evaluate to 0 without recursing.
+
+Before the full recursion, a key is reduced by the string and dilaton
+equations (Witten 1991) whenever (g, n - 1) is stable:
+
+    <tau_0 prod tau_{a_i}>_g = sum_i <tau_{a_i - 1} prod_{[n]_i} tau_{a_j}>_g
+    <tau_1 prod tau_{a_i}>_g = (2g - 3 + n) <prod tau_{a_i}>_g
+
+(dilaton first when the key holds a tau_1).  Both follow from the
+recursion with the tau_0 resp. tau_1 insertion made special, so only the
+core keys, every a_i >= 2, run the full right-hand side.  ``dvv_rhs``
+always evaluates that full right-hand side and is the oracle the reduced
+table is checked against.
 """
 
 from __future__ import annotations
@@ -71,9 +83,15 @@ def _weight(exponents) -> int:
 class CorrelatorTable:
     """Write-once memo of correlator values, with hit/miss counters.
 
+    Every key computed, reduced ones included, is stored.  ``misses``
+    counts keys computed; ``hits`` counts memo lookups that found a value,
+    the recursion's own lookups of lower keys included.
+
     The two base values can be overridden (``tau0_cubed``, ``tau1``), which
     is used by mutation tests to confirm the downstream identities actually
-    depend on them.
+    depend on them.  An overridden seed propagates through the string and
+    dilaton reductions as through the full recursion, so such a table no
+    longer satisfies ``dvv_rhs`` for every choice of special insertion.
 
     >>> t = CorrelatorTable()
     >>> t.correlator(1, (1,))
@@ -100,7 +118,11 @@ class CorrelatorTable:
 
     def correlator(self, g, exponents) -> Fraction:
         """<tau_{a_1} ... tau_{a_n}>_g, memoized."""
-        g, a = canonical_key(g, exponents)
+        return self._value(*canonical_key(g, exponents))
+
+    def _value(self, g, a) -> Fraction:
+        """Value of the canonical key (g, a): zero off the shell, else from
+        the memo, else reduced or recursed and stored."""
         if sum(a) != 3 * g - 3 + len(a):
             return ZERO
         value = self._memo.get((g, a))
@@ -108,17 +130,37 @@ class CorrelatorTable:
             self.hits += 1
             return value
         self.misses += 1
-        value = self._rhs(g, a[0], a[1:])
+        value = self._reduce(g, a)
         self._store(g, a, value)
         return value
 
+    def _reduce(self, g, a) -> Fraction:
+        """Dilaton or string equation when (g, n - 1) is stable, else the
+        full recursion with the largest exponent special."""
+        n = len(a)
+        if is_stable(g, n - 1):
+            if 1 in a:
+                i = a.index(1)
+                return (2 * g - 3 + n) * self._value(g, a[:i] + a[i + 1 :])
+            if a[-1] == 0:
+                rest = a[:-1]
+                total = ZERO
+                for j, v in enumerate(rest):
+                    # lower the last copy of each v >= 1; the key stays sorted
+                    if v and rest[j + 1 : j + 2] != (v,):
+                        total += rest.count(v) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+                return total
+        return self._rhs(g, a[0], a[1:])
+
     def dvv_rhs(self, g, exponents, special: int) -> Fraction:
         """Evaluate the recursion's right-hand side with ``exponents[special]``
-        as the special insertion; meaningful on the dimension shell.
+        as the special insertion; zero off the dimension shell, where every
+        term's key is off the shell too.
 
-        Every choice of ``special`` must return the same value; the choice
-        made by :meth:`correlator` (largest exponent) is an optimization,
-        not part of the result.
+        Every choice of ``special`` must return the same value, equal to
+        :meth:`correlator` on every key but the two seeds; the string and
+        dilaton reductions that :meth:`correlator` takes first are an
+        optimization, not part of the result.
         """
         g, _ = canonical_key(g, exponents)
         a0 = exponents[special]
@@ -130,8 +172,9 @@ class CorrelatorTable:
         assert prior == value, f"memo for {(g, a)} changed: {prior} -> {value}"
 
     def _tnorm(self, g, exponents) -> Fraction:
-        """Correlator in the ttau normalization: value * prod (2a_i+1)!!."""
-        c = self.correlator(g, exponents)
+        """Correlator of a canonical key in the ttau normalization:
+        value * prod (2a_i+1)!!."""
+        c = self._value(g, exponents)
         if not c:
             return ZERO
         return c * _weight(exponents)
@@ -198,10 +241,10 @@ class CorrelatorTable:
             keys = [(g, a) for g, n in shell_cells(chi, chi) for a in _cell_orbits(g, n)]
             if jobs > 1:
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(lambda k: self.correlator(*k), keys))
+                    list(pool.map(lambda k: self._value(*k), keys))
             else:
                 for g, a in keys:
-                    self.correlator(g, a)
+                    self._value(g, a)
 
     def sorted_records(self):
         """Memo contents as (g, a, value) sorted by (2g-2+n, g, a)."""

@@ -24,6 +24,7 @@ calculus of (2u)^(k/2) monomials where both stay rational.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,7 +77,9 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     """Coefficient and half-step exponent of Omega_{g,k}(w, ..., w).
 
     Computed orbit-wise without building the polynomial; homogeneity makes
-    the diagonal a single monomial of half-step degree 6g - 6 + 3k.
+    the diagonal a single monomial of half-step degree 6g - 6 + 3k.  Each
+    orbit a contributes its correlator times the integer weight
+    orbit_size(a) * prod (2a_i - 1)!!.
     """
     if not is_stable(g, k) or k < 1:
         raise ValueError(f"unstable (g, k) = ({g}, {k})")
@@ -85,9 +88,10 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
         value = table.correlator(g, a)
         if not value:
             continue
+        weight = orbit_size(a)
         for ai in a:
-            value *= double_factorial(2 * ai - 1)
-        total += orbit_size(a) * value
+            weight *= double_factorial(2 * ai - 1)
+        total += weight * value
     return total, 6 * g - 6 + 3 * k
 
 
@@ -112,15 +116,8 @@ def s_term(n: int, branch: int, table: CorrelatorTable | None = None) -> WkbTerm
         c, h = diag_Omega(g, k, table)
         if h != halfsteps:
             raise ValueError(f"diagonal of Omega_({g},{k}) off the S_{n} monomial")
-        coeff += c / _factorial(k)
+        coeff += c / math.factorial(k)
     return WkbTerm(n, branch, "monomial", Fraction(branch) ** (n + 1) * coeff, halfsteps)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def s_terms(N: int, branch: int, table: CorrelatorTable | None = None) -> dict[int, WkbTerm]:

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airyqc import CorrelatorTable, canonical_key, correlator_shell
 from airyqc.core import bounded_partitions
@@ -68,6 +71,40 @@ def test_insertion_independence_small(table):
         assert len(values) == 1, (g, a, values)
         if (g, a) not in SEEDS:
             assert values == {table.correlator(g, a)}
+
+
+def test_reduced_table_matches_dvv_oracle():
+    # every non-seed key satisfies the full DVV rhs over lower keys, so by
+    # induction on chi the string/dilaton-reduced table is the pure DVV one
+    t = CorrelatorTable()
+    t.fill_shell(10)
+    keys = list(shell_keys(10))
+    assert len(t) == len(keys)
+    for g, a in keys:
+        if (g, a) not in SEEDS:
+            assert t.dvv_rhs(g, a, 0) == t.correlator(g, a), (g, a)
+
+
+@st.composite
+def genus0_keys(draw):
+    """Exponent tuples of n <= 12 insertions on the genus-0 shell."""
+    n = draw(st.integers(3, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, n - 3), min_size=n - 1, max_size=n - 1)))
+    bounds = [0, *cuts, n - 3]
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+@settings(deadline=None)
+@given(genus0_keys())
+def test_genus0_closed_form(table, a):
+    expected = Fraction(math.factorial(len(a) - 3), math.prod(math.factorial(x) for x in a))
+    assert table.correlator(0, a) == expected
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10))
+def test_one_point_closed_form(table, g):
+    assert table.correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * math.factorial(g))
 
 
 def test_string_equation(table):

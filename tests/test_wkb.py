@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -112,6 +113,31 @@ def test_perturbed_base_fails_at_first_consuming_order():
     rendered = dict(report.residuals)
     assert rendered[0] == "0" and rendered[1] == "0"
     assert rendered[2] != "0"  # S_2 is the first term that consumes <tau_1>_1
+
+
+def _airy_log_coeffs(N):
+    """[h^m] log sum_k (-1)^k u_k h^k for m < N, with the Airy asymptotic
+    coefficients u_k = (2k+1)(2k+3)...(6k-1) / (216^k k!) (DLMF 9.7.2)."""
+    a = [F(1)]
+    for k in range(1, N):
+        num = math.prod(range(2 * k + 1, 6 * k, 2))
+        a.append(F((-1) ** k * num, 216**k * math.factorial(k)))
+    # L = log A with A_0 = 1:  L_m = a_m - (1/m) sum_{j<m} j L_j a_{m-j}
+    L = [F(0)] * N
+    for m in range(1, N):
+        L[m] = a[m] - sum((j * L[j] * a[m - j] for j in range(1, m)), F(0)) / m
+    return L
+
+
+def test_quantum_curve_order_20_matches_airy_series():
+    # a third route to S_n, independent of both DVV and EO
+    table = CorrelatorTable()
+    for branch in (1, -1):
+        assert quantum_curve_report(20, branch, table).passed
+    L = _airy_log_coeffs(20)
+    for n, term in s_terms(20, -1, table).items():
+        if n >= 2:
+            assert term.coeff == 3 ** (n - 1) * L[n - 1], n
 
 
 def test_verify_order_rejects_small_n(table):
