@@ -2,9 +2,10 @@
 
 The file layout is fixed so that loading and re-saving any valid cache is
 byte-identical: one record per line, records sorted by (2g - 2 + n, g, a),
-values rendered in lowest terms.  The loader enforces all of that and
-reports the offending record (with its line in the canonical layout) on
-the first violation.
+values rendered in lowest terms.  The loader enforces all of that,
+rejects keys off the dimension shell sum(a) = 3g - 3 + n (their value is
+0 and the table never stores one), and reports the offending record (with
+its line in the canonical layout) on the first violation.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
             _fail(index, f"exponents {list(a)} not sorted descending")
         if not is_stable(g, len(a)):
             _fail(index, f"unstable (g, n) = ({g}, {len(a)})")
+        if sum(a) != 3 * g - 3 + len(a):
+            _fail(index, f"off-shell key: sum(a) = {sum(a)}, not 3g - 3 + n = {3 * g - 3 + len(a)}")
         try:
             val = rat_parse(value)
         except ValueError as exc:

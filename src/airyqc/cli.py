@@ -88,8 +88,6 @@ def _cmd_sn(args) -> int:
 
 def _cmd_verify(args) -> int:
     table = _make_table(args)
-    if args.jobs > 1 and args.suite in ("dvv-eo", "omega-rec", "Omega-rec"):
-        table.fill_shell(args.max_chi, jobs=args.jobs)
     suite = SUITES[args.suite]
     if args.suite in ("dvv-eo", "omega-rec", "Omega-rec"):
         checks = suite(args.max_chi, table)
@@ -107,7 +105,7 @@ def _cmd_verify(args) -> int:
 def _cmd_cache(args) -> int:
     if args.action == "save":
         table = CorrelatorTable()
-        table.fill_shell(args.max_chi, jobs=args.jobs)
+        table.fill_shell(args.max_chi)
         count = save_table(table, args.path)
         print(f"saved {count} records")
     else:
@@ -153,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chi", type=int, default=6, help="largest 2g-2+n (cell suites)")
     p.add_argument("--order", type=int, default=10, help="largest hbar order (quantum-curve, t-rec)")
     p.add_argument("--max-m", type=int, default=50, help="largest monomial degree (d-lemma)")
-    p.add_argument("--jobs", type=int, default=1)
     add_cache_opt(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -161,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("save", "load"))
     p.add_argument("path")
     p.add_argument("--max-chi", type=int, default=4, help="shells to precompute on save")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_cache)
 
     return parser

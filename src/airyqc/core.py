@@ -81,6 +81,39 @@ def double_factorial(k: int) -> int:
     return result
 
 
+def odd_weight(a, shift: int) -> int:
+    """prod (2a_i + shift)!! over the exponents `a`: shift +1 gives the
+    ttau (omega, W) weights, shift -1 the Omega weights.
+
+    >>> odd_weight((2, 0), 1)
+    15
+    >>> odd_weight((2, 0), -1)
+    3
+    """
+    w = 1
+    for ai in a:
+        w *= double_factorial(2 * ai + shift)
+    return w
+
+
+def accumulate(d: dict, key, c) -> None:
+    """Add `c` to ``d[key]`` in a sparse dict, dropping the key when the
+    sum is zero, so that ``d`` never stores a zero coefficient.
+
+    >>> d = {}
+    >>> accumulate(d, (2, 1), Fraction(1, 2))
+    >>> accumulate(d, (1, 2), Fraction(3))
+    >>> accumulate(d, (2, 1), Fraction(-1, 2))
+    >>> d
+    {(1, 2): Fraction(3, 1)}
+    """
+    c += d.get(key, ZERO)
+    if c:
+        d[key] = c
+    else:
+        d.pop(key, None)
+
+
 def bounded_partitions(total: int, parts: int):
     """Yield all descending tuples of `parts` non-negative integers summing
     to `total` (partitions of `total` into at most `parts` parts, 0-padded).

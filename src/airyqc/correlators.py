@@ -34,10 +34,9 @@ table is checked against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .core import HALF, ZERO, double_factorial, bounded_partitions, sub_multisets
+from .core import HALF, ZERO, bounded_partitions, odd_weight, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -70,14 +69,6 @@ def canonical_key(g, exponents):
     if not is_stable(g, n):
         raise ValueError(f"unstable (g, n) = ({g}, {n})")
     return g, tuple(sorted(exponents, reverse=True))
-
-
-def _weight(exponents) -> int:
-    """prod (2a_i + 1)!! over the tuple."""
-    w = 1
-    for a in exponents:
-        w *= double_factorial(2 * a + 1)
-    return w
 
 
 class CorrelatorTable:
@@ -177,7 +168,7 @@ class CorrelatorTable:
         c = self._value(g, exponents)
         if not c:
             return ZERO
-        return c * _weight(exponents)
+        return c * odd_weight(exponents, 1)
 
     def _rhs(self, g, a0, rest) -> Fraction:
         n = len(rest)
@@ -227,24 +218,15 @@ class CorrelatorTable:
                         continue
                     total += HALF * mult * f1 * f2
 
-        return total / _weight((a0,) + rest)
+        return total / odd_weight((a0,) + rest, 1)
 
-    def fill_shell(self, max_chi: int, jobs: int = 1) -> None:
-        """Compute every on-shell key with 2g - 2 + n <= max_chi.
-
-        With ``jobs > 1`` the keys of each shell are computed concurrently;
-        memo writes are idempotent so racing writers are benign.
-        """
+    def fill_shell(self, max_chi: int) -> None:
+        """Compute every on-shell key with 2g - 2 + n <= max_chi, shell by
+        shell."""
         if max_chi < 1:
             raise ValueError("max_chi must be >= 1")
-        for chi in range(1, max_chi + 1):
-            keys = [(g, a) for g, n in shell_cells(chi, chi) for a in _cell_orbits(g, n)]
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(lambda k: self._value(*k), keys))
-            else:
-                for g, a in keys:
-                    self._value(g, a)
+        for g, a in shell_keys(max_chi):
+            self._value(g, a)
 
     def sorted_records(self):
         """Memo contents as (g, a, value) sorted by (2g-2+n, g, a)."""
@@ -263,20 +245,16 @@ def shell_cells(min_chi: int, max_chi: int):
                 yield g, n
 
 
-def _cell_orbits(g, n):
-    return bounded_partitions(3 * g - 3 + n, n)
-
-
 def shell_keys(max_chi: int):
     """All on-shell canonical keys with 2g - 2 + n <= max_chi."""
     for g, n in shell_cells(1, max_chi):
-        for a in _cell_orbits(g, n):
+        for a in bounded_partitions(3 * g - 3 + n, n):
             yield g, a
 
 
-def correlator_shell(max_chi: int, table: CorrelatorTable | None = None, jobs: int = 1) -> CorrelatorTable:
+def correlator_shell(max_chi: int, table: CorrelatorTable | None = None) -> CorrelatorTable:
     """Populate (or create) a table with every key of the given shells."""
     if table is None:
         table = CorrelatorTable()
-    table.fill_shell(max_chi, jobs=jobs)
+    table.fill_shell(max_chi)
     return table

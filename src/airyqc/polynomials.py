@@ -21,6 +21,9 @@ together with the transfer operators
     calD_{u,v} x^(a-1/2) = u v^(1/2) (u^(a+1) + u^a v + ... + v^(a+1))
 
 that encode the contribution of the two-point function to the recursion.
+The transfer terms of ``omega_step`` and ``Omega_step_dw0``, and both sides
+of ``d_bridge_holds``, apply ``d_op`` and ``calD_op`` themselves, once per
+spectator tail of the lower cell.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, ZERO, double_factorial, bounded_partitions, multiset_permutations, orbit_size, rat_str
+from .core import HALF, accumulate, bounded_partitions, multiset_permutations, odd_weight, orbit_size, rat_str
 from .correlators import CorrelatorTable, is_stable
 
 __all__ = [
@@ -160,27 +163,26 @@ class HalfPowerPoly(_OrbitPoly):
 # ---------------------------------------------------------------------------
 # builders from the correlator table
 
-def _cell_orbits(g, n):
-    return bounded_partitions(3 * g - 3 + n, n)
-
-
 def _require_stable(g, n):
     if g < 0 or n < 1 or not is_stable(g, n):
         raise ValueError(f"unstable (g, n) = ({g}, {n})")
 
 
-def omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly:
-    """omega_{g,n}: orbit (a_i + 1) carries <tau_a>_g prod (2a_i+1)!!."""
+def _from_correlators(g, n, table, poly_cls, shift, exponents):
+    """The cell whose orbit ``exponents(a)`` carries <tau_a>_g
+    prod (2a_i + shift)!!, over the on-shell orbits a of (g, n)."""
     _require_stable(g, n)
     orbits = {}
-    for a in _cell_orbits(g, n):
+    for a in bounded_partitions(3 * g - 3 + n, n):
         value = table.correlator(g, a)
-        if not value:
-            continue
-        for ai in a:
-            value *= double_factorial(2 * ai + 1)
-        orbits[tuple(ai + 1 for ai in a)] = value
-    poly = SparseSymPoly(n, orbits)
+        if value:
+            orbits[exponents(a)] = value * odd_weight(a, shift)
+    return poly_cls(n, orbits)
+
+
+def omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly:
+    """omega_{g,n}: orbit (a_i + 1) carries <tau_a>_g prod (2a_i+1)!!."""
+    poly = _from_correlators(g, n, table, SparseSymPoly, 1, lambda a: tuple(ai + 1 for ai in a))
     assert poly.homogeneous_degree() in (None, 3 * g - 3 + 2 * n)
     return poly
 
@@ -188,30 +190,12 @@ def omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymP
 def tW_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly:
     """W_{g,n} in exponent-table form: orbit (a_i) carries the coefficient
     of prod 1/z_i^(2a_i+2), i.e. <tau_a>_g prod (2a_i+1)!!."""
-    _require_stable(g, n)
-    orbits = {}
-    for a in _cell_orbits(g, n):
-        value = table.correlator(g, a)
-        if not value:
-            continue
-        for ai in a:
-            value *= double_factorial(2 * ai + 1)
-        orbits[a] = value
-    return SparseSymPoly(n, orbits)
+    return _from_correlators(g, n, table, SparseSymPoly, 1, tuple)
 
 
 def Omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> HalfPowerPoly:
     """Omega_{g,n}: orbit half-steps (2a_i + 1) carry <tau_a>_g prod (2a_i-1)!!."""
-    _require_stable(g, n)
-    orbits = {}
-    for a in _cell_orbits(g, n):
-        value = table.correlator(g, a)
-        if not value:
-            continue
-        for ai in a:
-            value *= double_factorial(2 * ai - 1)
-        orbits[tuple(2 * ai + 1 for ai in a)] = value
-    poly = HalfPowerPoly(n, orbits)
+    poly = _from_correlators(g, n, table, HalfPowerPoly, -1, lambda a: tuple(2 * ai + 1 for ai in a))
     assert poly.homogeneous_degree() in (None, 6 * g - 6 + 3 * n)
     return poly
 
@@ -247,12 +231,7 @@ def d_op(f: dict) -> dict:
         if not coeff:
             continue
         for j in range(m + 1):
-            key = (m - j + 1, j + 1)
-            c = out.get(key, ZERO) + (2 * j + 1) * coeff
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            accumulate(out, (m - j + 1, j + 1), (2 * j + 1) * coeff)
     return out
 
 
@@ -271,12 +250,7 @@ def calD_op(f: dict) -> dict:
             continue
         a = (h + 1) // 2
         for t in range(a + 2):
-            key = (2 * (a + 2 - t), 2 * t + 1)
-            c = out.get(key, ZERO) + coeff
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            accumulate(out, (2 * (a + 2 - t), 2 * t + 1), coeff)
     return out
 
 
@@ -291,60 +265,72 @@ def verify_d_lemma(m: int) -> bool:
     if m < 0:
         raise ValueError("m must be >= 0")
     lhs = {}
-
-    def add(d, key, c):
-        c += d.get(key, ZERO)
-        if c:
-            d[key] = c
-        else:
-            d.pop(key, None)
-
-    add(lhs, (m + 2, 0), Fraction(1))
-    add(lhs, (m + 1, 1), Fraction(1))
-    add(lhs, (1, m + 1), Fraction(-3))
-    add(lhs, (0, m + 2), Fraction(3))
-    add(lhs, (0, m + 2), Fraction(-2))
-    add(lhs, (1, m + 1), Fraction(-2 * m))
-    add(lhs, (0, m + 2), Fraction(2 * m))
+    accumulate(lhs, (m + 2, 0), Fraction(1))
+    accumulate(lhs, (m + 1, 1), Fraction(1))
+    accumulate(lhs, (1, m + 1), Fraction(-3))
+    accumulate(lhs, (0, m + 2), Fraction(3))
+    accumulate(lhs, (0, m + 2), Fraction(-2))
+    accumulate(lhs, (1, m + 1), Fraction(-2 * m))
+    accumulate(lhs, (0, m + 2), Fraction(2 * m))
 
     rhs = {}
     square = {(2, 0): Fraction(1), (1, 1): Fraction(-2), (0, 2): Fraction(1)}
     for j in range(m + 1):
         for (su, sv), sc in square.items():
-            add(rhs, (m - j + su, j + sv), (2 * j + 1) * sc)
+            accumulate(rhs, (m - j + su, j + sv), (2 * j + 1) * sc)
     return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # plain multivariate helpers (internal; exponent tuples of fixed length)
 
-def _acc(d, exps, coeff):
-    c = d.get(exps, ZERO) + coeff
-    if c:
-        d[exps] = c
-    else:
-        d.pop(exps, None)
-
-
 def _mul(d1, d2):
     out = {}
     for e1, c1 in d1.items():
         for e2, c2 in d2.items():
-            _acc(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
     return out
 
 
-def _embed(cell, positions, nvars, slot0_to=0):
+def _embed(cell, positions, nvars):
     """Place an expanded symmetric cell into an nvars-wide exponent lattice:
-    slot 0 goes to variable `slot0_to`, remaining slots to `positions`."""
+    slot 0 goes to variable 0, remaining slots to `positions`."""
     out = {}
     for vec, coeff in cell.expand().items():
         exps = [0] * nvars
-        exps[slot0_to] = vec[0]
+        exps[0] = vec[0]
         for pos, e in zip(positions, vec[1:]):
             exps[pos] = e
-        _acc(out, tuple(exps), coeff)
+        accumulate(out, tuple(exps), coeff)
     return out
+
+
+def _d0(terms):
+    """d_{w_0} on a half-step dict: w_0^(h/2) -> (h/2) w_0^((h-2)/2)."""
+    return {(e[0] - 2,) + e[1:]: c * e[0] / 2 for e, c in terms.items()}
+
+
+def _transfer(acc, terms, op, targets, nvars, shift=0):
+    """Accumulate op_{w_0, w_i} applied to slot 0 of the expanded cell
+    `terms`, for each variable i in `targets`.
+
+    `op` (d_op or calD_op) runs once per spectator tail; its (u, v)
+    exponents land on (w_0, w_i), with `shift` added to u, and the tail
+    fills the remaining variables in order.
+    """
+    tails = {}
+    for vec, coeff in terms.items():
+        tails.setdefault(vec[1:], {})[vec[0]] = coeff
+    images = [(tail, op(f)) for tail, f in tails.items()]
+    for i in targets:
+        spectators = [p for p in range(1, nvars) if p != i]
+        for tail, image in images:
+            exps = [0] * nvars
+            for pos, e in zip(spectators, tail):
+                exps[pos] = e
+            for (u, v), c in image.items():
+                exps[0], exps[i] = u + shift, v
+                accumulate(acc, tuple(exps), c)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +365,24 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
+def _splits(g, n, lower):
+    """Each stable ordered split (g_1, A_1), (g_2, A_2) of genus g and the
+    variables 1..n, as the two lower cells embedded on (w_0, w_{A_1}) and
+    (w_0, w_{A_2})."""
+    nvars = n + 1
+    positions = list(range(1, nvars))
+    for g1 in range(g + 1):
+        g2 = g - g1
+        for mask in range(1 << n):
+            A1 = [positions[i] for i in range(n) if mask >> i & 1]
+            A2 = [positions[i] for i in range(n) if not mask >> i & 1]
+            if is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1):
+                yield (
+                    _embed(_lower_cell(lower, g1, len(A1) + 1), A1, nvars),
+                    _embed(_lower_cell(lower, g2, len(A2) + 1), A2, nvars),
+                )
+
+
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     """One recursion step: build omega_{g,n+1}(w_0, ..., w_n) from lower
     cells,
@@ -398,35 +402,14 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
         cell = _lower_cell(lower, g - 1, n + 2)
         for vec, coeff in cell.expand().items():
             exps = (vec[0] + vec[1] + 1,) + vec[2:]
-            _acc(acc, exps, HALF * coeff)
+            accumulate(acc, exps, HALF * coeff)
 
-    positions = list(range(1, nvars))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << n):
-            A1 = [positions[i] for i in range(n) if mask >> i & 1]
-            A2 = [positions[i] for i in range(n) if not mask >> i & 1]
-            if not (is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1)):
-                continue
-            d1 = _embed(_lower_cell(lower, g1, len(A1) + 1), A1, nvars)
-            d2 = _embed(_lower_cell(lower, g2, len(A2) + 1), A2, nvars)
-            for exps, coeff in _mul(d1, d2).items():
-                _acc(acc, (exps[0] + 1,) + exps[1:], HALF * coeff)
+    for d1, d2 in _splits(g, n, lower):
+        for exps, coeff in _mul(d1, d2).items():
+            accumulate(acc, (exps[0] + 1,) + exps[1:], HALF * coeff)
 
     if n >= 1:
-        cell = _lower_cell(lower, g, n)
-        for i in range(1, nvars):
-            spectators = [p for p in positions if p != i]
-            for vec, coeff in cell.expand().items():
-                m = vec[0]
-                base = [0] * nvars
-                for pos, e in zip(spectators, vec[1:]):
-                    base[pos] = e
-                for t in range(m + 1):
-                    exps = list(base)
-                    exps[0] = m - t + 1
-                    exps[i] = t + 1
-                    _acc(acc, tuple(exps), (2 * t + 1) * coeff)
+        _transfer(acc, _lower_cell(lower, g, n).expand(), d_op, range(1, nvars), nvars)
 
     return SparseSymPoly.from_expanded(nvars, acc)
 
@@ -449,42 +432,14 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
         cell = _lower_cell(lower, g - 1, n + 2)
         for vec, coeff in cell.expand().items():
             c = coeff * vec[0] * vec[1] / 4
-            _acc(acc, (vec[0] + vec[1] + 1,) + vec[2:], c)
+            accumulate(acc, (vec[0] + vec[1] + 1,) + vec[2:], c)
 
-    positions = list(range(1, nvars))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << n):
-            A1 = [positions[i] for i in range(n) if mask >> i & 1]
-            A2 = [positions[i] for i in range(n) if not mask >> i & 1]
-            if not (is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1)):
-                continue
-            d1 = {
-                (exps[0] - 2,) + exps[1:]: coeff * exps[0] / 2
-                for exps, coeff in _embed(_lower_cell(lower, g1, len(A1) + 1), A1, nvars).items()
-            }
-            d2 = {
-                (exps[0] - 2,) + exps[1:]: coeff * exps[0] / 2
-                for exps, coeff in _embed(_lower_cell(lower, g2, len(A2) + 1), A2, nvars).items()
-            }
-            for exps, coeff in _mul(d1, d2).items():
-                _acc(acc, (exps[0] + 5,) + exps[1:], coeff)
+    for d1, d2 in _splits(g, n, lower):
+        for exps, coeff in _mul(_d0(d1), _d0(d2)).items():
+            accumulate(acc, (exps[0] + 5,) + exps[1:], coeff)
 
     if n >= 1:
-        cell = _lower_cell(lower, g, n)
-        for i in range(1, nvars):
-            spectators = [p for p in positions if p != i]
-            for vec, coeff in cell.expand().items():
-                a = (vec[0] - 1) // 2
-                c = coeff * vec[0] / 2
-                base = [0] * nvars
-                for pos, e in zip(spectators, vec[1:]):
-                    base[pos] = e
-                for t in range(a + 2):
-                    exps = list(base)
-                    exps[0] = 2 * (a + 2 - t) - 3
-                    exps[i] = 2 * t + 1
-                    _acc(acc, tuple(exps), c)
+        _transfer(acc, _d0(_lower_cell(lower, g, n).expand()), calD_op, range(1, nvars), nvars, shift=-3)
 
     return acc
 
@@ -498,7 +453,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
         k = exps[0]
         if k == -2:
             raise ValueError(f"term {exps} would antidifferentiate to a logarithm")
-        _acc(terms, (k + 2,) + exps[1:], coeff * Fraction(2, k + 2))
+        accumulate(terms, (k + 2,) + exps[1:], coeff * Fraction(2, k + 2))
     return HalfPowerPoly.from_expanded(nvars, terms)
 
 
@@ -518,32 +473,12 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     nvars = n + 1
-    spectators = [p for p in range(1, nvars) if p != i]
 
     lhs = {}
-    for vec, coeff in omega_from_correlators(g, n, table).expand().items():
-        m = vec[0]
-        base = [0] * nvars
-        for pos, e in zip(spectators, vec[1:]):
-            base[pos] = e
-        for t in range(m + 1):
-            exps = list(base)
-            exps[0] = m - t + 1
-            exps[i] = t + 1
-            _acc(lhs, tuple(exps), (2 * t + 1) * coeff)
+    _transfer(lhs, omega_from_correlators(g, n, table).expand(), d_op, (i,), nvars)
 
     rhs = {}
-    for vec, coeff in Omega_from_correlators(g, n, table).expand().items():
-        a = (vec[0] - 1) // 2
-        c = coeff * vec[0] / 2
-        base = [0] * nvars
-        for pos, e in zip(spectators, vec[1:]):
-            base[pos] = e
-        for t in range(a + 2):
-            exps = list(base)
-            exps[0] = 2 * (a + 2 - t)
-            exps[i] = 2 * t + 1
-            _acc(rhs, tuple(exps), c)
+    _transfer(rhs, _d0(Omega_from_correlators(g, n, table).expand()), calD_op, (i,), nvars)
     bridged = {}
     for exps, coeff in rhs.items():
         c = coeff * (2 ** (n + 1))
@@ -552,7 +487,7 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
             c *= Fraction(h, 2)
             out.append(h + 1)
         assert all(e % 2 == 0 for e in out)
-        _acc(bridged, tuple(e // 2 for e in out), c)
+        accumulate(bridged, tuple(e // 2 for e in out), c)
 
     return lhs == bridged
 

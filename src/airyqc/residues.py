@@ -39,7 +39,8 @@ class ZSeries:
 
     ``terms`` maps a z-exponent to a {spectator exponent tuple: coefficient}
     dict; ``trunc`` is the largest z-exponent through which the series is
-    exact (math.inf for exact Laurent polynomials).
+    exact (math.inf for exact Laurent polynomials).  The constructor drops
+    zero coefficients, so the arithmetic below sums without checking.
     """
 
     __slots__ = ("nspec", "trunc", "terms")
@@ -73,11 +74,7 @@ class ZSeries:
                     continue
                 tgt = out.setdefault(k, {})
                 for e, c in poly.items():
-                    v = tgt.get(e, ZERO) + c
-                    if v:
-                        tgt[e] = v
-                    else:
-                        tgt.pop(e, None)
+                    tgt[e] = tgt.get(e, ZERO) + c
         return ZSeries(self.nspec, trunc, out)
 
     def __mul__(self, other):
@@ -95,11 +92,7 @@ class ZSeries:
                 for e1, c1 in p1.items():
                     for e2, c2 in p2.items():
                         e = tuple(a + b for a, b in zip(e1, e2))
-                        v = tgt.get(e, ZERO) + c1 * c2
-                        if v:
-                            tgt[e] = v
-                        else:
-                            tgt.pop(e, None)
+                        tgt[e] = tgt.get(e, ZERO) + c1 * c2
         return ZSeries(self.nspec, trunc, out)
 
     def scaled(self, factor):

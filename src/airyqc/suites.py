@@ -24,7 +24,7 @@ from .polynomials import (
     verify_d_lemma,
 )
 from .residues import eo_W
-from .wkb import low_order_residuals, quantum_curve_report, t_recursion_check
+from .wkb import quantum_curve_report, t_recursion_check
 
 __all__ = [
     "Check",
@@ -86,46 +86,36 @@ def suite_dvv_eo(max_chi: int = 6, table: CorrelatorTable | None = None):
     return checks
 
 
-def suite_omega_rec(max_chi: int = 6, table: CorrelatorTable | None = None):
-    """omega recursion against the defining series, including the seeds."""
+def _rec_suite(name, base, step, reference, max_chi, table):
+    """One recursion step per cell (seeds for the base cells), each checked
+    against the defining series built from the correlator table."""
     if table is None:
         table = CorrelatorTable()
     checks = []
     lower = {}
     for g, n in shell_cells(1, max_chi):
         if (g, n) in ((0, 3), (1, 1)):
-            cell = omega_base(g, n)
-            label = f"omega_({g},{n}) seed"
+            cell = base(g, n)
+            label = f"{name}_({g},{n}) seed"
         else:
-            cell = omega_step(g, n - 1, lower)
-            label = f"omega_({g},{n}) step"
+            cell = step(g, n - 1, lower)
+            label = f"{name}_({g},{n}) step"
         lower[(g, n)] = cell
-        ref = omega_from_correlators(g, n, table)
+        ref = reference(g, n, table)
         ok = cell == ref
         detail = "" if ok else _poly_diff(("rec", "def"), cell, ref)
-        checks.append(Check("omega-rec", label, ok, detail))
+        checks.append(Check(f"{name}-rec", label, ok, detail))
     return checks
+
+
+def suite_omega_rec(max_chi: int = 6, table: CorrelatorTable | None = None):
+    """omega recursion against the defining series, including the seeds."""
+    return _rec_suite("omega", omega_base, omega_step, omega_from_correlators, max_chi, table)
 
 
 def suite_Omega_rec(max_chi: int = 6, table: CorrelatorTable | None = None):
     """Omega recursion (with antidifferentiation) against the defining series."""
-    if table is None:
-        table = CorrelatorTable()
-    checks = []
-    lower = {}
-    for g, n in shell_cells(1, max_chi):
-        if (g, n) in ((0, 3), (1, 1)):
-            cell = Omega_base(g, n)
-            label = f"Omega_({g},{n}) seed"
-        else:
-            cell = Omega_step(g, n - 1, lower)
-            label = f"Omega_({g},{n}) step"
-        lower[(g, n)] = cell
-        ref = Omega_from_correlators(g, n, table)
-        ok = cell == ref
-        detail = "" if ok else _poly_diff(("rec", "def"), cell, ref)
-        checks.append(Check("Omega-rec", label, ok, detail))
-    return checks
+    return _rec_suite("Omega", Omega_base, Omega_step, Omega_from_correlators, max_chi, table)
 
 
 def suite_d_lemma(max_m: int = 50, bridge_max_chi: int = 4, table: CorrelatorTable | None = None):
@@ -169,16 +159,6 @@ def suite_t_rec(order: int = 10, table: CorrelatorTable | None = None):
     checks = []
     for n in range(3, order + 1):
         checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, table)))
-    return checks
-
-
-def suite_low_orders(table: CorrelatorTable | None = None):
-    """Expanded detail for orders 0..2 (used by tests; folded into
-    quantum-curve for the CLI)."""
-    checks = []
-    for branch, bs in ((1, "+"), (-1, "-")):
-        for order, res in enumerate(low_order_residuals(branch, table)):
-            checks.append(Check("low-orders", f"order {order} branch {bs}", not res))
     return checks
 
 

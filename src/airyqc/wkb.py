@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HALF, ZERO, double_factorial, bounded_partitions, orbit_size, rat_str
+from .core import HALF, ZERO, accumulate, bounded_partitions, odd_weight, orbit_size, rat_str
 from .correlators import CorrelatorTable, is_stable
 
 __all__ = [
@@ -88,10 +88,7 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
         value = table.correlator(g, a)
         if not value:
             continue
-        weight = orbit_size(a)
-        for ai in a:
-            weight *= double_factorial(2 * ai - 1)
-        total += weight * value
+        total += orbit_size(a) * odd_weight(a, -1) * value
     return total, 6 * g - 6 + 3 * k
 
 
@@ -144,12 +141,7 @@ def _dmul(d1, d2):
     out = {}
     for k1, c1 in d1.items():
         for k2, c2 in d2.items():
-            k = k1 + k2
-            v = out.get(k, ZERO) + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            accumulate(out, k1 + k2, c1 * c2)
     return out
 
 
@@ -157,11 +149,7 @@ def _dadd(*ds):
     out = {}
     for d in ds:
         for k, c in d.items():
-            v = out.get(k, ZERO) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            accumulate(out, k, c)
     return out
 
 

@@ -79,6 +79,16 @@ def test_loader_reports_record_line():
     assert "line 7" in str(err.value)  # second record sits on line 7
 
 
+def test_loader_rejects_off_shell_record():
+    text = _valid_doc().replace('"count": 2', '"count": 3').replace(
+        '{"g": 1, "a": [1], "value": "1/24"}',
+        '{"g": 1, "a": [1], "value": "1/24"},\n{"g": 1, "a": [5], "value": "7"}',
+    )
+    with pytest.raises(CacheFormatError) as err:
+        loads_table(text)
+    assert "off-shell" in str(err.value) and "line 8" in str(err.value)
+
+
 def test_loaded_table_extends():
     table = loads_table(_valid_doc())
     assert table.correlator(0, (1, 0, 0, 0)) == F(1)

@@ -98,6 +98,14 @@ def test_cache_load_malformed_exits_3(tmp_path, capsys):
     assert code == 3 and "lowest terms" in err
 
 
+def test_cache_off_shell_record_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    '"records": [{"g": 1, "a": [5], "value": "7"}]}')
+    code, out, err = run(capsys, "correlator", "1", "5", "--cache", str(path))
+    assert code == 3 and out == "" and "off-shell" in err
+
+
 def test_cache_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "cache", "load", str(tmp_path / "nope.json"))
     assert code == 3 and "cannot read" in err
@@ -107,10 +115,3 @@ def test_deterministic_output(capsys):
     first = run(capsys, "table", "W", "2", "2")
     second = run(capsys, "table", "W", "2", "2")
     assert first == second
-
-
-def test_jobs_flag(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "cache", "save", str(a), "--max-chi", "3")
-    run(capsys, "cache", "save", str(b), "--max-chi", "3", "--jobs", "4")
-    assert a.read_bytes() == b.read_bytes()

@@ -161,12 +161,6 @@ def test_shell_chi_3_contains_genus_2(table):
     assert t.correlator(2, (4,)) == Fraction(1, 1152)
 
 
-def test_shell_deterministic_and_parallel_consistent():
-    a = correlator_shell(4)
-    b = correlator_shell(4, jobs=4)
-    assert dict(a.items()) == dict(b.items())
-
-
 def test_perturbed_seed_breaks_insertion_independence():
     bad = CorrelatorTable(tau1=Fraction(1, 12))
     values = {bad.dvv_rhs(1, (2, 0), i) for i in range(2)}
