@@ -8,7 +8,7 @@ the residue recursion on the Airy curve, and ships the identity suites
 that confront them with each other and with the quantum curve.
 """
 
-from .core import Rat, double_factorial, rat_parse, rat_str
+from .core import double_factorial, rat_parse, rat_str
 from .correlators import CorrelatorTable, canonical_key, correlator_shell, is_stable, shell_cells, shell_keys
 from .polynomials import (
     HalfPowerPoly,
@@ -34,7 +34,6 @@ from .wkb import (
     QuantumCurveReport,
     WkbTerm,
     diag_Omega,
-    low_order_residuals,
     quantum_curve_report,
     s_term,
     s_terms,

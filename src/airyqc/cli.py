@@ -89,10 +89,12 @@ def _cmd_sn(args) -> int:
 def _cmd_verify(args) -> int:
     table = _make_table(args)
     suite = SUITES[args.suite]
+    # without --max-chi each suite keeps its own default
+    max_chi = () if args.max_chi is None else (args.max_chi,)
     if args.suite in ("dvv-eo", "omega-rec", "Omega-rec"):
-        checks = suite(args.max_chi, table)
+        checks = suite(*max_chi, table=table)
     elif args.suite == "d-lemma":
-        checks = suite(args.max_m, min(args.max_chi, 4), table)
+        checks = suite(args.max_m, *max_chi, table=table)
     else:
         checks = suite(args.order, table)
     for check in checks:
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity suite; exit 1 on the first counterexample")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-chi", type=int, default=6, help="largest 2g-2+n (cell suites)")
+    p.add_argument("--max-chi", type=int, help="largest 2g-2+n (cell suites, default 6; d-lemma bridge, default 4)")
     p.add_argument("--order", type=int, default=10, help="largest hbar order (quantum-curve, t-rec)")
     p.add_argument("--max-m", type=int, default=50, help="largest monomial degree (d-lemma)")
     add_cache_opt(p)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)

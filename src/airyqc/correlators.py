@@ -78,11 +78,11 @@ class CorrelatorTable:
     counts keys computed; ``hits`` counts memo lookups that found a value,
     the recursion's own lookups of lower keys included.
 
-    The two base values can be overridden (``tau0_cubed``, ``tau1``), which
-    is used by mutation tests to confirm the downstream identities actually
-    depend on them.  An overridden seed propagates through the string and
-    dilaton reductions as through the full recursion, so such a table no
-    longer satisfies ``dvv_rhs`` for every choice of special insertion.
+    The seed <tau_1>_1 can be overridden (``tau1``), which is used by
+    mutation tests to confirm the downstream identities actually depend on
+    it.  An overridden seed propagates through the string and dilaton
+    reductions as through the full recursion, so such a table no longer
+    satisfies ``dvv_rhs`` for every choice of special insertion.
 
     >>> t = CorrelatorTable()
     >>> t.correlator(1, (1,))
@@ -91,11 +91,11 @@ class CorrelatorTable:
     Fraction(1, 1152)
     """
 
-    def __init__(self, *, tau0_cubed: Fraction = Fraction(1), tau1: Fraction = Fraction(1, 24)):
+    def __init__(self, *, tau1: Fraction = Fraction(1, 24)):
         self._memo = {}
         self.hits = 0
         self.misses = 0
-        self._memo[(0, (0, 0, 0))] = Fraction(tau0_cubed)
+        self._memo[(0, (0, 0, 0))] = Fraction(1)
         self._memo[(1, (1,))] = Fraction(tau1)
 
     def __len__(self):

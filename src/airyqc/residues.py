@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .core import HALF, ZERO
-from .correlators import is_stable, shell_cells
-from .polynomials import SparseSymPoly
+from .correlators import shell_cells
+from .polynomials import SparseSymPoly, _lower_cell, _require_stable
 
 __all__ = [
     "ZSeries",
@@ -176,24 +176,17 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     Symmetry of the result is checked, not imposed, and the output is
     converted to the same exponent-table form as ``tW_from_correlators``.
     """
-    if g < 0 or n < 1 or not is_stable(g, n):
-        raise ValueError(f"unstable (g, n) = ({g}, {n})")
+    _require_stable(g, n)
     M = 6 * g + 2 * n
     nspec = n
     rest = list(range(1, n))
-
-    def cell(g_, n_):
-        try:
-            return lower[(g_, n_)]
-        except KeyError:
-            raise ValueError(f"missing lower cell ({g_}, {n_})") from None
 
     inner = ZSeries.zero(nspec)
     if g >= 1:
         if (g, n) == (1, 1):
             inner = inner + ZSeries(nspec, math.inf, {-2: {(0,) * nspec: Fraction(1, 4)}})
         else:
-            inner = inner + series_from_cell(cell(g - 1, n + 1), rest, nspec, both_active=True)
+            inner = inner + series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True)
 
     for g1 in range(g + 1):
         g2 = g - g1
@@ -206,11 +199,11 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
             if (g1, n1) == (0, 2):
                 f1 = b02_series(1, A1[0], M, nspec)
             else:
-                f1 = series_from_cell(cell(g1, n1), A1, nspec)
+                f1 = series_from_cell(_lower_cell(lower, g1, n1), A1, nspec)
             if (g2, n2) == (0, 2):
                 f2 = b02_series(-1, A2[0], M, nspec)
             else:
-                f2 = series_from_cell(cell(g2, n2), A2, nspec)
+                f2 = series_from_cell(_lower_cell(lower, g2, n2), A2, nspec)
             inner = inner + f1 * f2
 
     res = (kernel_series(M, nspec) * inner).residue()

@@ -8,17 +8,25 @@ all land on w^((3n-3)/2), and
 
     S_n = (branch)^(n+1) sum_{2g-1+k=n} Omega_{g,k}(w, ..., w) / k!
 
-where branch = +1 or -1 selects the root z = branch * sqrt(2u).  The
-order-hbar^n identity (n >= 3) then reads
+where branch = +1 or -1 selects the root z = branch * sqrt(2u).  With
+S_0 = branch * (2u)^(3/2) / 3, the logarithmic S_1 = log(w)/4 + const, and
+sigma_i = w^(5/2) d_w S_i (a monomial of w-degree 3i/2 for every i),
+substituting d_u = -2 w^2 d_w turns the order-hbar^n part of the equation,
+1/2 sum_{i+j=n} S_i' S_j' + 1/2 S_{n-1}'' - u [n=0], into 2 w^(-1) R_n with
+
+    R_n = sum_{i+j=n} sigma_i sigma_j + w^(5/2) d_w sigma_{n-1}
+          - 1/2 w^(3/2) sigma_{n-1} - [n=0]/4,
+
+a single monomial w^(3n/2).  Every order 0..N is checked by R_n = 0.  For
+n >= 3, sigma_0 = -branch/2 and sigma_1 = w^(3/2)/4 cancel the other S_0
+and S_1 terms, leaving
 
     w^(5/2) d_w S_n = branch * ( (w^(5/2) d_w)^2 S_{n-1}
                       + sum_{i+j=n, i,j>=2} w^(5/2) d_w S_i * w^(5/2) d_w S_j )
 
 and substituting t = -(2/3) w^(-3/2) (so w^(5/2) d_w = d_t) gives the
 coordinate-free form d_t S_n = d_t^2 S_{n-1} + sum d_t S_i d_t S_j on the
-plus branch.  Orders 0..2 involve S_0 = branch * (2u)^(3/2) / 3 and the
-logarithmic S_1 = -log(2u)/4 + const; they are checked in a tiny exact
-calculus of (2u)^(k/2) monomials where both stay rational.
+plus branch.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HALF, ZERO, accumulate, bounded_partitions, odd_weight, orbit_size, rat_str
+from .core import ZERO, bounded_partitions, odd_weight, orbit_size, rat_str
 from .correlators import CorrelatorTable, is_stable
 
 __all__ = [
@@ -37,7 +45,6 @@ __all__ = [
     "diag_Omega",
     "s_term",
     "s_terms",
-    "low_order_residuals",
     "verify_low_orders",
     "verify_order",
     "t_recursion_check",
@@ -124,99 +131,57 @@ def s_terms(N: int, branch: int, table: CorrelatorTable | None = None) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# orders 0..2 in the (2u)^(1/2) calculus
-
-def _du(d):
-    """d/du on a {half-step k: coeff} dict of (2u)^(k/2) monomials:
-    d/du (2u)^(k/2) = k (2u)^((k-2)/2)."""
-    out = {}
-    for k, c in d.items():
-        v = c * k
-        if v:
-            out[k - 2] = v
-    return out
-
-
-def _dmul(d1, d2):
-    out = {}
-    for k1, c1 in d1.items():
-        for k2, c2 in d2.items():
-            accumulate(out, k1 + k2, c1 * c2)
-    return out
-
-
-def _dadd(*ds):
-    out = {}
-    for d in ds:
-        for k, c in d.items():
-            accumulate(out, k, c)
-    return out
-
-
-def _dscale(d, f):
-    return {k: c * f for k, c in d.items() if c * f}
-
-
-def low_order_residuals(branch: int, table: CorrelatorTable | None = None, s2_coeff: Fraction | None = None):
-    """Residuals of the order hbar^0, hbar^1, hbar^2 identities, each as a
-    {(2u) half-step: coeff} dict (empty dict means the identity holds).
-
-    ``s2_coeff`` overrides the branch-undressed S_2 coefficient (the true
-    value is 5/24); mutation tests use it to confirm sensitivity.
-    """
-    _check_branch(branch)
-    if s2_coeff is None:
-        s2_coeff = s_term(2, branch, table).coeff * Fraction(branch) ** 3
-    e = Fraction(branch)
-    dS0 = {1: e}                      # d_u of branch*(2u)^(3/2)/3
-    d2S0 = _du(dS0)
-    dS1 = {-2: -HALF}                 # d_u of -log(2u)/4
-    d2S1 = _du(dS1)
-    dS2 = _du({-3: e * s2_coeff})     # S_2 = branch * s2_coeff * (2u)^(-3/2)
-
-    order0 = _dadd(_dscale(_dmul(dS0, dS0), HALF), {2: -HALF})
-    order1 = _dadd(_dscale(d2S0, HALF), _dmul(dS0, dS1))
-    order2 = _dadd(_dscale(d2S1, HALF), _dmul(dS0, dS2), _dscale(_dmul(dS1, dS1), HALF))
-    return [order0, order1, order2]
-
-
-def verify_low_orders(branch: int, table: CorrelatorTable | None = None, s2_coeff: Fraction | None = None) -> bool:
-    """True iff the hbar^0..hbar^2 identities hold exactly."""
-    return all(not r for r in low_order_residuals(branch, table, s2_coeff))
-
-
-# ---------------------------------------------------------------------------
-# orders >= 3 in the w monomial calculus
+# the order-hbar^n residual R_n in the w monomial calculus
 
 def _w52d(coeff, halfsteps):
     """w^(5/2) d_w on a single monomial: exponent +3 half-steps."""
     return coeff * Fraction(halfsteps, 2), halfsteps + 3
 
 
+def _residual(n: int, terms: dict) -> Fraction:
+    """Coefficient of the monomial R_n (w-degree 3n/2); zero iff the
+    order-hbar^n identity holds."""
+    sigma = []
+    for i in range(n + 1):
+        t = terms[i]
+        # w^(5/2) d_w (c log w) = c w^(3/2)
+        c, h = (t.coeff, 3) if t.kind == "log" else _w52d(t.coeff, t.halfsteps)
+        assert h == 3 * i, f"sigma_{i} off its monomial w^({3 * i}/2)"
+        sigma.append(c)
+    total = sum(sigma[i] * sigma[n - i] for i in range(n + 1))
+    if n == 0:
+        return total - Fraction(1, 4)
+    return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2
+
+
+def verify_low_orders(branch: int, table: CorrelatorTable | None = None, s2_coeff: Fraction | None = None) -> bool:
+    """True iff the hbar^0..hbar^2 identities hold exactly.
+
+    ``s2_coeff`` overrides the branch-undressed S_2 coefficient (the true
+    value is 5/24); mutation tests use it to confirm sensitivity.
+    """
+    terms = s_terms(2, branch, table)
+    if s2_coeff is not None:
+        terms[2] = WkbTerm(2, branch, "monomial", branch * Fraction(s2_coeff), 3)
+    return all(_residual(n, terms) == 0 for n in range(3))
+
+
 def verify_order(n: int, branch: int, table: CorrelatorTable | None = None, terms: dict | None = None):
     """Residual of the order hbar^n identity (n >= 3), as an exact monomial
-    (coefficient, w half-steps); the coefficient is zero iff the quantum
-    curve equation holds at this order."""
+    (coefficient, w half-steps) = (-branch * R_n, 3n); the coefficient is
+    zero iff the quantum curve equation holds at this order.
+
+    For n >= 3, 2 sigma_0 sigma_n = -branch sigma_n and 2 sigma_1 sigma_{n-1}
+    cancels -1/2 w^(3/2) sigma_{n-1}, so the coefficient is that of
+    w^(5/2) d_w S_n - branch * ( (w^(5/2) d_w)^2 S_{n-1}
+    + sum_{i+j=n, i,j>=2} w^(5/2) d_w S_i * w^(5/2) d_w S_j ).
+    """
     if n < 3:
         raise ValueError("verify_order handles n >= 3; use verify_low_orders below that")
     _check_branch(branch)
     if terms is None:
         terms = s_terms(n, branch, table)
-
-    def mono(i):
-        t = terms[i]
-        assert t.kind == "monomial"
-        return t.coeff, t.halfsteps
-
-    lhs_c, lhs_h = _w52d(*mono(n))
-    rhs_c, rhs_h = _w52d(*_w52d(*mono(n - 1)))
-    for i in range(2, n - 1):
-        ci, hi = _w52d(*mono(i))
-        cj, hj = _w52d(*mono(n - i))
-        assert hi + hj == rhs_h
-        rhs_c += ci * cj
-    assert lhs_h == rhs_h
-    return lhs_c - branch * rhs_c, lhs_h
+    return -branch * _residual(n, terms), 3 * n
 
 
 def t_recursion_check(n: int, table: CorrelatorTable | None = None, terms: dict | None = None) -> bool:
@@ -279,25 +244,19 @@ class QuantumCurveReport:
         return json.dumps(payload, separators=(", ", ": "))
 
 
-def _render_u_residual(d) -> str:
-    if not d:
-        return "0"
-    parts = [f"{rat_str(c)}*(2u)^({k}/2)" for k, c in sorted(d.items(), reverse=True)]
-    return " + ".join(parts)
-
-
 def quantum_curve_report(N: int, branch: int, table: CorrelatorTable | None = None) -> QuantumCurveReport:
     """Check every order 0..N on the given branch and collect residuals."""
     if N < 2:
         raise ValueError("N must be >= 2")
     _check_branch(branch)
-    if table is None:
-        table = CorrelatorTable()
-    residuals = []
-    for order, res in enumerate(low_order_residuals(branch, table)):
-        residuals.append((order, _render_u_residual(res)))
     terms = s_terms(N, branch, table)
-    for order in range(3, N + 1):
-        coeff, halfsteps = verify_order(order, branch, table, terms)
-        residuals.append((order, "0" if not coeff else f"{rat_str(coeff)}*w^({halfsteps}/2)"))
+    residuals = []
+    for order in range(N + 1):
+        if order < 3:
+            # the order-hbar^n part of the equation is 2 R_n (2u)^((2 - 3n)/2)
+            coeff, monomial = 2 * _residual(order, terms), f"(2u)^({2 - 3 * order}/2)"
+        else:
+            coeff, halfsteps = verify_order(order, branch, table, terms)
+            monomial = f"w^({halfsteps}/2)"
+        residuals.append((order, f"{rat_str(coeff)}*{monomial}" if coeff else "0"))
     return QuantumCurveReport(N, branch, residuals)

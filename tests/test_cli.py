@@ -71,6 +71,12 @@ def test_verify_ok_suites(capsys):
     assert code == 0 and "ok dvv-eo W_(1,2)" in out
 
 
+def test_verify_d_lemma_honours_max_chi(capsys):
+    code, out, _ = run(capsys, "verify", "d-lemma", "--max-m", "0", "--max-chi", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "ok d-lemma bridge (g,n)=(3,1) i=1"
+
+
 def test_verify_quantum_curve_small(capsys):
     code, out, _ = run(capsys, "verify", "quantum-curve", "--order", "4")
     assert code == 0

@@ -145,3 +145,34 @@ def test_verify_order_rejects_small_n(table):
         verify_order(2, 1, table)
     with pytest.raises(ValueError):
         t_recursion_check(2, table)
+
+
+_PINNED_RESIDUALS = {
+    # order: (tau1 = 1/12, tau1 = 1/23) on the plus branch; the minus
+    # branch flips the sign of the even orders >= 4
+    2: ("-1/8*(2u)^(-4/2)", "-1/184*(2u)^(-4/2)"),
+    3: ("1/4*w^(9/2)", "1/92*w^(9/2)"),
+    4: ("1*w^(12/2)", "1/23*w^(12/2)"),
+    5: ("463/112*w^(15/2)", "5319/29624*w^(15/2)"),
+    6: ("247/14*w^(18/2)", "5659/7406*w^(18/2)"),
+}
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("col, tau1", [(0, F(1, 12)), (1, F(1, 23))])
+def test_perturbed_base_residuals_pinned(branch, col, tau1):
+    report = quantum_curve_report(6, branch, CorrelatorTable(tau1=tau1))
+    expected = [(0, "0"), (1, "0")]
+    for order, row in _PINNED_RESIDUALS.items():
+        r = row[col]
+        if branch == -1 and order >= 4 and order % 2 == 0:
+            r = "-" + r
+        expected.append((order, r))
+    assert report.residuals == expected
+
+
+def test_mutated_s3_residual_pinned(table):
+    terms = dict(s_terms(4, 1, table))
+    good = terms[3]
+    terms[3] = WkbTerm(3, 1, "monomial", good.coeff + F(1, 7), good.halfsteps)
+    assert verify_order(3, 1, table, terms) == (F(3, 7), 9)
