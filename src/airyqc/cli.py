@@ -89,14 +89,12 @@ def _cmd_sn(args) -> int:
 def _cmd_verify(args) -> int:
     table = _make_table(args)
     suite = SUITES[args.suite]
-    # without --max-chi each suite keeps its own default
-    max_chi = () if args.max_chi is None else (args.max_chi,)
-    if args.suite in ("dvv-eo", "omega-rec", "Omega-rec"):
-        checks = suite(*max_chi, table=table)
-    elif args.suite == "d-lemma":
-        checks = suite(args.max_m, *max_chi, table=table)
-    else:
+    if args.suite == "d-lemma":
+        checks = suite(args.max_m, 4 if args.max_chi is None else args.max_chi, table)
+    elif args.suite in ("quantum-curve", "t-rec"):
         checks = suite(args.order, table)
+    else:
+        checks = suite(6 if args.max_chi is None else args.max_chi, table)
     for check in checks:
         print(check.line())
         if not check.ok:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import product
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 _RAT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
@@ -161,6 +160,16 @@ def orbit_size(orbit) -> int:
     for c in Counter(orbit).values():
         n //= math.factorial(c)
     return n
+
+
+def ordered_splits(g: int, positions):
+    """Yield each ordered split (g_1, A_1, g_2, A_2): g_1 + g_2 = g, and A_1,
+    A_2 complementary sub-lists of `positions`.  Stability is the caller's."""
+    for g1 in range(g + 1):
+        for mask in range(1 << len(positions)):
+            A1 = [p for i, p in enumerate(positions) if mask >> i & 1]
+            A2 = [p for i, p in enumerate(positions) if not mask >> i & 1]
+            yield g1, A1, g - g1, A2
 
 
 def sub_multisets(items):

@@ -49,7 +49,26 @@ __all__ = [
 
 
 def is_stable(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
+    """True exactly when g >= 0, n >= 1 and 2g - 2 + n > 0."""
+    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
+
+
+def require_stable(g, n) -> None:
+    """Raise ValueError unless (g, n) is a stable cell."""
+    if not is_stable(g, n):
+        raise ValueError(f"unstable (g, n) = ({g}, {n})")
+
+
+def cell_keys(g, n):
+    """The canonical on-shell exponent tuples of the stable cell (g, n),
+    sum(a) = 3g - 3 + n, in descending order."""
+    require_stable(g, n)
+    return bounded_partitions(3 * g - 3 + n, n)
+
+
+def record_order(g, a):
+    """Sort key of a stored record: (2g - 2 + n, g, a)."""
+    return 2 * g - 2 + len(a), g, a
 
 
 def canonical_key(g, exponents):
@@ -59,15 +78,13 @@ def canonical_key(g, exponents):
     lists, and unstable (g, n).
     """
     exponents = tuple(exponents)
-    n = len(exponents)
     if not isinstance(g, int) or g < 0:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
-    if n == 0:
+    if not exponents:
         raise ValueError("at least one insertion is required")
     if any(not isinstance(a, int) or a < 0 for a in exponents):
         raise ValueError(f"exponents must be non-negative integers, got {exponents!r}")
-    if not is_stable(g, n):
-        raise ValueError(f"unstable (g, n) = ({g}, {n})")
+    require_stable(g, len(exponents))
     return g, tuple(sorted(exponents, reverse=True))
 
 
@@ -100,9 +117,6 @@ class CorrelatorTable:
 
     def __len__(self):
         return len(self._memo)
-
-    def __contains__(self, key):
-        return key in self._memo
 
     def items(self):
         return self._memo.items()
@@ -232,7 +246,7 @@ class CorrelatorTable:
         """Memo contents as (g, a, value) sorted by (2g-2+n, g, a)."""
         return sorted(
             ((g, a, v) for (g, a), v in self._memo.items()),
-            key=lambda r: (2 * r[0] - 2 + len(r[1]), r[0], r[1]),
+            key=lambda r: record_order(r[0], r[1]),
         )
 
 
@@ -248,7 +262,7 @@ def shell_cells(min_chi: int, max_chi: int):
 def shell_keys(max_chi: int):
     """All on-shell canonical keys with 2g - 2 + n <= max_chi."""
     for g, n in shell_cells(1, max_chi):
-        for a in bounded_partitions(3 * g - 3 + n, n):
+        for a in cell_keys(g, n):
             yield g, a
 
 

@@ -1,8 +1,8 @@
 """Sparse exact polynomials for the w-coordinate form of the recursion.
 
 Two closely related generating polynomials are built from the correlator
-table (w_i = 1/z_i^2 turns the z-space generating functions into honest
-polynomials):
+table over each cell's on-shell keys (w_i = 1/z_i^2 turns the z-space
+generating functions into honest polynomials):
 
     omega_{g,n} = sum <tau_a>_g prod (2a_i+1)!! w_i^(a_i+1)      integer exponents
     Omega_{g,n} = sum <tau_a>_g prod (2a_i-1)!! w_i^(a_i+1/2)    half-integer exponents
@@ -21,9 +21,9 @@ together with the transfer operators
     calD_{u,v} x^(a-1/2) = u v^(1/2) (u^(a+1) + u^a v + ... + v^(a+1))
 
 that encode the contribution of the two-point function to the recursion.
-The transfer terms of ``omega_step`` and ``Omega_step_dw0``, and both sides
-of ``d_bridge_holds``, apply ``d_op`` and ``calD_op`` themselves, once per
-spectator tail of the lower cell.
+The steps and both sides of ``d_bridge_holds`` apply ``d_op`` and ``calD_op``
+once per spectator tail; split terms come from ``core.ordered_splits``, and
+one slot map 2 w^(3/2) d_w takes Omega to omega monomials.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, accumulate, bounded_partitions, multiset_permutations, odd_weight, orbit_size, rat_str
-from .correlators import CorrelatorTable, is_stable
+from .core import HALF, accumulate, multiset_permutations, odd_weight, orbit_size, ordered_splits, rat_str
+from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
     "SparseSymPoly",
@@ -131,9 +131,6 @@ class _OrbitPoly:
             and self.orbits == other.orbits
         )
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.nvars, frozenset(self.orbits.items())))
-
     def __bool__(self):
         return bool(self.orbits)
 
@@ -163,17 +160,11 @@ class HalfPowerPoly(_OrbitPoly):
 # ---------------------------------------------------------------------------
 # builders from the correlator table
 
-def _require_stable(g, n):
-    if g < 0 or n < 1 or not is_stable(g, n):
-        raise ValueError(f"unstable (g, n) = ({g}, {n})")
-
-
 def _from_correlators(g, n, table, poly_cls, shift, exponents):
     """The cell whose orbit ``exponents(a)`` carries <tau_a>_g
     prod (2a_i + shift)!!, over the on-shell orbits a of (g, n)."""
-    _require_stable(g, n)
     orbits = {}
-    for a in bounded_partitions(3 * g - 3 + n, n):
+    for a in cell_keys(g, n):
         value = table.correlator(g, a)
         if value:
             orbits[exponents(a)] = value * odd_weight(a, shift)
@@ -200,18 +191,21 @@ def Omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> HalfPowerP
     return poly
 
 
+def _to_omega(vec, coeff):
+    """2 w^(3/2) d_w on each slot of the half-step monomial coeff * w^vec,
+    w^(k/2) -> k w^((k+1)/2); returns (integer exponents, coefficient)."""
+    for k in vec:
+        coeff *= k
+    return tuple((k + 1) // 2 for k in vec), coeff
+
+
 def omega_from_Omega(g: int, n: int, Om: HalfPowerPoly) -> SparseSymPoly:
     """Recover omega_{g,n} = 2^n prod w_j^(3/2) d_{w_1} ... d_{w_n} Omega_{g,n}.
 
     On a monomial prod w^(k_j/2) the right side is prod k_j w^((k_j+1)/2),
     and (2a-1)!! (2a+1) = (2a+1)!! restores the omega weights.
     """
-    terms = {}
-    for vec, coeff in Om.expand().items():
-        c = coeff
-        for k in vec:
-            c *= k
-        terms[tuple((k + 1) // 2 for k in vec)] = c
+    terms = dict(_to_omega(vec, coeff) for vec, coeff in Om.expand().items())
     return SparseSymPoly.from_expanded(n, terms)
 
 
@@ -284,27 +278,6 @@ def verify_d_lemma(m: int) -> bool:
 # ---------------------------------------------------------------------------
 # plain multivariate helpers (internal; exponent tuples of fixed length)
 
-def _mul(d1, d2):
-    out = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-    return out
-
-
-def _embed(cell, positions, nvars):
-    """Place an expanded symmetric cell into an nvars-wide exponent lattice:
-    slot 0 goes to variable 0, remaining slots to `positions`."""
-    out = {}
-    for vec, coeff in cell.expand().items():
-        exps = [0] * nvars
-        exps[0] = vec[0]
-        for pos, e in zip(positions, vec[1:]):
-            exps[pos] = e
-        accumulate(out, tuple(exps), coeff)
-    return out
-
-
 def _d0(terms):
     """d_{w_0} on a half-step dict: w_0^(h/2) -> (h/2) w_0^((h-2)/2)."""
     return {(e[0] - 2,) + e[1:]: c * e[0] / 2 for e, c in terms.items()}
@@ -353,7 +326,7 @@ def Omega_base(g: int, n: int) -> HalfPowerPoly:
 
 
 def _check_step_target(g, n1):
-    _require_stable(g, n1)
+    require_stable(g, n1)
     if (g, n1) in ((0, 3), (1, 1)):
         raise ValueError(f"({g}, {n1}) is a seeded base cell, not a recursion target")
 
@@ -365,22 +338,25 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
-def _splits(g, n, lower):
-    """Each stable ordered split (g_1, A_1), (g_2, A_2) of genus g and the
-    variables 1..n, as the two lower cells embedded on (w_0, w_{A_1}) and
-    (w_0, w_{A_2})."""
+def _split_terms(g, n, lower, shift, prep=lambda terms: terms):
+    """Each (exponents, coeff) term of the products over the stable ordered
+    splits of genus g and variables 1..n: slot 0 of both `prep`-ed expanded
+    cells summed onto w_0 plus `shift`, the other slots placed on A_1, A_2."""
     nvars = n + 1
-    positions = list(range(1, nvars))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << n):
-            A1 = [positions[i] for i in range(n) if mask >> i & 1]
-            A2 = [positions[i] for i in range(n) if not mask >> i & 1]
-            if is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1):
-                yield (
-                    _embed(_lower_cell(lower, g1, len(A1) + 1), A1, nvars),
-                    _embed(_lower_cell(lower, g2, len(A2) + 1), A2, nvars),
-                )
+    for g1, A1, g2, A2 in ordered_splits(g, range(1, nvars)):
+        if not (is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1)):
+            continue
+        terms1 = prep(_lower_cell(lower, g1, len(A1) + 1).expand())
+        terms2 = prep(_lower_cell(lower, g2, len(A2) + 1).expand())
+        for vec1, c1 in terms1.items():
+            exps = [0] * nvars
+            for pos, e in zip(A1, vec1[1:]):
+                exps[pos] = e
+            for vec2, c2 in terms2.items():
+                exps[0] = vec1[0] + vec2[0] + shift
+                for pos, e in zip(A2, vec2[1:]):
+                    exps[pos] = e
+                yield tuple(exps), c1 * c2
 
 
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -404,9 +380,8 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
             exps = (vec[0] + vec[1] + 1,) + vec[2:]
             accumulate(acc, exps, HALF * coeff)
 
-    for d1, d2 in _splits(g, n, lower):
-        for exps, coeff in _mul(d1, d2).items():
-            accumulate(acc, (exps[0] + 1,) + exps[1:], HALF * coeff)
+    for exps, coeff in _split_terms(g, n, lower, 1):
+        accumulate(acc, exps, HALF * coeff)
 
     if n >= 1:
         _transfer(acc, _lower_cell(lower, g, n).expand(), d_op, range(1, nvars), nvars)
@@ -434,9 +409,8 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
             c = coeff * vec[0] * vec[1] / 4
             accumulate(acc, (vec[0] + vec[1] + 1,) + vec[2:], c)
 
-    for d1, d2 in _splits(g, n, lower):
-        for exps, coeff in _mul(_d0(d1), _d0(d2)).items():
-            accumulate(acc, (exps[0] + 5,) + exps[1:], coeff)
+    for exps, coeff in _split_terms(g, n, lower, 5, _d0):
+        accumulate(acc, exps, coeff)
 
     if n >= 1:
         _transfer(acc, _d0(_lower_cell(lower, g, n).expand()), calD_op, range(1, nvars), nvars, shift=-3)
@@ -481,13 +455,9 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
     _transfer(rhs, _d0(Omega_from_correlators(g, n, table).expand()), calD_op, (i,), nvars)
     bridged = {}
     for exps, coeff in rhs.items():
-        c = coeff * (2 ** (n + 1))
-        out = [exps[0]]
-        for h in exps[1:]:
-            c *= Fraction(h, 2)
-            out.append(h + 1)
-        assert all(e % 2 == 0 for e in out)
-        accumulate(bridged, tuple(e // 2 for e in out), c)
+        assert exps[0] % 2 == 0
+        tail, c = _to_omega(exps[1:], 2 * coeff)
+        accumulate(bridged, (exps[0] // 2,) + tail, c)
 
     return lhs == bridged
 

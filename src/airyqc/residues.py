@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import HALF, ZERO
-from .correlators import shell_cells
-from .polynomials import SparseSymPoly, _lower_cell, _require_stable
+from .core import HALF, ZERO, ordered_splits
+from .correlators import require_stable, shell_cells
+from .polynomials import SparseSymPoly, _lower_cell
 
 __all__ = [
     "ZSeries",
@@ -176,7 +176,7 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     Symmetry of the result is checked, not imposed, and the output is
     converted to the same exponent-table form as ``tW_from_correlators``.
     """
-    _require_stable(g, n)
+    require_stable(g, n)
     M = 6 * g + 2 * n
     nspec = n
     rest = list(range(1, n))
@@ -188,23 +188,19 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
         else:
             inner = inner + series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True)
 
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in range(1 << len(rest)):
-            A1 = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            A2 = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-            n1, n2 = len(A1) + 1, len(A2) + 1
-            if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-                continue
-            if (g1, n1) == (0, 2):
-                f1 = b02_series(1, A1[0], M, nspec)
-            else:
-                f1 = series_from_cell(_lower_cell(lower, g1, n1), A1, nspec)
-            if (g2, n2) == (0, 2):
-                f2 = b02_series(-1, A2[0], M, nspec)
-            else:
-                f2 = series_from_cell(_lower_cell(lower, g2, n2), A2, nspec)
-            inner = inner + f1 * f2
+    for g1, A1, g2, A2 in ordered_splits(g, rest):
+        n1, n2 = len(A1) + 1, len(A2) + 1
+        if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
+            continue
+        if (g1, n1) == (0, 2):
+            f1 = b02_series(1, A1[0], M, nspec)
+        else:
+            f1 = series_from_cell(_lower_cell(lower, g1, n1), A1, nspec)
+        if (g2, n2) == (0, 2):
+            f2 = b02_series(-1, A2[0], M, nspec)
+        else:
+            f2 = series_from_cell(_lower_cell(lower, g2, n2), A2, nspec)
+        inner = inner + f1 * f2
 
     res = (kernel_series(M, nspec) * inner).residue()
 

@@ -70,10 +70,8 @@ def _poly_diff(name, left, right):
     return "no differing orbit (?)"
 
 
-def suite_dvv_eo(max_chi: int = 6, table: CorrelatorTable | None = None):
+def suite_dvv_eo(max_chi: int, table: CorrelatorTable):
     """Residue recursion against the correlator route, cell by cell."""
-    if table is None:
-        table = CorrelatorTable()
     checks = []
     wtable = {}
     for g, n in shell_cells(1, max_chi):
@@ -89,8 +87,6 @@ def suite_dvv_eo(max_chi: int = 6, table: CorrelatorTable | None = None):
 def _rec_suite(name, base, step, reference, max_chi, table):
     """One recursion step per cell (seeds for the base cells), each checked
     against the defining series built from the correlator table."""
-    if table is None:
-        table = CorrelatorTable()
     checks = []
     lower = {}
     for g, n in shell_cells(1, max_chi):
@@ -108,20 +104,18 @@ def _rec_suite(name, base, step, reference, max_chi, table):
     return checks
 
 
-def suite_omega_rec(max_chi: int = 6, table: CorrelatorTable | None = None):
+def suite_omega_rec(max_chi: int, table: CorrelatorTable):
     """omega recursion against the defining series, including the seeds."""
     return _rec_suite("omega", omega_base, omega_step, omega_from_correlators, max_chi, table)
 
 
-def suite_Omega_rec(max_chi: int = 6, table: CorrelatorTable | None = None):
+def suite_Omega_rec(max_chi: int, table: CorrelatorTable):
     """Omega recursion (with antidifferentiation) against the defining series."""
     return _rec_suite("Omega", Omega_base, Omega_step, Omega_from_correlators, max_chi, table)
 
 
-def suite_d_lemma(max_m: int = 50, bridge_max_chi: int = 4, table: CorrelatorTable | None = None):
+def suite_d_lemma(max_m: int, bridge_max_chi: int, table: CorrelatorTable):
     """Closed form of D_{u,v} x^m, plus the D/calD compatibility bridge."""
-    if table is None:
-        table = CorrelatorTable()
     checks = []
     for m in range(max_m + 1):
         checks.append(Check("d-lemma", f"m={m}", verify_d_lemma(m)))
@@ -132,10 +126,8 @@ def suite_d_lemma(max_m: int = 50, bridge_max_chi: int = 4, table: CorrelatorTab
     return checks
 
 
-def suite_quantum_curve(order: int = 10, table: CorrelatorTable | None = None):
+def suite_quantum_curve(order: int, table: CorrelatorTable):
     """Order-by-order residuals of the quantum curve, both branches."""
-    if table is None:
-        table = CorrelatorTable()
     checks = []
     for branch in (1, -1):
         report = quantum_curve_report(order, branch, table)
@@ -152,10 +144,8 @@ def suite_quantum_curve(order: int = 10, table: CorrelatorTable | None = None):
     return checks
 
 
-def suite_t_rec(order: int = 10, table: CorrelatorTable | None = None):
+def suite_t_rec(order: int, table: CorrelatorTable):
     """The t-coordinate form of the order-n identities."""
-    if table is None:
-        table = CorrelatorTable()
     checks = []
     for n in range(3, order + 1):
         checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, table)))

@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, bounded_partitions, odd_weight, orbit_size, rat_str
-from .correlators import CorrelatorTable, is_stable
+from .core import ZERO, odd_weight, orbit_size, rat_str
+from .correlators import CorrelatorTable, cell_keys
 
 __all__ = [
     "WkbTerm",
@@ -86,12 +86,11 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     Computed orbit-wise without building the polynomial; homogeneity makes
     the diagonal a single monomial of half-step degree 6g - 6 + 3k.  Each
     orbit a contributes its correlator times the integer weight
-    orbit_size(a) * prod (2a_i - 1)!!.
+    orbit_size(a) * prod (2a_i - 1)!!.  Raises ValueError unless (g, k) is
+    a stable cell.
     """
-    if not is_stable(g, k) or k < 1:
-        raise ValueError(f"unstable (g, k) = ({g}, {k})")
     total = ZERO
-    for a in bounded_partitions(3 * g - 3 + k, k):
+    for a in cell_keys(g, k):
         value = table.correlator(g, a)
         if not value:
             continue
@@ -115,8 +114,6 @@ def s_term(n: int, branch: int, table: CorrelatorTable | None = None) -> WkbTerm
     halfsteps = 3 * n - 3
     for g in range(n // 2 + 1):
         k = n + 1 - 2 * g
-        if k < 1 or not is_stable(g, k):
-            continue
         c, h = diag_Omega(g, k, table)
         if h != halfsteps:
             raise ValueError(f"diagonal of Omega_({g},{k}) off the S_{n} monomial")

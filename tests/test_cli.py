@@ -112,6 +112,32 @@ def test_cache_off_shell_record_exits_3(tmp_path, capsys):
     assert code == 3 and out == "" and "off-shell" in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    ['{"g": -1, "a": [0, 0, 0], "value": "1"}', '{"g": 0, "a": 5, "value": "1"}'],
+)
+def test_cache_load_bad_key_exits_3(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    f'"records": [{record}]}}')
+    code, out, err = run(capsys, "cache", "load", str(path))
+    assert code == 3 and out == "" and "record #0 (line 6)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("correlator -1 1", (2, "", "error: genus must be a non-negative integer, got -1\n")),
+        ("table Omega 2 0", (2, "", "error: unstable (g, n) = (2, 0)\n")),
+        ("table omega 0 2", (2, "", "error: unstable (g, n) = (0, 2)\n")),
+        ("verify d-lemma --max-m 0 --max-chi 0", (0, "ok d-lemma m=0\n", "")),
+    ],
+)
+def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    assert run(capsys, *argv.split()) == expected
+
+
 def test_cache_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "cache", "load", str(tmp_path / "nope.json"))
     assert code == 3 and "cannot read" in err

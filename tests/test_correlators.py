@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airyqc import CorrelatorTable, canonical_key, correlator_shell
+from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable
 from airyqc.core import bounded_partitions
 from airyqc.correlators import shell_cells, shell_keys
 
@@ -47,6 +47,13 @@ def test_permutation_invariance(table):
 def test_domain_errors(table, g, a):
     with pytest.raises(ValueError):
         table.correlator(g, a)
+
+
+def test_is_stable_needs_a_cell():
+    assert is_stable(0, 3) and is_stable(1, 1)
+    assert not is_stable(-1, 5)  # 2g - 2 + n > 0, but no genus -1
+    assert not is_stable(2, 0)  # 2g - 2 + n > 0, but no marked point
+    assert not is_stable(0, 2) and not is_stable(1, 0)
 
 
 def test_canonical_key_sorts_descending():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout; a deliberate output change re-pins it and
+# says so in CHANGES.md
+STDOUT_SHA256 = {
+    "intersection_numbers.py": "aa5707c04e6fabe0945340d072076edf929c9c36eed4146947209fb237d244c5",
+    "quantum_curve.py": "eb0c65b975e9f5a94a4cc6a466d3705d3a1c66837808daa3ca5f54a938a9e4cb",
+    "two_recursions_one_answer.py": "0dc3c08270d3e075aa57cb45bcb3cece2733c7eb4f8370a739a7b72ce75662fd",
+}
 
 
 def test_demos_present():
@@ -20,3 +29,12 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_stdout_pinned(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

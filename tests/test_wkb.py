@@ -24,6 +24,12 @@ def test_diag_Omega_values(table):
     assert diag_Omega(2, 1, table) == (F(35, 384), 9)
 
 
+def test_diag_Omega_rejects_unstable_cells(table):
+    for g, k in ((-1, 5), (0, 2), (2, 0)):
+        with pytest.raises(ValueError, match=rf"unstable \(g, n\) = \({g}, {k}\)"):
+            diag_Omega(g, k, table)
+
+
 def test_s_terms_low(table):
     s0 = s_term(0, 1, table)
     assert (s0.coeff, s0.halfsteps) == (F(1, 3), -3)
