@@ -4,8 +4,10 @@ The saver writes one record per line, sorted by (2g - 2 + n, g, a), values
 in lowest terms.  The loader checks content, not layout: format, version,
 count, each key (``canonical_key``, sorted descending, on the shell
 sum(a) = 3g - 3 + n), each value, the record order, and agreement with the
-table.  It names the first bad record with its line in the saved layout;
-a file with other whitespace or key order loads, and re-saving changes it.
+table.  Version, count, g and every a_i must be JSON integers; a boolean
+(``true == 1`` in Python) is rejected.  It names the first bad record with
+its line in the saved layout; a file with other whitespace or key order
+loads, and re-saving changes it.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
         raise CacheFormatError("top level is not an object")
     if doc.get("format") != FORMAT_NAME:
         raise CacheFormatError(f"unknown format {doc.get('format')!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise CacheFormatError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CacheFormatError(f"unsupported version {version!r}")
     records = doc.get("records")
     if not isinstance(records, list):
         raise CacheFormatError("'records' is not a list")
-    if doc.get("count") != len(records):
+    if type(doc.get("count")) is not int or doc["count"] != len(records):
         raise CacheFormatError(f"count {doc.get('count')!r} does not match {len(records)} records")
 
     if table is None:

@@ -74,15 +74,16 @@ def record_order(g, a):
 def canonical_key(g, exponents):
     """Validate (g, exponents) and return the canonical sorted key.
 
-    Raises ValueError for negative genus or exponents, empty insertion
+    Raises ValueError for negative genus or exponents, a genus or exponent
+    that is not exactly an ``int`` (``True`` is rejected), empty insertion
     lists, and unstable (g, n).
     """
     exponents = tuple(exponents)
-    if not isinstance(g, int) or g < 0:
+    if type(g) is not int or g < 0:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
     if not exponents:
         raise ValueError("at least one insertion is required")
-    if any(not isinstance(a, int) or a < 0 for a in exponents):
+    if any(type(a) is not int or a < 0 for a in exponents):
         raise ValueError(f"exponents must be non-negative integers, got {exponents!r}")
     require_stable(g, len(exponents))
     return g, tuple(sorted(exponents, reverse=True))

@@ -9,18 +9,26 @@ values with the correlator engine.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in the
-spectator variables z_0 ... z_{n-1}.  Multiplication tracks the order
-through which the product is still exact, and ``residue`` refuses to
-answer when the z^(-1) stratum is not within the exact range; that check
-is what guarantees the truncation chosen by :func:`eo_W` loses nothing.
+spectator variables z_0 ... z_{n-1}.  :func:`series_from_cell` and
+:func:`b02_series` build the legs of each recursion term as ZSeries;
+:func:`eo_W` reads their ``terms`` and ``trunc``, accumulates in place
+only the product strata the kernel can read, contracts the kernel
+directly, and makes every check explicit (see its docstring).
+
+``ZSeries.__add__``, ``__mul__`` and ``residue`` are the general Laurent
+arithmetic, with the same truncation bookkeeping (a product is exact
+through min(trunc_1 + val_2, trunc_2 + val_1); ``residue`` refuses an
+inexact z^(-1) stratum).  They are tested on their own and are no longer
+the inner loop of :func:`eo_W`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
-from .core import HALF, ZERO, ordered_splits
+from .core import HALF, ZERO, accumulate, ordered_splits
 from .correlators import require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell
 
@@ -160,8 +168,32 @@ def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, both_active
             exps[pos] = -2 * a - 2
         tgt = terms.setdefault(k, {})
         e = tuple(exps)
-        tgt[e] = tgt.get(e, ZERO) + coeff
+        tgt[e] = tgt[e] + coeff if e in tgt else coeff
     return ZSeries(nspec, math.inf, terms)
+
+
+def _add_product(inner: dict, f1: ZSeries, f2: ZSeries) -> None:
+    """Add the strata of f1 * f2 that the residue reads, z^k with k even
+    and k <= 0, into ``inner`` in place; no other stratum is formed.
+
+    Truncation certificate: the product is exact through
+    z^min(trunc1 + val2, trunc2 + val1), which must reach z^0.
+    """
+    if not f1.terms or not f2.terms:
+        return
+    exact = min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
+    if exact < 0:
+        raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
+    for k1, p1 in f1.terms.items():
+        for k2, p2 in f2.terms.items():
+            k = k1 + k2
+            if k > 0 or k % 2:
+                continue
+            tgt = inner.setdefault(k, {})
+            for e1, c1 in p1.items():
+                for e2, c2 in p2.items():
+                    e = tuple(map(add, e1, e2))
+                    tgt[e] = tgt.get(e, ZERO) + c1 * c2
 
 
 def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -172,21 +204,31 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
                     + sum over ordered splits W_{g_1}(z, ...) W_{g_2}(-z, ...))
 
     with W_{0,1} = 0 (terms dropped), W_{0,2} legs expanded by
-    :func:`b02_series`, and W_{0,2}(z, -z) = 1/(4 z^2) in the first term.
-    Symmetry of the result is checked, not imposed, and the output is
-    converted to the same exponent-table form as ``tW_from_correlators``.
+    :func:`b02_series` through z^M, M = 6g + 2n, and W_{0,2}(z, -z) =
+    1/(4 z^2) in the first term.  Each term is added in place into one
+    stratum dict ``inner`` (z-exponent -> spectator polynomial), forming
+    only the even strata z^(-2j), j >= 0, that can meet the kernel.  The
+    kernel sum_j z^(2j-1) z_0^(-2j-2) is contracted directly:
+
+        res = sum_j inner[z^(-2j)] z_0^(-2j-2).
+
+    Checks, each raising ValueError: every product is exact through z^0
+    (the truncation certificate), the kernel's truncation covers every
+    kept stratum (2j - 1 <= M), every exponent of the result is even and
+    negative, and the result is symmetric (``SparseSymPoly.from_expanded``).
+    The output has the exponent-table form of ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
     nspec = n
     rest = list(range(1, n))
 
-    inner = ZSeries.zero(nspec)
-    if g >= 1:
-        if (g, n) == (1, 1):
-            inner = inner + ZSeries(nspec, math.inf, {-2: {(0,) * nspec: Fraction(1, 4)}})
-        else:
-            inner = inner + series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True)
+    inner = {}
+    if (g, n) == (1, 1):
+        inner[-2] = {(0,) * nspec: Fraction(1, 4)}
+    elif g >= 1:
+        first = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True)
+        inner = {k: dict(poly) for k, poly in first.terms.items()}
 
     for g1, A1, g2, A2 in ordered_splits(g, rest):
         n1, n2 = len(A1) + 1, len(A2) + 1
@@ -200,9 +242,14 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
             f2 = b02_series(-1, A2[0], M, nspec)
         else:
             f2 = series_from_cell(_lower_cell(lower, g2, n2), A2, nspec)
-        inner = inner + f1 * f2
+        _add_product(inner, f1, f2)
 
-    res = (kernel_series(M, nspec) * inner).residue()
+    res = {}
+    for k, poly in inner.items():
+        if -k - 1 > M:
+            raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{k} of W_({g},{n})")
+        for e, c in poly.items():
+            accumulate(res, (e[0] + k - 2,) + e[1:], c)
 
     terms = {}
     for exps, coeff in res.items():

@@ -44,6 +44,8 @@ def _valid_doc():
         lambda t: t.replace("[1]", "[0, 1]"),         # not sorted descending
         lambda t: t.replace('"version": 1', '"version": 9'),
         lambda t: t.replace('"g": 1', '"g": -1'),
+        lambda t: t.replace('"version": 1', '"version": true'),
+        lambda t: t.replace('"count": 2', '"count": 2.0'),
     ],
 )
 def test_loader_rejects_malformed(mangle):
@@ -92,3 +94,30 @@ def test_loader_rejects_off_shell_record():
 def test_loaded_table_extends():
     table = loads_table(_valid_doc())
     assert table.correlator(0, (1, 0, 0, 0)) == F(1)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"g": false, "a": [1, 0, 0, 0], "value": "1"}',
+        '{"g": 0, "a": [true, false, false, false], "value": "1"}',
+    ],
+)
+def test_loader_rejects_boolean_key(record):
+    text = (
+        '{\n"format": "airyqc-correlator-cache",\n"version": 1,\n"count": 1,\n'
+        f'"records": [\n{record}\n]\n}}\n'
+    )
+    with pytest.raises(CacheFormatError) as err:
+        loads_table(text)
+    assert "record #0 (line 6)" in str(err.value)
+
+
+def test_loader_rejects_boolean_count():
+    text = (
+        '{"format": "airyqc-correlator-cache", "version": 1, "count": true, '
+        '"records": [{"g": 0, "a": [1, 0, 0, 0], "value": "1"}]}'
+    )
+    with pytest.raises(CacheFormatError) as err:
+        loads_table(text)
+    assert "count True" in str(err.value)

@@ -138,6 +138,18 @@ def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
     assert run(capsys, *argv.split()) == expected
 
 
+def test_cache_boolean_fields_exit_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    header = '{"format": "airyqc-correlator-cache", "version": %s, "count": 1, '
+    record = '"records": [{"g": false, "a": [true, false, false, false], "value": "1"}]}'
+    path.write_text(header % "true" + record)
+    code, out, err = run(capsys, "correlator", "0", "1,0,0,0", "--cache", str(path))
+    assert (code, out) == (3, "") and "unsupported version True" in err
+    path.write_text(header % "1" + record)
+    code, out, err = run(capsys, "correlator", "0", "1,0,0,0", "--cache", str(path))
+    assert (code, out) == (3, "") and "record #0 (line 6)" in err and "False" in err
+
+
 def test_cache_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "cache", "load", str(tmp_path / "nope.json"))
     assert code == 3 and "cannot read" in err

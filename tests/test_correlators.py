@@ -114,6 +114,45 @@ def test_one_point_closed_form(table, g):
     assert table.correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * math.factorial(g))
 
 
+def dijkgraaf_two_point(g):
+    """[<tau_a tau_{3g-1-a}>_g for a = 0..3g-1] from Dijkgraaf's two-point
+    function (hep-th/9201003), written out here with no package helper:
+
+        (x1 + x2) sum <tau_a tau_b>_g x1^a x2^b
+            = exp((x1^3 + x2^3)/24) sum_n n!/(2n+1)! (x1 x2 (x1 + x2)/2)^n.
+
+    Genus g is the part of degree 3g, the terms with m + n = g where m is
+    the power taken from the exponential; set x2 = 1 and divide by x1 + 1.
+    """
+    deg = 3 * g
+    rhs = [Fraction(0)] * (deg + 1)  # rhs[i] multiplies x1^i x2^(3g - i)
+    for m in range(g + 1):
+        n = g - m
+        scale = Fraction(math.factorial(n), 24**m * math.factorial(m) * math.factorial(2 * n + 1) * 2**n)
+        for i in range(m + 1):  # (x1^3 + x2^3)^m
+            for j in range(n + 1):  # (x1 x2)^n (x1 + x2)^n
+                rhs[3 * i + n + j] += scale * math.comb(m, i) * math.comb(n, j)
+    quotient = [Fraction(0)] * deg
+    quotient[deg - 1] = rhs[deg]
+    for i in range(deg - 1, 0, -1):
+        quotient[i - 1] = rhs[i] - quotient[i]
+    assert rhs[0] == quotient[0], "x1 + x2 does not divide the genus-g part"
+    return quotient
+
+
+@st.composite
+def two_point_keys(draw, max_genus=10):
+    g = draw(st.integers(1, max_genus))
+    return g, draw(st.integers(0, 3 * g - 1))
+
+
+@settings(deadline=None)
+@given(two_point_keys())
+def test_dijkgraaf_two_point(table, key):
+    g, a = key
+    assert table.correlator(g, (a, 3 * g - 1 - a)) == dijkgraaf_two_point(g)[a]
+
+
 def test_string_equation(table):
     # keys holding a tau_0: the recursion with that insertion special
     # collapses to <tau_0 prod> = sum_i <tau_{a_i - 1} prod_rest>

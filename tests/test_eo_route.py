@@ -1,0 +1,31 @@
+"""The residue route one shell further, and its explicit checks firing."""
+
+import pytest
+
+from airyqc import SparseSymPoly, residues, tW_from_correlators
+from airyqc.correlators import shell_cells
+
+
+def test_eo_equals_dvv_at_chi_7(table, wtable6):
+    lower = dict(wtable6)
+    for g, n in shell_cells(7, 7):
+        lower[(g, n)] = residues.eo_W(g, n, lower)
+        assert lower[(g, n)] == tW_from_correlators(g, n, table), (g, n)
+
+
+def test_truncation_certificate_fires(monkeypatch, wtable6):
+    # W_(0,3) has a z^-2 pole, so a W_(0,2) leg cut at z^1 leaves the
+    # product's z^0 stratum inexact
+    original = residues.b02_series
+    monkeypatch.setattr(residues, "b02_series", lambda sign, i, M, nspec: original(sign, i, 1, nspec))
+    with pytest.raises(ValueError, match="exact only through z\\^-1"):
+        residues.eo_W(0, 4, wtable6)
+
+
+def test_kernel_coverage_fires(wtable6):
+    # an off-shell W_(0,3) puts z^-28 into W_(1,2)'s first term, beyond the
+    # kernel's truncation z^10
+    lower = dict(wtable6)
+    lower[(0, 3)] = SparseSymPoly(3, {(6, 6, 0): 1})
+    with pytest.raises(ValueError, match="kernel truncated at z\\^10"):
+        residues.eo_W(1, 2, lower)
