@@ -83,6 +83,8 @@ def _cmd_sn(args) -> int:
         print(json.dumps(doc, separators=(", ", ": ")))
     else:
         print(f"S_{args.n}[{args.branch}] = {term.text()}")
+    if table is not None:
+        _print_stats(args, table)
     return 0
 
 
@@ -95,11 +97,14 @@ def _cmd_verify(args) -> int:
         checks = suite(args.order, table)
     else:
         checks = suite(6 if args.max_chi is None else args.max_chi, table)
+    status = 0
     for check in checks:
         print(check.line())
         if not check.ok:
-            return 1
-    return 0
+            status = 1
+            break
+    _print_stats(args, table)
+    return status
 
 
 def _cmd_cache(args) -> int:

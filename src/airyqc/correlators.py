@@ -267,9 +267,8 @@ def shell_keys(max_chi: int):
             yield g, a
 
 
-def correlator_shell(max_chi: int, table: CorrelatorTable | None = None) -> CorrelatorTable:
-    """Populate (or create) a table with every key of the given shells."""
-    if table is None:
-        table = CorrelatorTable()
+def correlator_shell(max_chi: int) -> CorrelatorTable:
+    """A new table holding every key of the given shells."""
+    table = CorrelatorTable()
     table.fill_shell(max_chi)
     return table

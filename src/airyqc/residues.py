@@ -9,17 +9,14 @@ values with the correlator engine.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in the
-spectator variables z_0 ... z_{n-1}.  :func:`series_from_cell` and
-:func:`b02_series` build the legs of each recursion term as ZSeries;
-:func:`eo_W` reads their ``terms`` and ``trunc``, accumulates in place
-only the product strata the kernel can read, contracts the kernel
-directly, and makes every check explicit (see its docstring).
-
-``ZSeries.__add__``, ``__mul__`` and ``residue`` are the general Laurent
-arithmetic, with the same truncation bookkeeping (a product is exact
-through min(trunc_1 + val_2, trunc_2 + val_1); ``residue`` refuses an
-inexact z^(-1) stratum).  They are tested on their own and are no longer
-the inner loop of :func:`eo_W`.
+spectator variables z_0 ... z_{n-1}.  Every product goes through one
+routine, :func:`_mul_into`, which adds into a stratum dict in place only
+the strata z^k its caller keeps, and one certificate,
+:func:`exact_through`: f1 * f2 is exact through
+z^min(trunc_1 + val_2, trunc_2 + val_1).  ``ZSeries.__mul__`` keeps the
+strata the certificate covers; :func:`eo_W` keeps the even strata
+z^k, k <= 0, of each split product and then only the z^(-1) stratum of
+the kernel contraction, which it reads with ``ZSeries.residue``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .core import HALF, ZERO, accumulate, ordered_splits
+from .core import HALF, ZERO, ordered_splits
 from .correlators import require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell
 
@@ -65,12 +62,10 @@ class ZSeries:
                 if clean:
                     self.terms[k] = clean
 
-    @classmethod
-    def zero(cls, nspec):
-        return cls(nspec, math.inf)
-
     def valuation(self):
-        return min(self.terms) if self.terms else math.inf
+        """Lowest z-exponent the series can have; a series with no terms
+        is zero through z^trunc."""
+        return min(self.terms) if self.terms else self.trunc + 1
 
     def __add__(self, other):
         assert self.nspec == other.nspec
@@ -87,21 +82,8 @@ class ZSeries:
 
     def __mul__(self, other):
         assert self.nspec == other.nspec
-        if not self.terms or not other.terms:
-            return ZSeries.zero(self.nspec)
-        trunc = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                k = k1 + k2
-                if k > trunc:
-                    continue
-                tgt = out.setdefault(k, {})
-                for e1, c1 in p1.items():
-                    for e2, c2 in p2.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        tgt[e] = tgt.get(e, ZERO) + c1 * c2
-        return ZSeries(self.nspec, trunc, out)
+        trunc = exact_through(self, other)
+        return ZSeries(self.nspec, trunc, _mul_into({}, self, other, lambda k: k <= trunc))
 
     def scaled(self, factor):
         return ZSeries(
@@ -172,28 +154,34 @@ def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, both_active
     return ZSeries(nspec, math.inf, terms)
 
 
-def _add_product(inner: dict, f1: ZSeries, f2: ZSeries) -> None:
-    """Add the strata of f1 * f2 that the residue reads, z^k with k even
-    and k <= 0, into ``inner`` in place; no other stratum is formed.
+def exact_through(f1: ZSeries, f2: ZSeries):
+    """The truncation certificate: f1 * f2 is exact through this z-exponent.
 
-    Truncation certificate: the product is exact through
-    z^min(trunc1 + val2, trunc2 + val1), which must reach z^0.
+    A W_(0,2) leg cut at z^1 times the W_(0,3) leg, whose pole is z^(-2),
+    is exact only through z^(-1):
+
+    >>> w03 = series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), (2, 3), 4)
+    >>> exact_through(b02_series(1, 1, 1, 4), w03)
+    -1
     """
-    if not f1.terms or not f2.terms:
-        return
-    exact = min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
-    if exact < 0:
-        raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
+    return min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
+
+
+def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep) -> dict:
+    """Add the strata z^k of f1 * f2 with ``keep(k)`` true into the stratum
+    dict ``out`` in place and return it; no other stratum is formed.
+    Exactness is the caller's, by :func:`exact_through`."""
     for k1, p1 in f1.terms.items():
         for k2, p2 in f2.terms.items():
             k = k1 + k2
-            if k > 0 or k % 2:
+            if not keep(k):
                 continue
-            tgt = inner.setdefault(k, {})
+            tgt = out.setdefault(k, {})
             for e1, c1 in p1.items():
                 for e2, c2 in p2.items():
                     e = tuple(map(add, e1, e2))
                     tgt[e] = tgt.get(e, ZERO) + c1 * c2
+    return out
 
 
 def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -205,54 +193,55 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     with W_{0,1} = 0 (terms dropped), W_{0,2} legs expanded by
     :func:`b02_series` through z^M, M = 6g + 2n, and W_{0,2}(z, -z) =
-    1/(4 z^2) in the first term.  Each term is added in place into one
-    stratum dict ``inner`` (z-exponent -> spectator polynomial), forming
-    only the even strata z^(-2j), j >= 0, that can meet the kernel.  The
-    kernel sum_j z^(2j-1) z_0^(-2j-2) is contracted directly:
+    1/(4 z^2) in the first term.  The kernel is odd in z, so the residue
+    reads only the even strata of the bracket: each split product adds its
+    strata z^k, k even and k <= 0, into one stratum dict by
+    :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
+    exact through z^0.  Then
+    ``kernel_series(M)`` is contracted with ``inner`` by the same routine,
+    forming only the z^(-1) stratum, which ``ZSeries.residue`` reads.
 
-        res = sum_j inner[z^(-2j)] z_0^(-2j-2).
-
-    Checks, each raising ValueError: every product is exact through z^0
-    (the truncation certificate), the kernel's truncation covers every
-    kept stratum (2j - 1 <= M), every exponent of the result is even and
-    negative, and the result is symmetric (``SparseSymPoly.from_expanded``).
-    The output has the exponent-table form of ``tW_from_correlators``.
+    Checks, each raising ValueError: every split product is exact through
+    z^0 and the contraction through z^(-1) (:func:`exact_through`; the
+    latter says the kernel's truncation reaches every stratum of
+    ``inner``), every exponent of the result is even and negative, and the
+    result is symmetric (``SparseSymPoly.from_expanded``).  The output has
+    the exponent-table form of ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
     nspec = n
     rest = list(range(1, n))
 
+    def leg(gi, A, sign):
+        if (gi, len(A)) == (0, 1):
+            return b02_series(sign, A[0], M, nspec)
+        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec)
+
     inner = {}
     if (g, n) == (1, 1):
-        inner[-2] = {(0,) * nspec: Fraction(1, 4)}
+        inner[-2] = {(0,): Fraction(1, 4)}
     elif g >= 1:
-        first = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True)
-        inner = {k: dict(poly) for k, poly in first.terms.items()}
+        inner = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True).terms
 
     for g1, A1, g2, A2 in ordered_splits(g, rest):
-        n1, n2 = len(A1) + 1, len(A2) + 1
-        if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-            continue
-        if (g1, n1) == (0, 2):
-            f1 = b02_series(1, A1[0], M, nspec)
-        else:
-            f1 = series_from_cell(_lower_cell(lower, g1, n1), A1, nspec)
-        if (g2, n2) == (0, 2):
-            f2 = b02_series(-1, A2[0], M, nspec)
-        else:
-            f2 = series_from_cell(_lower_cell(lower, g2, n2), A2, nspec)
-        _add_product(inner, f1, f2)
+        if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
+            continue  # W_(0,1) = 0
+        f1, f2 = leg(g1, A1, 1), leg(g2, A2, -1)
+        exact = exact_through(f1, f2)
+        if exact < 0:
+            raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
+        _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2)
 
-    res = {}
-    for k, poly in inner.items():
-        if -k - 1 > M:
-            raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{k} of W_({g},{n})")
-        for e, c in poly.items():
-            accumulate(res, (e[0] + k - 2,) + e[1:], c)
+    inner = ZSeries(nspec, 0, inner)
+    kernel = kernel_series(M, nspec)
+    exact = exact_through(kernel, inner)
+    if exact < -1:
+        raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{inner.valuation()} of W_({g},{n})")
+    residue = ZSeries(nspec, exact, _mul_into({}, kernel, inner, lambda k: k == -1)).residue()
 
     terms = {}
-    for exps, coeff in res.items():
+    for exps, coeff in residue.items():
         if any(e >= 0 or e % 2 for e in exps):
             raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
         terms[tuple((-e - 2) // 2 for e in exps)] = HALF * coeff

@@ -98,9 +98,9 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     return total, 6 * g - 6 + 3 * k
 
 
-def s_term(n: int, branch: int, table: CorrelatorTable | None = None) -> WkbTerm:
+def s_term(n: int, branch: int, table: CorrelatorTable) -> WkbTerm:
     """Assemble S_n from diagonal Omega evaluations (n >= 2), or return the
-    fixed S_0, S_1 forms."""
+    fixed S_0, S_1 forms (``table`` is read only for n >= 2)."""
     _check_branch(branch)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -108,8 +108,6 @@ def s_term(n: int, branch: int, table: CorrelatorTable | None = None) -> WkbTerm
         return WkbTerm(0, branch, "monomial", Fraction(branch, 3), -3)
     if n == 1:
         return WkbTerm(1, branch, "log", Fraction(1, 4))
-    if table is None:
-        table = CorrelatorTable()
     coeff = ZERO
     halfsteps = 3 * n - 3
     for g in range(n // 2 + 1):
@@ -121,9 +119,7 @@ def s_term(n: int, branch: int, table: CorrelatorTable | None = None) -> WkbTerm
     return WkbTerm(n, branch, "monomial", Fraction(branch) ** (n + 1) * coeff, halfsteps)
 
 
-def s_terms(N: int, branch: int, table: CorrelatorTable | None = None) -> dict[int, WkbTerm]:
-    if table is None:
-        table = CorrelatorTable()
+def s_terms(N: int, branch: int, table: CorrelatorTable) -> dict[int, WkbTerm]:
     return {n: s_term(n, branch, table) for n in range(N + 1)}
 
 
@@ -151,7 +147,7 @@ def _residual(n: int, terms: dict) -> Fraction:
     return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2
 
 
-def verify_low_orders(branch: int, table: CorrelatorTable | None = None, s2_coeff: Fraction | None = None) -> bool:
+def verify_low_orders(branch: int, table: CorrelatorTable, s2_coeff: Fraction | None = None) -> bool:
     """True iff the hbar^0..hbar^2 identities hold exactly.
 
     ``s2_coeff`` overrides the branch-undressed S_2 coefficient (the true
@@ -163,7 +159,7 @@ def verify_low_orders(branch: int, table: CorrelatorTable | None = None, s2_coef
     return all(_residual(n, terms) == 0 for n in range(3))
 
 
-def verify_order(n: int, branch: int, table: CorrelatorTable | None = None, terms: dict | None = None):
+def verify_order(n: int, branch: int, table: CorrelatorTable, terms: dict | None = None):
     """Residual of the order hbar^n identity (n >= 3), as an exact monomial
     (coefficient, w half-steps) = (-branch * R_n, 3n); the coefficient is
     zero iff the quantum curve equation holds at this order.
@@ -181,7 +177,7 @@ def verify_order(n: int, branch: int, table: CorrelatorTable | None = None, term
     return -branch * _residual(n, terms), 3 * n
 
 
-def t_recursion_check(n: int, table: CorrelatorTable | None = None, terms: dict | None = None) -> bool:
+def t_recursion_check(n: int, table: CorrelatorTable, terms: dict | None = None) -> bool:
     """Order-n identity in the coordinate t = -(2/3) w^(-3/2), where
     S_n = d_n t^(1-n):  d_t S_n = d_t^2 S_{n-1} + sum_{i+j=n} d_t S_i d_t S_j.
 
@@ -241,7 +237,7 @@ class QuantumCurveReport:
         return json.dumps(payload, separators=(", ", ": "))
 
 
-def quantum_curve_report(N: int, branch: int, table: CorrelatorTable | None = None) -> QuantumCurveReport:
+def quantum_curve_report(N: int, branch: int, table: CorrelatorTable) -> QuantumCurveReport:
     """Check every order 0..N on the given branch and collect residuals."""
     if N < 2:
         raise ValueError("N must be >= 2")

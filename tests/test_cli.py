@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -136,6 +137,32 @@ def test_cache_load_bad_key_exits_3(tmp_path, capsys, record):
 def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
     assert run(capsys, *argv.split()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        ("sn 6", 0, "cache hits=44 misses=40\n"),
+        ("sn 1", 0, ""),
+        ("verify quantum-curve --order 4", 0, "cache hits=26 misses=9\n"),
+        ("verify t-rec --order 2", 0, "cache hits=0 misses=0\n"),
+    ],
+)
+def test_stats_on_sn_and_verify(capsys, monkeypatch, argv, code, expected):
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    plain = run(capsys, *argv.split())
+    assert plain[0] == code and plain[2] == ""
+    assert run(capsys, *argv.split(), "--stats") == (code, plain[1], expected)
+
+
+def test_stats_on_failing_verify(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    path = tmp_path / "wrong.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    '"records": [{"g": 0, "a": [1, 0, 0, 0], "value": "2"}]}')
+    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path), "--stats")
+    assert code == 1 and out.splitlines()[-1].startswith("FAIL ")
+    assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
 
 
 def test_cache_boolean_fields_exit_3(tmp_path, capsys):

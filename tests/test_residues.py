@@ -110,3 +110,42 @@ def test_eo_requires_lower_cells():
         eo_W(1, 2, {})  # needs (0,3) and (1,1)
     with pytest.raises(ValueError):
         eo_W(0, 2, {})  # unstable target
+
+
+finite_series = st.tuples(
+    st.dictionaries(
+        st.integers(min_value=-4, max_value=4),
+        st.dictionaries(
+            st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=6),
+            max_size=3,
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=-5, max_value=6),
+)
+
+
+@given(finite_series, finite_series)
+def test_mul_matches_naive_product(a, b):
+    (d1, t1), (d2, t2) = a, b
+    kept1 = {(k, e): c for k, poly in d1.items() if k <= t1 for e, c in poly.items() if c}
+    kept2 = {(k, e): c for k, poly in d2.items() if k <= t2 for e, c in poly.items() if c}
+    # a series with no terms is zero through z^trunc, so its valuation is
+    # at least trunc + 1
+    val1 = min((k for k, _ in kept1), default=t1 + 1)
+    val2 = min((k for k, _ in kept2), default=t2 + 1)
+    trunc = min(t1 + val2, t2 + val1)
+    naive = {}
+    for (k1, e1), c1 in kept1.items():
+        for (k2, e2), c2 in kept2.items():
+            if k1 + k2 <= trunc:
+                key = (k1 + k2, (e1[0] + e2[0], e1[1] + e2[1]))
+                naive[key] = naive.get(key, F(0)) + c1 * c2
+    expected = {}
+    for (k, e), c in naive.items():
+        if c:
+            expected.setdefault(k, {})[e] = c
+    product = ZSeries(2, t1, d1) * ZSeries(2, t2, d2)
+    assert product.terms == expected
+    assert product.trunc == trunc
