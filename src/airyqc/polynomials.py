@@ -21,9 +21,14 @@ together with the transfer operators
     calD_{u,v} x^(a-1/2) = u v^(1/2) (u^(a+1) + u^a v + ... + v^(a+1))
 
 that encode the contribution of the two-point function to the recursion.
-The steps and both sides of ``d_bridge_holds`` apply ``d_op`` and ``calD_op``
-once per spectator tail; split terms come from ``core.ordered_splits``, and
-one slot map 2 w^(3/2) d_w takes Omega to omega monomials.
+The steps are orbit-wise: they compute one coefficient per target w_0
+exponent and descending tail on w_1..w_n, reading the lower cells by
+orbit, with the operators' ranges written out per tail entry.  Symmetry in
+w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i by
+comparing every reading of each full target orbit.  Both sides of
+``d_bridge_holds`` apply ``d_op`` and ``calD_op`` once per spectator tail
+of an expanded cell, and one slot map 2 w^(3/2) d_w takes Omega to omega
+monomials.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -33,7 +38,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, accumulate, multiset_permutations, odd_weight, orbit_size, ordered_splits, rat_str
+from .core import (
+    HALF,
+    ZERO,
+    accumulate,
+    bounded_partitions,
+    multiset_permutations,
+    odd_weight,
+    orbit_size,
+    rat_str,
+    sub_multisets,
+)
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -76,6 +91,8 @@ class _OrbitPoly:
             if tuple(sorted(orbit, reverse=True)) != orbit:
                 raise ValueError(f"orbit {orbit} is not sorted descending")
             self._check_exponent_lattice(orbit)
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} on orbit {orbit} is not an int or a Fraction")
             if coeff:
                 clean[orbit] = Fraction(coeff)
         self.nvars = nvars
@@ -171,10 +188,19 @@ def _from_correlators(g, n, table, poly_cls, shift, exponents):
     return poly_cls(n, orbits)
 
 
+def _omega_degree(g, n):
+    return 3 * g - 3 + 2 * n
+
+
+def _Omega_degree(g, n):
+    """Degree of Omega_{g,n} in half-steps."""
+    return 6 * g - 6 + 3 * n
+
+
 def omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly:
     """omega_{g,n}: orbit (a_i + 1) carries <tau_a>_g prod (2a_i+1)!!."""
     poly = _from_correlators(g, n, table, SparseSymPoly, 1, lambda a: tuple(ai + 1 for ai in a))
-    assert poly.homogeneous_degree() in (None, 3 * g - 3 + 2 * n)
+    assert poly.homogeneous_degree() in (None, _omega_degree(g, n))
     return poly
 
 
@@ -187,7 +213,7 @@ def tW_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly
 def Omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> HalfPowerPoly:
     """Omega_{g,n}: orbit half-steps (2a_i + 1) carry <tau_a>_g prod (2a_i-1)!!."""
     poly = _from_correlators(g, n, table, HalfPowerPoly, -1, lambda a: tuple(2 * ai + 1 for ai in a))
-    assert poly.homogeneous_degree() in (None, 6 * g - 6 + 3 * n)
+    assert poly.homogeneous_degree() in (None, _Omega_degree(g, n))
     return poly
 
 
@@ -283,27 +309,25 @@ def _d0(terms):
     return {(e[0] - 2,) + e[1:]: c * e[0] / 2 for e, c in terms.items()}
 
 
-def _transfer(acc, terms, op, targets, nvars, shift=0):
+def _transfer(acc, terms, op, i, nvars):
     """Accumulate op_{w_0, w_i} applied to slot 0 of the expanded cell
-    `terms`, for each variable i in `targets`.
+    `terms`.
 
     `op` (d_op or calD_op) runs once per spectator tail; its (u, v)
-    exponents land on (w_0, w_i), with `shift` added to u, and the tail
-    fills the remaining variables in order.
+    exponents land on (w_0, w_i), and the tail fills the remaining
+    variables in order.
     """
     tails = {}
     for vec, coeff in terms.items():
         tails.setdefault(vec[1:], {})[vec[0]] = coeff
-    images = [(tail, op(f)) for tail, f in tails.items()]
-    for i in targets:
-        spectators = [p for p in range(1, nvars) if p != i]
-        for tail, image in images:
-            exps = [0] * nvars
-            for pos, e in zip(spectators, tail):
-                exps[pos] = e
-            for (u, v), c in image.items():
-                exps[0], exps[i] = u + shift, v
-                accumulate(acc, tuple(exps), c)
+    spectators = [p for p in range(1, nvars) if p != i]
+    for tail, f in tails.items():
+        exps = [0] * nvars
+        for pos, e in zip(spectators, tail):
+            exps[pos] = e
+        for (u, v), c in op(f).items():
+            exps[0], exps[i] = u, v
+            accumulate(acc, tuple(exps), c)
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +362,82 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
-def _split_terms(g, n, lower, shift, prep=lambda terms: terms):
-    """Each (exponents, coeff) term of the products over the stable ordered
-    splits of genus g and variables 1..n: slot 0 of both `prep`-ed expanded
-    cells summed onto w_0 plus `shift`, the other slots placed on A_1, A_2."""
-    nvars = n + 1
-    for g1, A1, g2, A2 in ordered_splits(g, range(1, nvars)):
-        if not (is_stable(g1, len(A1) + 1) and is_stable(g2, len(A2) + 1)):
-            continue
-        terms1 = prep(_lower_cell(lower, g1, len(A1) + 1).expand())
-        terms2 = prep(_lower_cell(lower, g2, len(A2) + 1).expand())
-        for vec1, c1 in terms1.items():
-            exps = [0] * nvars
-            for pos, e in zip(A1, vec1[1:]):
-                exps[pos] = e
-            for vec2, c2 in terms2.items():
-                exps[0] = vec1[0] + vec2[0] + shift
-                for pos, e in zip(A2, vec2[1:]):
-                    exps[pos] = e
-                yield tuple(exps), c1 * c2
+def _lower_cells(g, n, lower, degree):
+    """The lower cells of the step to (g, n+1), fetched up front: the genus
+    cell (g-1, n+2), the stable split pairs (g_1, m+1), (g-g_1, n-m+1) as
+    (degree, cell) pairs by m, and the transfer cell (g, n).  Each must be
+    homogeneous of its degree with every exponent >= 1, so that every term
+    of the step lands on a target orbit."""
+
+    def fetch(h, k):
+        cell = _lower_cell(lower, h, k)
+        d = cell.homogeneous_degree()
+        if d not in (None, degree(h, k)):
+            raise ValueError(f"lower cell ({h}, {k}) has degree {d}, not {degree(h, k)}")
+        if any(orbit[-1] < 1 for orbit in cell.orbits):
+            raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
+        return cell
+
+    genus = fetch(g - 1, n + 2) if g >= 1 else None
+    splits = {}
+    for m in range(n + 1):
+        for g1 in range(g + 1):
+            pair = ((g1, m + 1), (g - g1, n - m + 1))
+            if all(is_stable(*cell) for cell in pair):
+                splits.setdefault(m, []).append(tuple((degree(*cell), fetch(*cell)) for cell in pair))
+    transfer = fetch(g, n) if n >= 1 else None
+    return genus, splits, transfer
+
+
+def _targets(degree, nvars, step):
+    """(orbit, e_0, tail) for each descending exponent tuple of the target,
+    entries in 1 + step Z>=0 summing to `degree`, and each distinct entry
+    e_0 of it read on w_0; tail is the rest, descending."""
+    for xs in bounded_partitions((degree - nvars) // step, nvars):
+        orbit = tuple(step * x + 1 for x in xs)
+        for i, e0 in enumerate(orbit):
+            if i == 0 or orbit[i - 1] != e0:
+                yield orbit, e0, orbit[:i] + orbit[i + 1 :]
+
+
+def _at(cell, exps):
+    """Coefficient of the monomial with exponents `exps`, in any order."""
+    return cell.orbits.get(tuple(sorted(exps, reverse=True)), ZERO)
+
+
+def _drop(tail, mu):
+    """`tail` with the sub-multiset `mu` removed."""
+    rest = list(tail)
+    for v in mu:
+        rest.remove(v)
+    return tuple(rest)
+
+
+def _split_term(tail, splits, weight):
+    """Sum of weight(p) weight(q) c_1(p, mu) c_2(q, nu) over the ordered
+    stable splits of the tail: each sub-multiset mu once per position set
+    that realizes it, nu the rest, and p, q fixed by the cells' degrees."""
+    total = ZERO
+    for mu, mult in sub_multisets(tail):
+        nu = _drop(tail, mu)
+        for (deg1, cell1), (deg2, cell2) in splits.get(len(mu), ()):
+            p, q = deg1 - sum(mu), deg2 - sum(nu)
+            c1 = _at(cell1, (p,) + mu)
+            c2 = c1 and _at(cell2, (q,) + nu)
+            if c2:
+                total += mult * weight(p) * weight(q) * c1 * c2
+    return total
+
+
+def _symmetric(cls, nvars, values):
+    """The polynomial from (orbit, coefficient) pairs, one per reading of
+    the orbit with a different entry on w_0.  All readings of an orbit must
+    agree: this is the check of w_0 against w_i."""
+    orbits = {}
+    for orbit, c in values:
+        if orbits.setdefault(orbit, c) != c:
+            raise ValueError(f"terms are not symmetric on orbit {orbit}")
+    return cls(nvars, orbits)
 
 
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -366,27 +447,53 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
         omega_{g,n+1} = 1/2 w_0 omega_{g-1,n+2}(w_0, w_0, w_[n])
             + 1/2 w_0 sum over stable ordered splits
                   omega_{g_1}(w_0, w_{A_1}) omega_{g_2}(w_0, w_{A_2})
-            + sum_i D_{w_0, w_i} omega_{g,n}(x, w_ode) with slot i removed.
+            + sum_i D_{w_0, w_i} omega_{g,n}(x, w_[n]) with slot i removed.
 
-    Symmetry of the total in all n+1 variables is asserted, not imposed.
+    Orbit-wise: the coefficient of w_0^e_0 w^tail, tail descending, is the
+    genus term over p + q + 1 = e_0, the split term, and the transfer term
+    (2v - 1) c_{g,n}(e_0 + v - 2, tail minus v) per tail entry v.  Symmetry
+    in w_1..w_n is manifest; symmetry of w_0 against w_i is checked on every
+    full target orbit.
     """
     nvars = n + 1
     _check_step_target(g, nvars)
-    acc = {}
+    genus, splits, transfer = _lower_cells(g, n, lower, _omega_degree)
 
-    if g >= 1:
-        cell = _lower_cell(lower, g - 1, n + 2)
-        for vec, coeff in cell.expand().items():
-            exps = (vec[0] + vec[1] + 1,) + vec[2:]
-            accumulate(acc, exps, HALF * coeff)
+    def coeff(e0, tail):
+        total = _split_term(tail, splits, lambda p: 1)
+        if genus is not None:
+            total += sum(_at(genus, (p, e0 - 1 - p) + tail) for p in range(1, e0 - 1))
+        total *= HALF
+        if transfer is not None:
+            for v in set(tail):
+                total += tail.count(v) * (2 * v - 1) * _at(transfer, (e0 + v - 2,) + _drop(tail, (v,)))
+        return total
 
-    for exps, coeff in _split_terms(g, n, lower, 1):
-        accumulate(acc, exps, HALF * coeff)
+    targets = _targets(_omega_degree(g, nvars), nvars, 1)
+    return _symmetric(SparseSymPoly, nvars, ((orbit, coeff(e0, t)) for orbit, e0, t in targets))
 
-    if n >= 1:
-        _transfer(acc, _lower_cell(lower, g, n).expand(), d_op, range(1, nvars), nvars)
 
-    return SparseSymPoly.from_expanded(nvars, acc)
+def _Omega_dw0_values(g, n, lower):
+    """Yield (orbit, k, tail, c), c the coefficient of w_0^((k-2)/2) w^tail
+    in d_{w_0} Omega_{g,n+1}, for each reading (k, tail) of each full orbit.
+
+    d_w w^(h/2) = (h/2) w^((h-2)/2): the genus and split terms carry
+    p q / 4 on half-steps p + q + 1 = k - 2, the transfer term h / 2 on
+    h = k + v - 3 per tail entry v (calD's range t <= a + 1 holds for k >= 1).
+    """
+    nvars = n + 1
+    _check_step_target(g, nvars)
+    genus, splits, transfer = _lower_cells(g, n, lower, _Omega_degree)
+    for orbit, k, tail in _targets(_Omega_degree(g, nvars), nvars, 2):
+        total = _split_term(tail, splits, lambda p: p)
+        if genus is not None:
+            total += sum(p * (k - 3 - p) * _at(genus, (p, k - 3 - p) + tail) for p in range(1, k - 3, 2))
+        total /= 4
+        if transfer is not None:
+            for v in set(tail):
+                h = k + v - 3
+                total += tail.count(v) * h * _at(transfer, (h,) + _drop(tail, (v,))) / 2
+        yield orbit, k, tail, total
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -397,38 +504,25 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
             + w_0^(-3/2) sum_i calD_{w_0,w_i} d_x Omega_{g,n}(x, ...).
 
     Keys are (n+1)-tuples of half-steps; entry 0 need not lie on the Omega
-    lattice until the antiderivative is taken.
+    lattice until the antiderivative is taken.  The values are computed
+    orbit-wise, as for :func:`Omega_step`, then spread over the
+    permutations of w_1..w_n.
     """
-    nvars = n + 1
-    _check_step_target(g, nvars)
-    acc = {}
-
-    if g >= 1:
-        cell = _lower_cell(lower, g - 1, n + 2)
-        for vec, coeff in cell.expand().items():
-            c = coeff * vec[0] * vec[1] / 4
-            accumulate(acc, (vec[0] + vec[1] + 1,) + vec[2:], c)
-
-    for exps, coeff in _split_terms(g, n, lower, 5, _d0):
-        accumulate(acc, exps, coeff)
-
-    if n >= 1:
-        _transfer(acc, _d0(_lower_cell(lower, g, n).expand()), calD_op, range(1, nvars), nvars, shift=-3)
-
-    return acc
+    out = {}
+    for _, k, tail, c in _Omega_dw0_values(g, n, lower):
+        if c:
+            for perm in multiset_permutations(tail):
+                out[(k - 2,) + perm] = c
+    return out
 
 
 def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     """Antidifferentiate :func:`Omega_step_dw0` in w_0 with zero constant
-    term; the result must land on the Omega exponent lattice."""
-    nvars = n + 1
-    terms = {}
-    for exps, coeff in Omega_step_dw0(g, n, lower).items():
-        k = exps[0]
-        if k == -2:
-            raise ValueError(f"term {exps} would antidifferentiate to a logarithm")
-        accumulate(terms, (k + 2,) + exps[1:], coeff * Fraction(2, k + 2))
-    return HalfPowerPoly.from_expanded(nvars, terms)
+    term, orbit-wise: w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each (k, tail)
+    reading of a full orbit, and all readings of an orbit must agree (the
+    symmetry of w_0 against w_i)."""
+    values = ((orbit, c * Fraction(2, k)) for orbit, k, _, c in _Omega_dw0_values(g, n, lower))
+    return _symmetric(HalfPowerPoly, n + 1, values)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +543,10 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
     nvars = n + 1
 
     lhs = {}
-    _transfer(lhs, omega_from_correlators(g, n, table).expand(), d_op, (i,), nvars)
+    _transfer(lhs, omega_from_correlators(g, n, table).expand(), d_op, i, nvars)
 
     rhs = {}
-    _transfer(rhs, _d0(Omega_from_correlators(g, n, table).expand()), calD_op, (i,), nvars)
+    _transfer(rhs, _d0(Omega_from_correlators(g, n, table).expand()), calD_op, i, nvars)
     bridged = {}
     for exps, coeff in rhs.items():
         assert exps[0] % 2 == 0
