@@ -93,6 +93,20 @@ def odd_weight(a, shift: int) -> int:
     return w
 
 
+def exact(value, what: str) -> Fraction:
+    """`value` as a Fraction; only an int (not a bool) or a Fraction is
+    exact input, and anything else raises ValueError naming `what`.
+
+    >>> exact(0.1, "tau1")
+    Traceback (most recent call last):
+        ...
+    ValueError: tau1 0.1 is not an int or a Fraction
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} {value!r} is not an int or a Fraction")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def accumulate(d: dict, key, c) -> None:
     """Add `c` to ``d[key]`` in a sparse dict, dropping the key when the
     sum is zero, so that ``d`` never stores a zero coefficient.
@@ -178,7 +192,6 @@ def sub_multisets(items):
     Includes the empty and the full sub-multiset.
     """
     counts = sorted(Counter(items).items(), reverse=True)
-    values = [v for v, _ in counts]
     ranges = [range(c + 1) for _, c in counts]
     for picks in product(*ranges):
         mu = []

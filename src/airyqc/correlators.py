@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, ZERO, bounded_partitions, odd_weight, sub_multisets
+from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -96,11 +96,12 @@ class CorrelatorTable:
     counts keys computed; ``hits`` counts memo lookups that found a value,
     the recursion's own lookups of lower keys included.
 
-    The seed <tau_1>_1 can be overridden (``tau1``), which is used by
-    mutation tests to confirm the downstream identities actually depend on
-    it.  An overridden seed propagates through the string and dilaton
-    reductions as through the full recursion, so such a table no longer
-    satisfies ``dvv_rhs`` for every choice of special insertion.
+    The seed <tau_1>_1 can be overridden (``tau1``, an int or a Fraction),
+    which is used by mutation tests to confirm the downstream identities
+    actually depend on it.  An overridden seed propagates through the
+    string and dilaton reductions as through the full recursion, so such a
+    table no longer satisfies ``dvv_rhs`` for every choice of special
+    insertion.
 
     >>> t = CorrelatorTable()
     >>> t.correlator(1, (1,))
@@ -114,7 +115,7 @@ class CorrelatorTable:
         self.hits = 0
         self.misses = 0
         self._memo[(0, (0, 0, 0))] = Fraction(1)
-        self._memo[(1, (1,))] = Fraction(tau1)
+        self._memo[(1, (1,))] = exact(tau1, "tau1")
 
     def __len__(self):
         return len(self._memo)

@@ -21,14 +21,15 @@ together with the transfer operators
     calD_{u,v} x^(a-1/2) = u v^(1/2) (u^(a+1) + u^a v + ... + v^(a+1))
 
 that encode the contribution of the two-point function to the recursion.
-The steps are orbit-wise: they compute one coefficient per target w_0
-exponent and descending tail on w_1..w_n, reading the lower cells by
-orbit, with the operators' ranges written out per tail entry.  Symmetry in
-w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i by
-comparing every reading of each full target orbit.  Both sides of
-``d_bridge_holds`` apply ``d_op`` and ``calD_op`` once per spectator tail
-of an expanded cell, and one slot map 2 w^(3/2) d_w takes Omega to omega
-monomials.
+``d_op`` is the only code that knows D's weights and ``calD_op`` the only
+code that knows calD's range: the steps, ``d_bridge_holds`` and
+``verify_d_lemma`` all apply them, the first two through one orbit-wise
+image (``_transfer``) of the transfer cell.  The steps compute one
+coefficient per target w_0 exponent and descending tail on w_1..w_n,
+reading the lower cells by orbit.  Symmetry in w_1..w_n is then manifest;
+the steps check symmetry of w_0 against w_i by comparing every reading of
+each full target orbit.  One slot map 2 w^(3/2) d_w takes Omega to omega
+monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -43,6 +44,7 @@ from .core import (
     ZERO,
     accumulate,
     bounded_partitions,
+    exact,
     multiset_permutations,
     odd_weight,
     orbit_size,
@@ -91,10 +93,9 @@ class _OrbitPoly:
             if tuple(sorted(orbit, reverse=True)) != orbit:
                 raise ValueError(f"orbit {orbit} is not sorted descending")
             self._check_exponent_lattice(orbit)
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
-                raise ValueError(f"coefficient {coeff!r} on orbit {orbit} is not an int or a Fraction")
+            coeff = exact(coeff, "coefficient")
             if coeff:
-                clean[orbit] = Fraction(coeff)
+                clean[orbit] = coeff
         self.nvars = nvars
         self.orbits = clean
         self._expanded = None
@@ -229,10 +230,10 @@ def omega_from_Omega(g: int, n: int, Om: HalfPowerPoly) -> SparseSymPoly:
     """Recover omega_{g,n} = 2^n prod w_j^(3/2) d_{w_1} ... d_{w_n} Omega_{g,n}.
 
     On a monomial prod w^(k_j/2) the right side is prod k_j w^((k_j+1)/2),
-    and (2a-1)!! (2a+1) = (2a+1)!! restores the omega weights.
+    and (2a-1)!! (2a+1) = (2a+1)!! restores the omega weights.  The slot map
+    k -> (k+1)/2 is strictly increasing, so it takes orbits to orbits.
     """
-    terms = dict(_to_omega(vec, coeff) for vec, coeff in Om.expand().items())
-    return SparseSymPoly.from_expanded(n, terms)
+    return SparseSymPoly(n, dict(_to_omega(orbit, coeff) for orbit, coeff in Om.orbits.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,7 @@ def d_op(f: dict) -> dict:
 
     `f` maps non-negative integer exponents to coefficients; the result
     maps (u, v) exponent pairs to coefficients and is divisible by uv.
+    Terms never share a key: the image of x^m has degree m + 2.
     """
     out = {}
     for m, coeff in f.items():
@@ -251,7 +253,7 @@ def d_op(f: dict) -> dict:
         if not coeff:
             continue
         for j in range(m + 1):
-            accumulate(out, (m - j + 1, j + 1), (2 * j + 1) * coeff)
+            out[(m - j + 1, j + 1)] = (2 * j + 1) * coeff
     return out
 
 
@@ -260,7 +262,8 @@ def calD_op(f: dict) -> dict:
     u^(a+1-t) v^t.
 
     Input exponents are half-steps 2a - 1 (a >= 0); output keys are
-    (u half-step, v half-step) pairs, u even and v odd.
+    (u half-step, v half-step) pairs, u even and v odd.  Terms never share
+    a key: the image of x^(a-1/2) has half-step degree 2a + 5.
     """
     out = {}
     for h, coeff in f.items():
@@ -270,64 +273,60 @@ def calD_op(f: dict) -> dict:
             continue
         a = (h + 1) // 2
         for t in range(a + 2):
-            accumulate(out, (2 * (a + 2 - t), 2 * t + 1), coeff)
+            out[(2 * (a + 2 - t), 2 * t + 1)] = coeff
     return out
 
 
 def verify_d_lemma(m: int) -> bool:
-    """Check, as exact polynomials in (u, v), the closed form of D_{u,v}x^m.
+    """Check, as exact polynomials in (u, v), that ``d_op`` gives the closed
+    form of D_{u,v}x^m.  Clearing (u-v)^2 from the rational-function
+    definition gives, with the left side written out term by term,
 
-    Clearing (u-v)^2 from the rational-function definition gives
-
-        u(u+v) u^m - 3v(u-v) v^m - 2v^2 v^m - 2m v^(m+1) (u-v)
-            = (u-v)^2 sum_{j=0..m} (2j+1) u^(m-j) v^j.
+        uv (u(u+v) u^m - 3v(u-v) v^m - 2v^2 v^m - 2m v^(m+1) (u-v))
+            = (u-v)^2 D_{u,v} x^m.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     lhs = {}
-    accumulate(lhs, (m + 2, 0), Fraction(1))
-    accumulate(lhs, (m + 1, 1), Fraction(1))
-    accumulate(lhs, (1, m + 1), Fraction(-3))
-    accumulate(lhs, (0, m + 2), Fraction(3))
-    accumulate(lhs, (0, m + 2), Fraction(-2))
-    accumulate(lhs, (1, m + 1), Fraction(-2 * m))
-    accumulate(lhs, (0, m + 2), Fraction(2 * m))
+    accumulate(lhs, (m + 3, 1), Fraction(1))
+    accumulate(lhs, (m + 2, 2), Fraction(1))
+    accumulate(lhs, (2, m + 2), Fraction(-3))
+    accumulate(lhs, (1, m + 3), Fraction(3))
+    accumulate(lhs, (1, m + 3), Fraction(-2))
+    accumulate(lhs, (2, m + 2), Fraction(-2 * m))
+    accumulate(lhs, (1, m + 3), Fraction(2 * m))
 
     rhs = {}
     square = {(2, 0): Fraction(1), (1, 1): Fraction(-2), (0, 2): Fraction(1)}
-    for j in range(m + 1):
+    for (u, v), c in d_op({m: Fraction(1)}).items():
         for (su, sv), sc in square.items():
-            accumulate(rhs, (m - j + su, j + sv), (2 * j + 1) * sc)
+            accumulate(rhs, (u + su, v + sv), c * sc)
     return lhs == rhs
 
 
-# ---------------------------------------------------------------------------
-# plain multivariate helpers (internal; exponent tuples of fixed length)
-
-def _d0(terms):
-    """d_{w_0} on a half-step dict: w_0^(h/2) -> (h/2) w_0^((h-2)/2)."""
-    return {(e[0] - 2,) + e[1:]: c * e[0] / 2 for e, c in terms.items()}
+def _calD_dx(f):
+    """calD_{u,v} d_x on a half-step dict, d_x x^(h/2) = (h/2) x^((h-2)/2)."""
+    return calD_op({h - 2: c * h / 2 for h, c in f.items()})
 
 
-def _transfer(acc, terms, op, i, nvars):
-    """Accumulate op_{w_0, w_i} applied to slot 0 of the expanded cell
-    `terms`.
+def _readings(orbits):
+    """(orbit, e_0, tail) for each orbit and each distinct entry e_0 of it
+    read on w_0; tail is the rest, descending."""
+    for orbit in orbits:
+        for i, e0 in enumerate(orbit):
+            if i == 0 or orbit[i - 1] != e0:
+                yield orbit, e0, orbit[:i] + orbit[i + 1 :]
 
-    `op` (d_op or calD_op) runs once per spectator tail; its (u, v)
-    exponents land on (w_0, w_i), and the tail fills the remaining
-    variables in order.
-    """
+
+def _transfer(cell, op):
+    """op_{w_0, w_i} (``d_op`` or ``_calD_dx``) on slot 0 of the orbit-stored
+    cell, run once per spectator tail: {(u, v, rest): c}, c the coefficient
+    of w_0^u w_i^v w^rest, rest descending on the spectators in any order.
+    The cell is symmetric, so the image does not depend on i."""
     tails = {}
-    for vec, coeff in terms.items():
-        tails.setdefault(vec[1:], {})[vec[0]] = coeff
-    spectators = [p for p in range(1, nvars) if p != i]
-    for tail, f in tails.items():
-        exps = [0] * nvars
-        for pos, e in zip(spectators, tail):
-            exps[pos] = e
-        for (u, v), c in op(f).items():
-            exps[0], exps[i] = u, v
-            accumulate(acc, tuple(exps), c)
+    for orbit, x, tail in _readings(cell.orbits):
+        tails.setdefault(tail, {})[x] = cell.orbits[orbit]
+    return {(u, v, tail): c for tail, f in tails.items() for (u, v), c in op(f).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +361,11 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
-def _lower_cells(g, n, lower, degree):
+def _lower_cells(g, n, lower, degree, op):
     """The lower cells of the step to (g, n+1), fetched up front: the genus
     cell (g-1, n+2), the stable split pairs (g_1, m+1), (g-g_1, n-m+1) as
-    (degree, cell) pairs by m, and the transfer cell (g, n).  Each must be
+    (degree, cell) pairs by m, and the transfer cell (g, n) as its
+    ``_transfer`` image under `op` (empty for n = 0).  Each must be
     homogeneous of its degree with every exponent >= 1, so that every term
     of the step lands on a target orbit."""
 
@@ -385,19 +385,15 @@ def _lower_cells(g, n, lower, degree):
             pair = ((g1, m + 1), (g - g1, n - m + 1))
             if all(is_stable(*cell) for cell in pair):
                 splits.setdefault(m, []).append(tuple((degree(*cell), fetch(*cell)) for cell in pair))
-    transfer = fetch(g, n) if n >= 1 else None
+    transfer = _transfer(fetch(g, n), op) if n >= 1 else {}
     return genus, splits, transfer
 
 
 def _targets(degree, nvars, step):
-    """(orbit, e_0, tail) for each descending exponent tuple of the target,
-    entries in 1 + step Z>=0 summing to `degree`, and each distinct entry
-    e_0 of it read on w_0; tail is the rest, descending."""
-    for xs in bounded_partitions((degree - nvars) // step, nvars):
-        orbit = tuple(step * x + 1 for x in xs)
-        for i, e0 in enumerate(orbit):
-            if i == 0 or orbit[i - 1] != e0:
-                yield orbit, e0, orbit[:i] + orbit[i + 1 :]
+    """The ``_readings`` of each descending exponent tuple of the target,
+    entries in 1 + step Z>=0 summing to `degree`."""
+    xss = bounded_partitions((degree - nvars) // step, nvars)
+    return _readings(tuple(step * x + 1 for x in xs) for xs in xss)
 
 
 def _at(cell, exps):
@@ -411,6 +407,12 @@ def _drop(tail, mu):
     for v in mu:
         rest.remove(v)
     return tuple(rest)
+
+
+def _transfer_term(image, u, tail):
+    """Sum over i of the coefficient of w_0^u w^tail in the transfer image,
+    w_i carrying v: one read per distinct tail entry v, times its count."""
+    return sum(tail.count(v) * c for _, v, rest in _readings((tail,)) if (c := image.get((u, v, rest))))
 
 
 def _split_term(tail, splits, weight):
@@ -451,23 +453,19 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     Orbit-wise: the coefficient of w_0^e_0 w^tail, tail descending, is the
     genus term over p + q + 1 = e_0, the split term, and the transfer term
-    (2v - 1) c_{g,n}(e_0 + v - 2, tail minus v) per tail entry v.  Symmetry
-    in w_1..w_n is manifest; symmetry of w_0 against w_i is checked on every
-    full target orbit.
+    read from the ``d_op`` image of omega_{g,n}.  Symmetry in w_1..w_n is
+    manifest; symmetry of w_0 against w_i is checked on every full target
+    orbit.
     """
     nvars = n + 1
     _check_step_target(g, nvars)
-    genus, splits, transfer = _lower_cells(g, n, lower, _omega_degree)
+    genus, splits, transfer = _lower_cells(g, n, lower, _omega_degree, d_op)
 
     def coeff(e0, tail):
         total = _split_term(tail, splits, lambda p: 1)
         if genus is not None:
             total += sum(_at(genus, (p, e0 - 1 - p) + tail) for p in range(1, e0 - 1))
-        total *= HALF
-        if transfer is not None:
-            for v in set(tail):
-                total += tail.count(v) * (2 * v - 1) * _at(transfer, (e0 + v - 2,) + _drop(tail, (v,)))
-        return total
+        return total * HALF + _transfer_term(transfer, e0, tail)
 
     targets = _targets(_omega_degree(g, nvars), nvars, 1)
     return _symmetric(SparseSymPoly, nvars, ((orbit, coeff(e0, t)) for orbit, e0, t in targets))
@@ -478,22 +476,18 @@ def _Omega_dw0_values(g, n, lower):
     in d_{w_0} Omega_{g,n+1}, for each reading (k, tail) of each full orbit.
 
     d_w w^(h/2) = (h/2) w^((h-2)/2): the genus and split terms carry
-    p q / 4 on half-steps p + q + 1 = k - 2, the transfer term h / 2 on
-    h = k + v - 3 per tail entry v (calD's range t <= a + 1 holds for k >= 1).
+    p q / 4 on half-steps p + q + 1 = k - 2, and the transfer term is read
+    on w_0^((k+1)/2) from the calD d_x image of Omega_{g,n}, the w_0^(-3/2)
+    prefactor moving it to w_0^((k-2)/2).
     """
     nvars = n + 1
     _check_step_target(g, nvars)
-    genus, splits, transfer = _lower_cells(g, n, lower, _Omega_degree)
+    genus, splits, transfer = _lower_cells(g, n, lower, _Omega_degree, _calD_dx)
     for orbit, k, tail in _targets(_Omega_degree(g, nvars), nvars, 2):
         total = _split_term(tail, splits, lambda p: p)
         if genus is not None:
             total += sum(p * (k - 3 - p) * _at(genus, (p, k - 3 - p) + tail) for p in range(1, k - 3, 2))
-        total /= 4
-        if transfer is not None:
-            for v in set(tail):
-                h = k + v - 3
-                total += tail.count(v) * h * _at(transfer, (h,) + _drop(tail, (v,))) / 2
-        yield orbit, k, tail, total
+        yield orbit, k, tail, total / 4 + _transfer_term(transfer, k + 1, tail)
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -536,24 +530,20 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
             d_x Omega_{g,n}(x, w)
 
     as exact polynomials in w_0, ..., w_n (variable i of the cell is the
-    one routed through the operator).
+    one routed through the operator).  Both sides are ``_transfer`` images;
+    the right one is mapped by ``_to_omega`` on (v, rest), w_0's even
+    half-step u becomes the exponent u/2, and 2 is the 2^(n+1) left over.
+    As both cells are symmetric, equal images give the identity for every i.
     """
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
-    nvars = n + 1
-
-    lhs = {}
-    _transfer(lhs, omega_from_correlators(g, n, table).expand(), d_op, i, nvars)
-
+    lhs = _transfer(omega_from_correlators(g, n, table), d_op)
     rhs = {}
-    _transfer(rhs, _d0(Omega_from_correlators(g, n, table).expand()), calD_op, i, nvars)
-    bridged = {}
-    for exps, coeff in rhs.items():
-        assert exps[0] % 2 == 0
-        tail, c = _to_omega(exps[1:], 2 * coeff)
-        accumulate(bridged, (exps[0] // 2,) + tail, c)
-
-    return lhs == bridged
+    for (u, v, rest), c in _transfer(Omega_from_correlators(g, n, table), _calD_dx).items():
+        assert u % 2 == 0
+        exps, c = _to_omega((v,) + rest, 2 * c)
+        rhs[(u // 2, exps[0], exps[1:])] = c
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

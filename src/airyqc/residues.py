@@ -85,13 +85,6 @@ class ZSeries:
         trunc = exact_through(self, other)
         return ZSeries(self.nspec, trunc, _mul_into({}, self, other, lambda k: k <= trunc))
 
-    def scaled(self, factor):
-        return ZSeries(
-            self.nspec,
-            self.trunc,
-            {k: {e: c * factor for e, c in poly.items()} for k, poly in self.terms.items()},
-        )
-
     def residue(self) -> dict:
         """Coefficient of z^(-1) as a spectator Laurent polynomial.
 
@@ -102,7 +95,7 @@ class ZSeries:
         return dict(self.terms.get(-1, {}))
 
 
-def kernel_series(M, nspec: int = 1) -> ZSeries:
+def kernel_series(M, nspec: int) -> ZSeries:
     """1/(z (z_0^2 - z^2)) = sum_{j>=0} z^(2j-1) z_0^(-2j-2), through z^M."""
     if M < -1:
         raise ValueError("truncation must be >= -1")
@@ -197,9 +190,9 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     reads only the even strata of the bracket: each split product adds its
     strata z^k, k even and k <= 0, into one stratum dict by
     :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
-    exact through z^0.  Then
-    ``kernel_series(M)`` is contracted with ``inner`` by the same routine,
-    forming only the z^(-1) stratum, which ``ZSeries.residue`` reads.
+    exact through z^0.  Then ``kernel_series(M, nspec)`` is contracted with
+    ``inner`` by the same routine, forming only the z^(-1) stratum, which
+    ``ZSeries.residue`` reads.
 
     Checks, each raising ValueError: every split product is exact through
     z^0 and the contraction through z^(-1) (:func:`exact_through`; the

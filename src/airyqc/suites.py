@@ -23,8 +23,8 @@ from .polynomials import (
     tW_from_correlators,
     verify_d_lemma,
 )
-from .residues import eo_W
-from .wkb import quantum_curve_report, t_recursion_check
+from .residues import eo_shell
+from .wkb import quantum_curve_report, s_terms, t_recursion_check
 
 __all__ = [
     "Check",
@@ -73,10 +73,7 @@ def _poly_diff(name, left, right):
 def suite_dvv_eo(max_chi: int, table: CorrelatorTable):
     """Residue recursion against the correlator route, cell by cell."""
     checks = []
-    wtable = {}
-    for g, n in shell_cells(1, max_chi):
-        by_eo = eo_W(g, n, wtable)
-        wtable[(g, n)] = by_eo
+    for (g, n), by_eo in eo_shell(max_chi).items():
         by_dvv = tW_from_correlators(g, n, table)
         ok = by_eo == by_dvv
         detail = "" if ok else _poly_diff(("eo", "dvv"), by_eo, by_dvv)
@@ -145,10 +142,11 @@ def suite_quantum_curve(order: int, table: CorrelatorTable):
 
 
 def suite_t_rec(order: int, table: CorrelatorTable):
-    """The t-coordinate form of the order-n identities."""
+    """The t-coordinate form of the order-n identities, on one set of terms."""
     checks = []
+    terms = s_terms(order, 1, table) if order >= 3 else {}
     for n in range(3, order + 1):
-        checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, table)))
+        checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, table, terms)))
     return checks
 
 

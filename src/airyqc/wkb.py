@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, odd_weight, orbit_size, rat_str
+from .core import ZERO, exact, odd_weight, orbit_size, rat_str
 from .correlators import CorrelatorTable, cell_keys
 
 __all__ = [
@@ -150,12 +150,13 @@ def _residual(n: int, terms: dict) -> Fraction:
 def verify_low_orders(branch: int, table: CorrelatorTable, s2_coeff: Fraction | None = None) -> bool:
     """True iff the hbar^0..hbar^2 identities hold exactly.
 
-    ``s2_coeff`` overrides the branch-undressed S_2 coefficient (the true
-    value is 5/24); mutation tests use it to confirm sensitivity.
+    ``s2_coeff`` (an int or a Fraction) overrides the branch-undressed S_2
+    coefficient (the true value is 5/24); mutation tests use it to confirm
+    sensitivity.
     """
     terms = s_terms(2, branch, table)
     if s2_coeff is not None:
-        terms[2] = WkbTerm(2, branch, "monomial", branch * Fraction(s2_coeff), 3)
+        terms[2] = WkbTerm(2, branch, "monomial", branch * exact(s2_coeff, "s2_coeff"), 3)
     return all(_residual(n, terms) == 0 for n in range(3))
 
 

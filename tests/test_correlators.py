@@ -211,3 +211,14 @@ def test_perturbed_seed_breaks_insertion_independence():
     bad = CorrelatorTable(tau1=Fraction(1, 12))
     values = {bad.dvv_rhs(1, (2, 0), i) for i in range(2)}
     assert len(values) == 2
+
+
+@pytest.mark.parametrize("tau1", [0.1, 1 / 24, True, False, "1/24", None])
+def test_seed_must_be_exact(tau1):
+    with pytest.raises(ValueError, match="tau1"):
+        CorrelatorTable(tau1=tau1)
+
+
+def test_seed_accepts_int_and_fraction():
+    assert CorrelatorTable(tau1=1).correlator(1, (1,)) == Fraction(1)
+    assert CorrelatorTable(tau1=Fraction(1, 23)).correlator(1, (1,)) == Fraction(1, 23)

@@ -4,7 +4,9 @@
 ``_expanded_Omega_step`` build the target over every permutation of every
 lower cell, and the first and last regroup it with ``from_expanded``, which
 checks symmetry in all n+1 variables.  They use only the public operators
-and share no code path with the steps in ``airyqc.polynomials``.
+``d_op`` and ``calD_op``, which the steps apply too (``tests/test_transfer.py``
+checks those against the defining series), and share no other code path
+with the steps in ``airyqc.polynomials``.
 """
 
 from fractions import Fraction as F

@@ -70,6 +70,17 @@ def test_low_orders_mutation_sensitive(table):
     assert not verify_low_orders(-1, table, s2_coeff=F(1, 4))
 
 
+@pytest.mark.parametrize("s2_coeff", [0.25, 5 / 24, True, "5/24"])
+def test_low_orders_override_must_be_exact(table, s2_coeff):
+    with pytest.raises(ValueError, match="s2_coeff"):
+        verify_low_orders(1, table, s2_coeff=s2_coeff)
+
+
+def test_low_orders_override_accepts_int_and_fraction(table):
+    assert verify_low_orders(1, table, s2_coeff=F(5, 24))
+    assert not verify_low_orders(1, table, s2_coeff=1)
+
+
 @pytest.mark.parametrize("branch", [1, -1])
 def test_orders_3_to_10(table, branch):
     terms = s_terms(10, branch, table)
@@ -182,3 +193,18 @@ def test_mutated_s3_residual_pinned(table):
     good = terms[3]
     terms[3] = WkbTerm(3, 1, "monomial", good.coeff + F(1, 7), good.halfsteps)
     assert verify_order(3, 1, table, terms) == (F(3, 7), 9)
+
+
+def test_t_rec_suite_builds_the_terms_once(table, monkeypatch):
+    from airyqc import suites
+
+    orders = []
+
+    def counting(N, branch, tbl):
+        orders.append(N)
+        return s_terms(N, branch, tbl)
+
+    monkeypatch.setattr(suites, "s_terms", counting)
+    checks = suites.suite_t_rec(8, table)
+    assert orders == [8]
+    assert [c.name for c in checks] == [f"n={n}" for n in range(3, 9)] and all(c.ok for c in checks)
