@@ -3,11 +3,14 @@
 The saver writes one record per line, sorted by (2g - 2 + n, g, a), values
 in lowest terms.  The loader checks content, not layout: format, version,
 count, each key (``canonical_key``, sorted descending, on the shell
-sum(a) = 3g - 3 + n), each value, the record order, and agreement with the
-table.  Version, count, g and every a_i must be JSON integers; a boolean
-(``true == 1`` in Python) is rejected.  It names the first bad record with
-its line in the saved layout; a file with other whitespace or key order
-loads, and re-saving changes it.
+sum(a) = 3g - 3 + n), each value, the record order, agreement with the
+table, and the dilaton equation: a record holding a tau_1, with
+(g, n - 1) stable, must be (2g - 3 + n) times the record with one tau_1
+removed whenever the file holds that one earlier (a file from
+``save_table`` always does).  Version, count, g and every a_i must be JSON
+integers; a boolean (``true == 1`` in Python) is rejected.  It names the
+first bad record with its line in the saved layout; a file with other
+whitespace or key order loads, and re-saving changes it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .core import rat_parse, rat_str
-from .correlators import CorrelatorTable, canonical_key, record_order
+from .correlators import CorrelatorTable, canonical_key, is_stable, record_order
 
 __all__ = ["CacheFormatError", "FORMAT_NAME", "FORMAT_VERSION", "dumps_table", "save_table", "load_table", "loads_table"]
 
@@ -79,6 +82,7 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
     if table is None:
         table = CorrelatorTable()
     previous = None
+    loaded = {}
     for index, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"g", "a", "value"}:
             _fail(index, "expected keys g, a, value")
@@ -105,6 +109,16 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
         stored = table._memo.setdefault((g, a), val)
         if stored != val:
             _fail(index, f"value {value!r} conflicts with known {rat_str(stored)!r}")
+        if 1 in a and is_stable(g, len(a) - 1):
+            i = a.index(1)
+            lower = (g, a[:i] + a[i + 1 :])
+            base = loaded.get(lower)
+            factor = 2 * g - 3 + len(a)
+            # val == factor * base, cross-multiplied: a Fraction product
+            # would reduce by a gcd on every record
+            if base is not None and val.numerator * base.denominator != factor * base.numerator * val.denominator:
+                _fail(index, f"value {value!r} breaks the dilaton equation, which gives {rat_str(factor * base)!r}")
+        loaded[(g, a)] = val
     return table
 
 

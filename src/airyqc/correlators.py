@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, sub_multisets
+from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, orbit_size, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -112,6 +112,7 @@ class CorrelatorTable:
 
     def __init__(self, *, tau1: Fraction = Fraction(1, 24)):
         self._memo = {}
+        self._free_sums = {}
         self.hits = 0
         self.misses = 0
         self._memo[(0, (0, 0, 0))] = Fraction(1)
@@ -126,6 +127,21 @@ class CorrelatorTable:
     def correlator(self, g, exponents) -> Fraction:
         """<tau_{a_1} ... tau_{a_n}>_g, memoized."""
         return self._value(*canonical_key(g, exponents))
+
+    def free_sum(self, g, n) -> Fraction:
+        """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
+        tau_1-free orbits a of the stable cell (g, n), summed once per
+        table: the memo is write-once and the seeds are fixed."""
+        total = self._free_sums.get((g, n))
+        if total is None:
+            total = ZERO
+            for a in cell_keys(g, n):
+                if 1 not in a:
+                    value = self.correlator(g, a)
+                    if value:
+                        total += orbit_size(a) * odd_weight(a, -1) * value
+            self._free_sums[(g, n)] = total
+        return total
 
     def _value(self, g, a) -> Fraction:
         """Value of the canonical key (g, a): zero off the shell, else from

@@ -186,9 +186,11 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     with W_{0,1} = 0 (terms dropped), W_{0,2} legs expanded by
     :func:`b02_series` through z^M, M = 6g + 2n, and W_{0,2}(z, -z) =
-    1/(4 z^2) in the first term.  The kernel is odd in z, so the residue
-    reads only the even strata of the bracket: each split product adds its
-    strata z^k, k even and k <= 0, into one stratum dict by
+    1/(4 z^2) in the first term.  Every other leg is even in its active
+    variable, so each (g_i, A) is built once by :func:`series_from_cell`
+    and serves a split and its mirror.  The kernel is odd in z, so the
+    residue reads only the even strata of the bracket: each split product
+    adds its strata z^k, k even and k <= 0, into one stratum dict by
     :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
     exact through z^0.  Then ``kernel_series(M, nspec)`` is contracted with
     ``inner`` by the same routine, forming only the z^(-1) stratum, which
@@ -206,10 +208,15 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     nspec = n
     rest = list(range(1, n))
 
+    legs = {}
+
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
             return b02_series(sign, A[0], M, nspec)
-        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec)
+        key = gi, tuple(A)
+        if key not in legs:
+            legs[key] = series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec)
+        return legs[key]
 
     inner = {}
     if (g, n) == (1, 1):

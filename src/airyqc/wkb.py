@@ -8,7 +8,18 @@ all land on w^((3n-3)/2), and
 
     S_n = (branch)^(n+1) sum_{2g-1+k=n} Omega_{g,k}(w, ..., w) / k!
 
-where branch = +1 or -1 selects the root z = branch * sqrt(2u).  With
+where branch = +1 or -1 selects the root z = branch * sqrt(2u).  A tau_1
+carries the weight (2*1 - 1)!! = 1 and the dilaton equation removes it, so
+with m = k - l insertions left after removing l tau_1's,
+
+    Omega_{g,k}(w, ..., w) = w^((6g-6+3k)/2) sum_{l=0..k} C(k, l)
+                             (2g-2+m)(2g-1+m)...(2g-3+m+l) F(g, m),
+
+F(g, m) the weighted sum over the tau_1-free orbits of the cell (g, m),
+summed once per table.  The base terms: (g, m) = (1, 0) contributes
+(l - 1)! <tau_1>_1, and every other unstable (g, m) contributes nothing.
+So S_n reads only tau_1-free keys, the seed <tau_1>_1, and what the DVV
+recursion needs to compute them.  With
 S_0 = branch * (2u)^(3/2) / 3, the logarithmic S_1 = log(w)/4 + const, and
 sigma_i = w^(5/2) d_w S_i (a monomial of w-degree 3i/2 for every i),
 substituting d_u = -2 w^2 d_w turns the order-hbar^n part of the equation,
@@ -36,8 +47,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, exact, odd_weight, orbit_size, rat_str
-from .correlators import CorrelatorTable, cell_keys
+from .core import ZERO, exact, rat_str
+from .correlators import CorrelatorTable, is_stable, require_stable
 
 __all__ = [
     "WkbTerm",
@@ -83,18 +94,30 @@ def _check_branch(branch: int):
 def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     """Coefficient and half-step exponent of Omega_{g,k}(w, ..., w).
 
-    Computed orbit-wise without building the polynomial; homogeneity makes
-    the diagonal a single monomial of half-step degree 6g - 6 + 3k.  Each
-    orbit a contributes its correlator times the integer weight
-    orbit_size(a) * prod (2a_i - 1)!!.  Raises ValueError unless (g, k) is
-    a stable cell.
+    Homogeneity makes the diagonal a single monomial of half-step degree
+    6g - 6 + 3k.  Its coefficient is the sum over the orbits a of the cell
+    of orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g.  A tau_1 has weight
+    1, and the dilaton equation removes it, so grouping the orbits by their
+    number l of tau_1's gives, with m = k - l,
+
+        sum_{l=0..k} C(k, l) (2g-2+m)(2g-1+m)...(2g-3+m+l) F(g, m),
+
+    where F(g, m) = ``table.free_sum(g, m)`` sums the tau_1-free orbits of
+    (g, m) alone.  The base terms: (g, m) = (1, 0) gives
+    (l - 1)! <tau_1>_1, read from the table so that an overridden seed
+    propagates, and the other unstable (g, m) are skipped, since their
+    genus-0 keys are off the shell.  Raises ValueError unless (g, k) is a
+    stable cell.
     """
+    require_stable(g, k)
     total = ZERO
-    for a in cell_keys(g, k):
-        value = table.correlator(g, a)
-        if not value:
-            continue
-        total += orbit_size(a) * odd_weight(a, -1) * value
+    for l in range(k + 1):
+        m = k - l
+        if (g, m) == (1, 0):
+            total += math.factorial(l - 1) * table.correlator(1, (1,))
+        elif is_stable(g, m):
+            rising = math.prod(range(2 * g - 2 + m, 2 * g - 2 + m + l))
+            total += math.comb(k, l) * rising * table.free_sum(g, m)
     return total, 6 * g - 6 + 3 * k
 
 

@@ -113,6 +113,20 @@ def test_cache_off_shell_record_exits_3(tmp_path, capsys):
     assert code == 3 and out == "" and "off-shell" in err
 
 
+def test_cache_wrong_dilaton_record_exits_3(tmp_path, capsys):
+    # <tau_1^3>_1 = 2 <tau_1^2>_1 = 1/12; nothing downstream of a chi <= 3
+    # file reads it, so only the loader's dilaton check can catch it
+    path = tmp_path / "shell.json"
+    assert run(capsys, "cache", "save", str(path), "--max-chi", "3")[0] == 0
+    good = '{"g": 1, "a": [1, 1, 1], "value": "1/12"}'
+    text = path.read_text()
+    assert text.count(good) == 1
+    path.write_text(text.replace(good, good.replace("1/12", "1/13")))
+    code, out, err = run(capsys, "correlator", "2", "4", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "record #7 (line 13)" in err and "dilaton" in err
+
+
 @pytest.mark.parametrize(
     "record",
     ['{"g": -1, "a": [0, 0, 0], "value": "1"}', '{"g": 0, "a": 5, "value": "1"}'],
@@ -142,9 +156,9 @@ def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
 @pytest.mark.parametrize(
     "argv, code, expected",
     [
-        ("sn 6", 0, "cache hits=44 misses=40\n"),
+        ("sn 6", 0, "cache hits=44 misses=24\n"),
         ("sn 1", 0, ""),
-        ("verify quantum-curve --order 4", 0, "cache hits=26 misses=9\n"),
+        ("verify quantum-curve --order 4", 0, "cache hits=15 misses=6\n"),
         ("verify t-rec --order 2", 0, "cache hits=0 misses=0\n"),
     ],
 )

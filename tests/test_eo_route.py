@@ -29,3 +29,20 @@ def test_kernel_coverage_fires(wtable6):
     lower[(0, 3)] = SparseSymPoly(3, {(6, 6, 0): 1})
     with pytest.raises(ValueError, match="kernel truncated at z\\^10"):
         residues.eo_W(1, 2, lower)
+
+
+def test_each_leg_is_built_once(monkeypatch, wtable6):
+    # a leg (g_i, A) other than W_(0,2) does not depend on its sign, so a
+    # split and its mirror share one series
+    built = []
+    original = residues.series_from_cell
+
+    def counting(cell, spectators, nspec, **kw):
+        built.append((id(cell), tuple(spectators), kw.get("both_active", False)))
+        return original(cell, spectators, nspec, **kw)
+
+    monkeypatch.setattr(residues, "series_from_cell", counting)
+    for g, n in shell_cells(1, 6):
+        built.clear()
+        assert residues.eo_W(g, n, wtable6) == wtable6[(g, n)]
+        assert len(built) == len(set(built)), (g, n)

@@ -84,3 +84,20 @@ def test_bridge_reaches_chi_7(table):
 def test_bridge_checks_variable_index(table, i):
     with pytest.raises(ValueError, match="out of range"):
         d_bridge_holds(1, 1, i, table)
+
+
+def test_d_lemma_suite_checks_each_cell_once(table, monkeypatch):
+    from airyqc import suites
+
+    calls = []
+
+    def counting(g, n, i, tbl):
+        calls.append((g, n))
+        return d_bridge_holds(g, n, i, tbl)
+
+    monkeypatch.setattr(suites, "d_bridge_holds", counting)
+    checks = suites.suite_d_lemma(0, 7, table)
+    assert calls == list(shell_cells(1, 7))
+    bridge = [c.name for c in checks[1:]]
+    assert bridge == [f"bridge (g,n)=({g},{n}) i={i}" for g, n, i in BRIDGE_CELLS]
+    assert all(c.ok for c in checks)
