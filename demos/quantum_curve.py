@@ -12,14 +12,14 @@ Run:  python3 demos/quantum_curve.py
 
 from fractions import Fraction
 
-from airyqc import CorrelatorTable, quantum_curve_report, s_term, t_recursion_check, verify_low_orders
+from airyqc import CorrelatorTable, WkbTerm, quantum_curve_report, s_terms, t_recursion_check, verify_low_orders
 
 table = CorrelatorTable()
+terms = s_terms(7, 1, table)
 
 print("The first WKB terms (single monomials in w = 1/z^2 = 1/(2u)):")
 for n in range(5):
-    term = s_term(n, 1, table)
-    print(f"  S_{n} = {term.text()}")
+    print(f"  S_{n} = {terms[n].text()}")
 
 print("\nOrders 0..10 of A Z = 0, plus branch:")
 print(quantum_curve_report(10, 1, table).text())
@@ -29,11 +29,11 @@ print(quantum_curve_report(10, -1, table).text())
 
 print("\nIn the coordinate t = -(2/3) w^(-3/2) the identity is bare:")
 for n in range(3, 8):
-    print(f"  d_t S_{n} = d_t^2 S_{n-1} + sum d_t S_i d_t S_j : {t_recursion_check(n, table)}")
+    print(f"  d_t S_{n} = d_t^2 S_{n-1} + sum d_t S_i d_t S_j : {t_recursion_check(n, terms)}")
 
 print("\nSharpness: wrong inputs break the chain at the first order that sees them.")
 print("  S_2 coefficient forced to 1/4 -> orders 0..2 hold?",
-      verify_low_orders(1, table, s2_coeff=Fraction(1, 4)))
+      verify_low_orders({**terms, 2: WkbTerm(2, 1, "monomial", Fraction(1, 4), 3)}))
 bad = CorrelatorTable(tau1=Fraction(1, 12))
 report = quantum_curve_report(4, 1, bad)
 print("  <tau_1>_1 seeded as 1/12 -> report:")

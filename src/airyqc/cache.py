@@ -5,9 +5,10 @@ in lowest terms.  The loader checks content, not layout: format, version,
 count, each key (``canonical_key``, sorted descending, on the shell
 sum(a) = 3g - 3 + n), each value, the record order, agreement with the
 table, and the dilaton equation: a record holding a tau_1, with
-(g, n - 1) stable, must be (2g - 3 + n) times the record with one tau_1
-removed whenever the file holds that one earlier (a file from
-``save_table`` always does).  Version, count, g and every a_i must be JSON
+(g, n - 1) stable, must be (2g - 3 + n) times the value with one tau_1
+removed whenever the table being filled knows it: a seed, an earlier
+record, or a value it held before (a file from ``save_table`` always
+holds the lower record).  Version, count, g and every a_i must be JSON
 integers; a boolean (``true == 1`` in Python) is rejected.  It names the
 first bad record with its line in the saved layout; a file with other
 whitespace or key order loads, and re-saving changes it.
@@ -82,7 +83,6 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
     if table is None:
         table = CorrelatorTable()
     previous = None
-    loaded = {}
     for index, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"g", "a", "value"}:
             _fail(index, "expected keys g, a, value")
@@ -112,13 +112,12 @@ def loads_table(text: str, table: CorrelatorTable | None = None) -> CorrelatorTa
         if 1 in a and is_stable(g, len(a) - 1):
             i = a.index(1)
             lower = (g, a[:i] + a[i + 1 :])
-            base = loaded.get(lower)
+            base = table._memo.get(lower)
             factor = 2 * g - 3 + len(a)
             # val == factor * base, cross-multiplied: a Fraction product
             # would reduce by a gcd on every record
             if base is not None and val.numerator * base.denominator != factor * base.numerator * val.denominator:
                 _fail(index, f"value {value!r} breaks the dilaton equation, which gives {rat_str(factor * base)!r}")
-        loaded[(g, a)] = val
     return table
 
 

@@ -522,7 +522,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
 # ---------------------------------------------------------------------------
 # compatibility of the two transfer operators
 
-def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
+def d_bridge_holds(g: int, n: int, table: CorrelatorTable) -> bool:
     """Check that the two encodings of the transfer term agree:
 
         D_{w_0,w_i} omega_{g,n}(x, w)  ==
@@ -535,8 +535,6 @@ def d_bridge_holds(g: int, n: int, i: int, table: CorrelatorTable) -> bool:
     half-step u becomes the exponent u/2, and 2 is the 2^(n+1) left over.
     As both cells are symmetric, equal images give the identity for every i.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range 1..{n}")
     lhs = _transfer(omega_from_correlators(g, n, table), d_op)
     rhs = {}
     for (u, v, rest), c in _transfer(Omega_from_correlators(g, n, table), _calD_dx).items():

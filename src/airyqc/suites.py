@@ -118,7 +118,7 @@ def suite_d_lemma(max_m: int, bridge_max_chi: int, table: CorrelatorTable):
         checks.append(Check("d-lemma", f"m={m}", verify_d_lemma(m)))
     for g, n in shell_cells(1, bridge_max_chi):
         # both cells are symmetric, so one check covers every i
-        ok = d_bridge_holds(g, n, 1, table)
+        ok = d_bridge_holds(g, n, table)
         checks.extend(Check("d-lemma", f"bridge (g,n)=({g},{n}) i={i}", ok) for i in range(1, n + 1))
     return checks
 
@@ -146,7 +146,7 @@ def suite_t_rec(order: int, table: CorrelatorTable):
     checks = []
     terms = s_terms(order, 1, table) if order >= 3 else {}
     for n in range(3, order + 1):
-        checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, table, terms)))
+        checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, terms)))
     return checks
 
 

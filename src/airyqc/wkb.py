@@ -28,7 +28,9 @@ substituting d_u = -2 w^2 d_w turns the order-hbar^n part of the equation,
     R_n = sum_{i+j=n} sigma_i sigma_j + w^(5/2) d_w sigma_{n-1}
           - 1/2 w^(3/2) sigma_{n-1} - [n=0]/4,
 
-a single monomial w^(3n/2).  Every order 0..N is checked by R_n = 0.  For
+a single monomial w^(3n/2).  Every order 0..N is checked by R_n = 0.  The
+checks read only the terms, which ``s_terms`` builds once per table; a
+wrong S_i is tested by replacing its entry.  For
 n >= 3, sigma_0 = -branch/2 and sigma_1 = w^(3/2)/4 cancel the other S_0
 and S_1 terms, leaving
 
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, exact, rat_str
+from .core import ZERO, rat_str
 from .correlators import CorrelatorTable, is_stable, require_stable
 
 __all__ = [
@@ -132,14 +134,10 @@ def s_term(n: int, branch: int, table: CorrelatorTable) -> WkbTerm:
     if n == 1:
         return WkbTerm(1, branch, "log", Fraction(1, 4))
     coeff = ZERO
-    halfsteps = 3 * n - 3
     for g in range(n // 2 + 1):
         k = n + 1 - 2 * g
-        c, h = diag_Omega(g, k, table)
-        if h != halfsteps:
-            raise ValueError(f"diagonal of Omega_({g},{k}) off the S_{n} monomial")
-        coeff += c / math.factorial(k)
-    return WkbTerm(n, branch, "monomial", Fraction(branch) ** (n + 1) * coeff, halfsteps)
+        coeff += diag_Omega(g, k, table)[0] / math.factorial(k)
+    return WkbTerm(n, branch, "monomial", Fraction(branch) ** (n + 1) * coeff, 3 * n - 3)
 
 
 def s_terms(N: int, branch: int, table: CorrelatorTable) -> dict[int, WkbTerm]:
@@ -170,20 +168,13 @@ def _residual(n: int, terms: dict) -> Fraction:
     return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2
 
 
-def verify_low_orders(branch: int, table: CorrelatorTable, s2_coeff: Fraction | None = None) -> bool:
-    """True iff the hbar^0..hbar^2 identities hold exactly.
-
-    ``s2_coeff`` (an int or a Fraction) overrides the branch-undressed S_2
-    coefficient (the true value is 5/24); mutation tests use it to confirm
-    sensitivity.
-    """
-    terms = s_terms(2, branch, table)
-    if s2_coeff is not None:
-        terms[2] = WkbTerm(2, branch, "monomial", branch * exact(s2_coeff, "s2_coeff"), 3)
+def verify_low_orders(terms: dict) -> bool:
+    """True iff the hbar^0..hbar^2 identities hold exactly for the terms
+    S_0, S_1, S_2 (``terms`` as from :func:`s_terms`, on either branch)."""
     return all(_residual(n, terms) == 0 for n in range(3))
 
 
-def verify_order(n: int, branch: int, table: CorrelatorTable, terms: dict | None = None):
+def verify_order(n: int, branch: int, terms: dict):
     """Residual of the order hbar^n identity (n >= 3), as an exact monomial
     (coefficient, w half-steps) = (-branch * R_n, 3n); the coefficient is
     zero iff the quantum curve equation holds at this order.
@@ -192,25 +183,24 @@ def verify_order(n: int, branch: int, table: CorrelatorTable, terms: dict | None
     cancels -1/2 w^(3/2) sigma_{n-1}, so the coefficient is that of
     w^(5/2) d_w S_n - branch * ( (w^(5/2) d_w)^2 S_{n-1}
     + sum_{i+j=n, i,j>=2} w^(5/2) d_w S_i * w^(5/2) d_w S_j ).
+
+    It reads only ``terms`` (S_0..S_n on ``branch``, as from :func:`s_terms`).
     """
     if n < 3:
         raise ValueError("verify_order handles n >= 3; use verify_low_orders below that")
     _check_branch(branch)
-    if terms is None:
-        terms = s_terms(n, branch, table)
     return -branch * _residual(n, terms), 3 * n
 
 
-def t_recursion_check(n: int, table: CorrelatorTable, terms: dict | None = None) -> bool:
+def t_recursion_check(n: int, terms: dict) -> bool:
     """Order-n identity in the coordinate t = -(2/3) w^(-3/2), where
     S_n = d_n t^(1-n):  d_t S_n = d_t^2 S_{n-1} + sum_{i+j=n} d_t S_i d_t S_j.
 
-    Stated on the plus branch (the minus branch flips the overall sign).
+    Stated on the plus branch (the minus branch flips the overall sign);
+    it reads only ``terms`` (S_2..S_n on the plus branch).
     """
     if n < 3:
         raise ValueError("t_recursion_check handles n >= 3")
-    if terms is None:
-        terms = s_terms(n, 1, table)
 
     def d(i):
         t = terms[i]
@@ -273,7 +263,7 @@ def quantum_curve_report(N: int, branch: int, table: CorrelatorTable) -> Quantum
             # the order-hbar^n part of the equation is 2 R_n (2u)^((2 - 3n)/2)
             coeff, monomial = 2 * _residual(order, terms), f"(2u)^({2 - 3 * order}/2)"
         else:
-            coeff, halfsteps = verify_order(order, branch, table, terms)
+            coeff, halfsteps = verify_order(order, branch, terms)
             monomial = f"w^({halfsteps}/2)"
         residuals.append((order, f"{rat_str(coeff)}*{monomial}" if coeff else "0"))
     return QuantumCurveReport(N, branch, residuals)

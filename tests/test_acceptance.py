@@ -17,6 +17,7 @@ from airyqc import (
     Omega_from_correlators,
     Omega_step,
     Omega_step_dw0,
+    WkbTerm,
     correlator_shell,
     d_bridge_holds,
     dumps_table,
@@ -103,8 +104,7 @@ def test_criterion_4_operator_lemmas(table):
     for m in range(51):
         assert verify_d_lemma(m), m
     for g, n in shell_cells(1, 4):
-        for i in range(1, n + 1):
-            assert d_bridge_holds(g, n, i, table), (g, n, i)
+        assert d_bridge_holds(g, n, table), (g, n)
     _report(4, "D closed form (m <= 50) and D/calD bridge (chi <= 4)", t0)
 
 
@@ -112,14 +112,14 @@ def test_criterion_5_quantum_curve(table):
     t0 = time.perf_counter()
     assert s_term(2, 1, table).coeff == F(5, 24) and s_term(2, 1, table).halfsteps == 3
     assert s_term(3, 1, table).coeff == F(5, 16) and s_term(3, 1, table).halfsteps == 6
+    terms = {branch: s_terms(10, branch, table) for branch in (1, -1)}
     for branch in (1, -1):
-        assert verify_low_orders(branch, table)
-        terms = s_terms(10, branch, table)
+        assert verify_low_orders(terms[branch])
         for n in range(3, 11):
-            residual, _ = verify_order(n, branch, table, terms)
+            residual, _ = verify_order(n, branch, terms[branch])
             assert residual == 0, (n, branch)
     for n in range(3, 11):
-        assert t_recursion_check(n, table), n
+        assert t_recursion_check(n, terms[1]), n
     _report(5, "quantum curve orders 0..10 on both branches, t-form included", t0)
 
 
@@ -170,7 +170,9 @@ def test_criterion_6_robustness(table, wtable6):
     bad = CorrelatorTable(tau1=F(1, 12))
     assert len({bad.dvv_rhs(1, (2, 0), i) for i in range(2)}) == 2
     assert eo_W(1, 1, {}) != tW_from_correlators(1, 1, bad)
-    assert not verify_low_orders(1, table, s2_coeff=F(1, 4))
+    terms = s_terms(2, 1, table)
+    terms[2] = WkbTerm(2, 1, "monomial", F(1, 4), 3)
+    assert not verify_low_orders(terms)
     report = quantum_curve_report(10, 1, bad)
     assert not report.passed and dict(report.residuals)[2] != "0"
     _report(6, f"insertion independence ({checked} keys), string equation, bounds, mutations", t0)

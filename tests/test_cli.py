@@ -170,13 +170,25 @@ def test_stats_on_sn_and_verify(capsys, monkeypatch, argv, code, expected):
 
 
 def test_stats_on_failing_verify(tmp_path, capsys, monkeypatch):
+    # <tau_4>_2 = 1/1152 holds no tau_1, so the file loads; S_4 reads it
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    path = tmp_path / "wrong.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    '"records": [{"g": 2, "a": [4], "value": "1/1151"}]}')
+    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path), "--stats")
+    assert code == 1 and out.splitlines()[-1].startswith("FAIL quantum-curve order 4 ")
+    assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
+
+
+def test_cache_dilaton_record_checked_against_seed(tmp_path, capsys, monkeypatch):
+    # <tau_1 tau_0^3>_0 = 1 * <tau_0^3>_0 = 1; the lower key is a seed, not a record
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
     path = tmp_path / "wrong.json"
     path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
                     '"records": [{"g": 0, "a": [1, 0, 0, 0], "value": "2"}]}')
-    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path), "--stats")
-    assert code == 1 and out.splitlines()[-1].startswith("FAIL ")
-    assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
+    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "record #0 (line 6)" in err and "breaks the dilaton equation, which gives '1'" in err
 
 
 def test_cache_boolean_fields_exit_3(tmp_path, capsys):

@@ -6,8 +6,6 @@ apply them.  A wrong operator must therefore show up in every one of
 those checks.
 """
 
-import pytest
-
 from airyqc import polynomials
 from airyqc.correlators import shell_cells
 from airyqc.polynomials import (
@@ -53,7 +51,7 @@ def test_unmutated_operators_pass_every_check(table):
     assert all(verify_d_lemma(m) for m in range(6))
     assert _steps_against_series(omega_step, omega_base, omega_from_correlators, table) == []
     assert _steps_against_series(Omega_step, Omega_base, Omega_from_correlators, table) == []
-    assert d_bridge_holds(0, 4, 1, table)
+    assert d_bridge_holds(0, 4, table)
 
 
 def test_wrong_d_weight_fails_lemma_and_omega_step(table, monkeypatch):
@@ -61,29 +59,23 @@ def test_wrong_d_weight_fails_lemma_and_omega_step(table, monkeypatch):
     assert not any(verify_d_lemma(m) for m in range(6))
     wrong = _steps_against_series(omega_step, omega_base, omega_from_correlators, table)
     assert (0, 4) in wrong and (1, 2) in wrong
-    assert not d_bridge_holds(0, 4, 1, table)
+    assert not d_bridge_holds(0, 4, table)
 
 
 def test_short_calD_range_fails_Omega_step_and_bridge(table, monkeypatch):
     monkeypatch.setattr(polynomials, "calD_op", _calD_op_short_range)
     wrong = _steps_against_series(Omega_step, Omega_base, Omega_from_correlators, table)
     assert (0, 4) in wrong and (1, 2) in wrong
-    assert not d_bridge_holds(0, 4, 1, table)
+    assert not d_bridge_holds(0, 4, table)
 
 
-BRIDGE_CELLS = [(g, n, i) for g, n in shell_cells(1, 7) for i in range(1, n + 1)]
+BRIDGE_CELLS = list(shell_cells(1, 7))
 
 
 def test_bridge_reaches_chi_7(table):
     failing = [cell for cell in BRIDGE_CELLS if not d_bridge_holds(*cell, table)]
     assert failing == []
-    assert len(BRIDGE_CELLS) == 92
-
-
-@pytest.mark.parametrize("i", [0, 2])
-def test_bridge_checks_variable_index(table, i):
-    with pytest.raises(ValueError, match="out of range"):
-        d_bridge_holds(1, 1, i, table)
+    assert len(BRIDGE_CELLS) == 23
 
 
 def test_d_lemma_suite_checks_each_cell_once(table, monkeypatch):
@@ -91,13 +83,14 @@ def test_d_lemma_suite_checks_each_cell_once(table, monkeypatch):
 
     calls = []
 
-    def counting(g, n, i, tbl):
+    def counting(g, n, tbl):
         calls.append((g, n))
-        return d_bridge_holds(g, n, i, tbl)
+        return d_bridge_holds(g, n, tbl)
 
     monkeypatch.setattr(suites, "d_bridge_holds", counting)
     checks = suites.suite_d_lemma(0, 7, table)
-    assert calls == list(shell_cells(1, 7))
+    assert calls == BRIDGE_CELLS
     bridge = [c.name for c in checks[1:]]
-    assert bridge == [f"bridge (g,n)=({g},{n}) i={i}" for g, n, i in BRIDGE_CELLS]
+    assert bridge == [f"bridge (g,n)=({g},{n}) i={i}" for g, n in BRIDGE_CELLS for i in range(1, n + 1)]
+    assert len(bridge) == 92
     assert all(c.ok for c in checks)

@@ -54,60 +54,55 @@ def test_branch_covariance(table):
 
 
 def test_monomial_collapse(table):
-    # the diagonal sum for S_n is a single monomial of w-degree (3n-3)/2;
-    # s_term raises if any contribution lands elsewhere
+    # every diagonal Omega_{g,k} with 2g - 1 + k = n lands on the S_n
+    # monomial of w-degree (3n-3)/2
     for n in range(2, 13):
         assert s_term(n, 1, table).halfsteps == 3 * n - 3
+        for g in range(n // 2 + 1):
+            assert diag_Omega(g, n + 1 - 2 * g, table)[1] == 3 * n - 3
 
 
 def test_low_orders_hold_on_both_branches(table):
-    assert verify_low_orders(1, table)
-    assert verify_low_orders(-1, table)
+    assert verify_low_orders(s_terms(2, 1, table))
+    assert verify_low_orders(s_terms(2, -1, table))
 
 
 def test_low_orders_mutation_sensitive(table):
-    assert not verify_low_orders(1, table, s2_coeff=F(1, 4))
-    assert not verify_low_orders(-1, table, s2_coeff=F(1, 4))
-
-
-@pytest.mark.parametrize("s2_coeff", [0.25, 5 / 24, True, "5/24"])
-def test_low_orders_override_must_be_exact(table, s2_coeff):
-    with pytest.raises(ValueError, match="s2_coeff"):
-        verify_low_orders(1, table, s2_coeff=s2_coeff)
-
-
-def test_low_orders_override_accepts_int_and_fraction(table):
-    assert verify_low_orders(1, table, s2_coeff=F(5, 24))
-    assert not verify_low_orders(1, table, s2_coeff=1)
+    for branch in (1, -1):
+        terms = s_terms(2, branch, table)
+        terms[2] = WkbTerm(2, branch, "monomial", branch * F(1, 4), 3)
+        assert not verify_low_orders(terms), branch
 
 
 @pytest.mark.parametrize("branch", [1, -1])
 def test_orders_3_to_10(table, branch):
     terms = s_terms(10, branch, table)
     for n in range(3, 11):
-        coeff, halfsteps = verify_order(n, branch, table, terms)
+        coeff, halfsteps = verify_order(n, branch, terms)
         assert coeff == 0 and halfsteps == 3 * n, n
 
 
 def test_t_recursion(table):
+    terms = s_terms(10, 1, table)
     for n in range(3, 11):
-        assert t_recursion_check(n, table)
+        assert t_recursion_check(n, terms)
 
 
 def test_t_recursion_matches_order_residual(table):
     # the coordinate change is exact on monomials: zero residual in w
     # iff the t-form identity holds
+    terms = s_terms(12, 1, table)
     for n in range(3, 13):
-        assert (verify_order(n, 1, table)[0] == 0) == t_recursion_check(n, table)
+        assert (verify_order(n, 1, terms)[0] == 0) == t_recursion_check(n, terms)
 
 
 def test_mutated_s3_breaks_both_forms(table):
     terms = dict(s_terms(4, 1, table))
     good = terms[3]
     terms[3] = WkbTerm(3, 1, "monomial", good.coeff + F(1, 7), good.halfsteps)
-    assert verify_order(3, 1, table, terms)[0] != 0
-    assert not t_recursion_check(3, table, terms)
-    assert not t_recursion_check(4, table, terms)
+    assert verify_order(3, 1, terms)[0] != 0
+    assert not t_recursion_check(3, terms)
+    assert not t_recursion_check(4, terms)
 
 
 def test_report_passes(table):
@@ -158,10 +153,11 @@ def test_quantum_curve_order_20_matches_airy_series():
 
 
 def test_verify_order_rejects_small_n(table):
+    terms = s_terms(2, 1, table)
     with pytest.raises(ValueError):
-        verify_order(2, 1, table)
+        verify_order(2, 1, terms)
     with pytest.raises(ValueError):
-        t_recursion_check(2, table)
+        t_recursion_check(2, terms)
 
 
 _PINNED_RESIDUALS = {
@@ -192,7 +188,7 @@ def test_mutated_s3_residual_pinned(table):
     terms = dict(s_terms(4, 1, table))
     good = terms[3]
     terms[3] = WkbTerm(3, 1, "monomial", good.coeff + F(1, 7), good.halfsteps)
-    assert verify_order(3, 1, table, terms) == (F(3, 7), 9)
+    assert verify_order(3, 1, terms) == (F(3, 7), 9)
 
 
 def test_t_rec_suite_builds_the_terms_once(table, monkeypatch):
