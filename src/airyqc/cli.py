@@ -30,15 +30,14 @@ def _parse_exponents(text: str):
 
 
 def _make_table(args) -> CorrelatorTable:
-    table = CorrelatorTable()
-    path = getattr(args, "cache", None) or os.environ.get(ENV_CACHE)
+    path = args.cache or os.environ.get(ENV_CACHE)
     if path and os.path.exists(path):
-        load_table(path, table)
-    return table
+        return load_table(path)
+    return CorrelatorTable()
 
 
 def _print_stats(args, table):
-    if getattr(args, "stats", False):
+    if args.stats:
         print(f"cache hits={table.hits} misses={table.misses}", file=sys.stderr)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, orbit_size, sub_multisets
+from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -89,6 +89,15 @@ def canonical_key(g, exponents):
     return g, tuple(sorted(exponents, reverse=True))
 
 
+def _dilaton(g, a):
+    """(2g - 3 + n, a with one tau_1 removed) when the dilaton equation
+    applies to the canonical key (g, a), else None."""
+    if 1 in a and is_stable(g, len(a) - 1):
+        i = a.index(1)
+        return 2 * g - 3 + len(a), a[:i] + a[i + 1 :]
+    return None
+
+
 class CorrelatorTable:
     """Write-once memo of correlator values, with hit/miss counters.
 
@@ -128,6 +137,31 @@ class CorrelatorTable:
         """<tau_{a_1} ... tau_{a_n}>_g, memoized."""
         return self._value(*canonical_key(g, exponents))
 
+    def add_record(self, g, a, value) -> None:
+        """Store a value read from outside the table, such as a cache record:
+        ``a`` canonical as given and on the shell, ``value`` exact and in
+        agreement with any known value and with the dilaton equation.
+        Otherwise raise ValueError and leave the table unchanged.  ``hits``
+        and ``misses`` are not touched."""
+        g, key = canonical_key(g, a)
+        if key != tuple(a):
+            raise ValueError(f"exponents {list(a)} not sorted descending")
+        if sum(key) != 3 * g - 3 + len(key):
+            raise ValueError(f"off-shell key: sum(a) = {sum(key)}, not 3g - 3 + n = {3 * g - 3 + len(key)}")
+        value = exact(value, "value")
+        known = self._memo.get((g, key), value)
+        if known != value:
+            raise ValueError(f"value {rat_str(value)!r} conflicts with known {rat_str(known)!r}")
+        if dilaton := _dilaton(g, key):
+            factor, lower = dilaton
+            base = self._memo.get((g, lower))
+            # value == factor * base, cross-multiplied: a Fraction product
+            # would reduce by a gcd on every record
+            if base is not None and value.numerator * base.denominator != factor * base.numerator * value.denominator:
+                gives = rat_str(factor * base)
+                raise ValueError(f"value {rat_str(value)!r} breaks the dilaton equation, which gives {gives!r}")
+        self._memo[(g, key)] = value
+
     def free_sum(self, g, n) -> Fraction:
         """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
         tau_1-free orbits a of the stable cell (g, n), summed once per
@@ -160,19 +194,17 @@ class CorrelatorTable:
     def _reduce(self, g, a) -> Fraction:
         """Dilaton or string equation when (g, n - 1) is stable, else the
         full recursion with the largest exponent special."""
-        n = len(a)
-        if is_stable(g, n - 1):
-            if 1 in a:
-                i = a.index(1)
-                return (2 * g - 3 + n) * self._value(g, a[:i] + a[i + 1 :])
-            if a[-1] == 0:
-                rest = a[:-1]
-                total = ZERO
-                for j, v in enumerate(rest):
-                    # lower the last copy of each v >= 1; the key stays sorted
-                    if v and rest[j + 1 : j + 2] != (v,):
-                        total += rest.count(v) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
-                return total
+        if dilaton := _dilaton(g, a):
+            factor, lower = dilaton
+            return factor * self._value(g, lower)
+        if a[-1] == 0 and is_stable(g, len(a) - 1):
+            rest = a[:-1]
+            total = ZERO
+            for j, v in enumerate(rest):
+                # lower the last copy of each v >= 1; the key stays sorted
+                if v and rest[j + 1 : j + 2] != (v,):
+                    total += rest.count(v) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+            return total
         return self._rhs(g, a[0], a[1:])
 
     def dvv_rhs(self, g, exponents, special: int) -> Fraction:

@@ -44,7 +44,6 @@ plus branch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,13 +241,6 @@ class QuantumCurveReport:
         verdict = "pass" if self.passed else "FAIL"
         lines.append(f"quantum curve through hbar^{self.max_order}, branch {self.branch_str()}: {verdict}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        payload = [
-            {"order": order, "branch": self.branch_str(), "residual": r}
-            for order, r in self.residuals
-        ]
-        return json.dumps(payload, separators=(", ", ": "))
 
 
 def quantum_curve_report(N: int, branch: int, table: CorrelatorTable) -> QuantumCurveReport:

@@ -4,10 +4,12 @@ Each test prints a single pass/fail line (visible with ``pytest -s``); a
 criterion passes only if every identity in it holds bit-exactly.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -189,7 +191,11 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
     assert path.read_bytes() == first
     assert dumps_table(load_table(path)).encode("ascii") == first
 
-    # repeated CLI invocations are byte-identical
+    # repeated CLI invocations are byte-identical; the children run this
+    # checkout's code and no user cache
+    env = {k: v for k, v in os.environ.items() if k != "AIRYQC_CACHE"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (
         ["table", "W", "2", "2"],
         ["correlator", "2", "4"],
@@ -201,6 +207,8 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
                 [sys.executable, "-m", "airyqc", *argv],
                 capture_output=True,
                 check=True,
+                env=env,
+                timeout=120,
             )
             for _ in range(2)
         ]

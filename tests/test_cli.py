@@ -127,6 +127,64 @@ def test_cache_wrong_dilaton_record_exits_3(tmp_path, capsys):
     assert "record #7 (line 13)" in err and "dilaton" in err
 
 
+_ONE_RECORD_FILE = (
+    '{\n"format": "airyqc-correlator-cache",\n"version": 1,\n"count": 1,\n"records": [\n'
+    '{"g": 0, "a": [1, 0, 0, 0], "value": "2"}\n]\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            '{"g": 1, "a": [1], "value": "1/24"}',
+            '{"g": 1, "a": [1], "value": "1/12"}',
+            "record #1 (line 7): value '1/12' conflicts with known '1/24'",
+        ),
+        (
+            '{"g": 1, "a": [1, 1, 1], "value": "1/12"}',
+            '{"g": 1, "a": [1, 1, 1], "value": "1/13"}',
+            "record #7 (line 13): value '1/13' breaks the dilaton equation, which gives '1/12'",
+        ),
+        (None, _ONE_RECORD_FILE, "record #0 (line 6): value '2' breaks the dilaton equation, which gives '1'"),
+        ('"a": [2, 0]', '"a": [0, 2]', "record #4 (line 10): exponents [0, 2] not sorted descending"),
+        (
+            '"a": [4], "value": "1/1152"',
+            '"a": [5], "value": "1/1152"',
+            "record #10 (line 16): off-shell key: sum(a) = 5, not 3g - 3 + n = 4",
+        ),
+        (
+            '{"g": 1, "a": [1], "value": "1/24"}',
+            '{"g": 1, "a": [1], "value": "2/48"}',
+            "record #1 (line 7): non-canonical rational '2/48': not in lowest terms",
+        ),
+        (
+            '{"g": 1, "a": [1, 1], "value": "1/24"},\n{"g": 1, "a": [2, 0], "value": "1/24"}',
+            '{"g": 1, "a": [2, 0], "value": "1/24"},\n{"g": 1, "a": [1, 1], "value": "1/24"}',
+            "record #4 (line 10): records out of canonical order (or duplicated)",
+        ),
+        (
+            '{"g": 0, "a": [1, 0, 0, 0]',
+            '{"g": false, "a": [1, 0, 0, 0]',
+            "record #2 (line 8): genus must be a non-negative integer, got False",
+        ),
+    ],
+    ids=["seed-conflict", "dilaton-record", "dilaton-seed", "unsorted", "off-shell", "2/48", "order", "bool-genus"],
+)
+def test_cache_record_faults_pinned(tmp_path, capsys, monkeypatch, old, new, message):
+    # one fault per file, in a chi <= 3 file from `cache save` unless the
+    # case replaces the whole file
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    path = tmp_path / "shell.json"
+    assert run(capsys, "cache", "save", str(path), "--max-chi", "3")[0] == 0
+    text = path.read_text()
+    if old is not None:
+        assert text.count(old) == 1
+    path.write_text(new if old is None else text.replace(old, new))
+    result = run(capsys, "correlator", "2", "4", "--cache", str(path))
+    assert list(result) == [3, "", f"cache error: {message}\n"]
+
+
 @pytest.mark.parametrize(
     "record",
     ['{"g": -1, "a": [0, 0, 0], "value": "1"}', '{"g": 0, "a": 5, "value": "1"}'],

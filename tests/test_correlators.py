@@ -222,3 +222,39 @@ def test_seed_must_be_exact(tau1):
 def test_seed_accepts_int_and_fraction():
     assert CorrelatorTable(tau1=1).correlator(1, (1,)) == Fraction(1)
     assert CorrelatorTable(tau1=Fraction(1, 23)).correlator(1, (1,)) == Fraction(1, 23)
+
+
+def test_add_record_reads_as_hit():
+    t = CorrelatorTable()
+    t.add_record(2, [4], Fraction(1, 1152))
+    assert (t.hits, t.misses) == (0, 0)
+    assert t.correlator(2, (4,)) == Fraction(1, 1152)
+    assert (t.hits, t.misses) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "g, a, value, message",
+    [
+        (1, [1], Fraction(1, 12), "value '1/12' conflicts with known '1/24'"),
+        (1, [1, 1], Fraction(1, 12), "value '1/12' conflicts with known '1/24'"),
+        (1, [1, 1, 1], Fraction(1, 13), "value '1/13' breaks the dilaton equation, which gives '1/12'"),
+        (0, [1, 0, 0, 0], 2, "value '2' breaks the dilaton equation, which gives '1'"),
+        (1, [0, 2], Fraction(1, 24), "exponents [0, 2] not sorted descending"),
+        (2, [5], Fraction(1, 1152), "off-shell key: sum(a) = 5, not 3g - 3 + n = 4"),
+        (-1, [0, 0, 0], 1, "genus must be a non-negative integer, got -1"),
+        (False, [1, 0, 0, 0], 1, "genus must be a non-negative integer, got False"),
+        (0, [0, 0], 1, "unstable (g, n) = (0, 2)"),
+        (0, [0, 0, 0], 1.0, "value 1.0 is not an int or a Fraction"),
+        (0, [1, 0, 0, 0], "1", "value '1' is not an int or a Fraction"),
+    ],
+)
+def test_add_record_rejects_and_leaves_table_unchanged(g, a, value, message):
+    # <tau_1^2>_1 = 1/24 is an earlier record, the lower key of <tau_1^3>_1
+    t = CorrelatorTable()
+    t.add_record(1, [1, 1], Fraction(1, 24))
+    before = dict(t.items())
+    with pytest.raises(ValueError) as err:
+        t.add_record(g, a, value)
+    assert str(err.value) == message
+    assert len(t) == len(before) and dict(t.items()) == before
+    assert (t.hits, t.misses) == (0, 0)

@@ -113,11 +113,6 @@ def test_report_passes(table):
         assert all(r == "0" for _, r in report.residuals)
 
 
-def test_report_json_shape(table):
-    report = quantum_curve_report(3, 1, table)
-    assert report.to_json().startswith('[{"order": 0, "branch": "+", "residual": "0"}')
-
-
 def test_perturbed_base_fails_at_first_consuming_order():
     bad = CorrelatorTable(tau1=F(1, 12))
     report = quantum_curve_report(10, 1, bad)
