@@ -31,9 +31,7 @@ def _parse_exponents(text: str):
 
 def _make_table(args) -> CorrelatorTable:
     path = args.cache or os.environ.get(ENV_CACHE)
-    if path and os.path.exists(path):
-        return load_table(path)
-    return CorrelatorTable()
+    return load_table(path) if path else CorrelatorTable()
 
 
 def _print_stats(args, table):

@@ -187,16 +187,18 @@ def ordered_splits(g: int, positions):
 
 
 def sub_multisets(items):
-    """Yield (sub_multiset, count) pairs over distinct sub-multisets of
-    `items`, where `count` is the number of index subsets realizing it.
-    Includes the empty and the full sub-multiset.
+    """Yield (mu, nu, count) over the distinct sub-multisets mu of `items`,
+    nu the rest and `count` the number of index subsets realizing mu.  Both
+    come out descending; the empty and the full mu are included.
+
+    >>> list(sub_multisets((2, 1, 1)))[:3]
+    [((), (2, 1, 1), 1), ((1,), (2, 1), 2), ((1, 1), (2,), 1)]
     """
     counts = sorted(Counter(items).items(), reverse=True)
-    ranges = [range(c + 1) for _, c in counts]
-    for picks in product(*ranges):
-        mu = []
-        mult = 1
+    for picks in product(*(range(c + 1) for _, c in counts)):
+        mu, nu, mult = (), (), 1
         for (v, c), k in zip(counts, picks):
-            mu.extend([v] * k)
+            mu += (v,) * k
+            nu += (v,) * (c - k)
             mult *= math.comb(c, k)
-        yield tuple(sorted(mu, reverse=True)), mult
+        yield mu, nu, mult

@@ -66,6 +66,15 @@ def cell_keys(g, n):
     return bounded_partitions(3 * g - 3 + n, n)
 
 
+def free_keys(g, n):
+    """The on-shell keys of the stable cell (g, n) with no tau_1: k entries
+    >= 2, descending, then n - k zeros, for each k."""
+    require_stable(g, n)
+    d = 3 * g - 3 + n
+    # built from one list: tuple() of a generator, then concatenated, fragments the heap
+    return (tuple([x + 2 for x in xs] + [0] * (n - k)) for k in range(n + 1) for xs in bounded_partitions(d - 2 * k, k))
+
+
 def record_order(g, a):
     """Sort key of a stored record: (2g - 2 + n, g, a)."""
     return 2 * g - 2 + len(a), g, a
@@ -164,16 +173,15 @@ class CorrelatorTable:
 
     def free_sum(self, g, n) -> Fraction:
         """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
-        tau_1-free orbits a of the stable cell (g, n), summed once per
-        table: the memo is write-once and the seeds are fixed."""
+        ``free_keys`` a of the stable cell (g, n), once per table (the memo
+        is write-once, the seeds fixed); each key is read by ``_value``."""
         total = self._free_sums.get((g, n))
         if total is None:
             total = ZERO
-            for a in cell_keys(g, n):
-                if 1 not in a:
-                    value = self.correlator(g, a)
-                    if value:
-                        total += orbit_size(a) * odd_weight(a, -1) * value
+            for a in free_keys(g, n):
+                value = self._value(g, a)
+                if value:
+                    total += orbit_size(a) * odd_weight(a, -1) * value
             self._free_sums[(g, n)] = total
         return total
 
@@ -238,18 +246,13 @@ class CorrelatorTable:
         n = len(rest)
         total = ZERO
 
-        # transfer term: join a_0 with one other insertion
-        seen = set()
+        # transfer term: join a_0 with one other insertion, each distinct
+        # v read at its last copy
         for i, v in enumerate(rest):
-            if v in seen:
-                continue
-            seen.add(v)
-            count = rest.count(v)
             b = a0 + v - 1
-            if b < 0:
-                continue
-            child = tuple(sorted(rest[:i] + rest[i + 1 :] + (b,), reverse=True))
-            total += count * (2 * v + 1) * self._tnorm(g, child)
+            if b >= 0 and rest[i + 1 : i + 2] != (v,):
+                child = tuple(sorted(rest[:i] + rest[i + 1 :] + (b,), reverse=True))
+                total += rest.count(v) * (2 * v + 1) * self._tnorm(g, child)
 
         # genus reduction (skipped for (g-1, n+2) unstable, only (1,1) targets)
         if g >= 1 and a0 >= 2 and is_stable(g - 1, n + 2):
@@ -260,11 +263,7 @@ class CorrelatorTable:
 
         # stable splittings, ordered pairs with the 1/2 prefactor
         if a0 >= 2:
-            for mu, mult in sub_multisets(rest):
-                nu_list = list(rest)
-                for v in mu:
-                    nu_list.remove(v)
-                nu = tuple(nu_list)
+            for mu, nu, mult in sub_multisets(rest):
                 for g1 in range(g + 1):
                     g2 = g - g1
                     if not (is_stable(g1, len(mu) + 1) and is_stable(g2, len(nu) + 1)):

@@ -43,7 +43,6 @@ from .core import (
     HALF,
     ZERO,
     accumulate,
-    bounded_partitions,
     exact,
     multiset_permutations,
     odd_weight,
@@ -389,24 +388,15 @@ def _lower_cells(g, n, lower, degree, op):
     return genus, splits, transfer
 
 
-def _targets(degree, nvars, step):
-    """The ``_readings`` of each descending exponent tuple of the target,
-    entries in 1 + step Z>=0 summing to `degree`."""
-    xss = bounded_partitions((degree - nvars) // step, nvars)
-    return _readings(tuple(step * x + 1 for x in xs) for xs in xss)
+def _targets(g, nvars, step):
+    """The ``_readings`` of the target orbits of (g, nvars): each ``cell_keys``
+    a as (step a_i + 1), the builders' map for omega (1) and Omega (2)."""
+    return _readings(tuple(step * a + 1 for a in key) for key in cell_keys(g, nvars))
 
 
 def _at(cell, exps):
     """Coefficient of the monomial with exponents `exps`, in any order."""
     return cell.orbits.get(tuple(sorted(exps, reverse=True)), ZERO)
-
-
-def _drop(tail, mu):
-    """`tail` with the sub-multiset `mu` removed."""
-    rest = list(tail)
-    for v in mu:
-        rest.remove(v)
-    return tuple(rest)
 
 
 def _transfer_term(image, u, tail):
@@ -417,11 +407,11 @@ def _transfer_term(image, u, tail):
 
 def _split_term(tail, splits, weight):
     """Sum of weight(p) weight(q) c_1(p, mu) c_2(q, nu) over the ordered
-    stable splits of the tail: each sub-multiset mu once per position set
-    that realizes it, nu the rest, and p, q fixed by the cells' degrees."""
+    stable splits of the tail: each (mu, nu) from ``sub_multisets`` once
+    per position set that realizes it, and p, q fixed by the cells'
+    degrees."""
     total = ZERO
-    for mu, mult in sub_multisets(tail):
-        nu = _drop(tail, mu)
+    for mu, nu, mult in sub_multisets(tail):
         for (deg1, cell1), (deg2, cell2) in splits.get(len(mu), ()):
             p, q = deg1 - sum(mu), deg2 - sum(nu)
             c1 = _at(cell1, (p,) + mu)
@@ -467,7 +457,7 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
             total += sum(_at(genus, (p, e0 - 1 - p) + tail) for p in range(1, e0 - 1))
         return total * HALF + _transfer_term(transfer, e0, tail)
 
-    targets = _targets(_omega_degree(g, nvars), nvars, 1)
+    targets = _targets(g, nvars, 1)
     return _symmetric(SparseSymPoly, nvars, ((orbit, coeff(e0, t)) for orbit, e0, t in targets))
 
 
@@ -483,7 +473,7 @@ def _Omega_dw0_values(g, n, lower):
     nvars = n + 1
     _check_step_target(g, nvars)
     genus, splits, transfer = _lower_cells(g, n, lower, _Omega_degree, _calD_dx)
-    for orbit, k, tail in _targets(_Omega_degree(g, nvars), nvars, 2):
+    for orbit, k, tail in _targets(g, nvars, 2):
         total = _split_term(tail, splits, lambda p: p)
         if genus is not None:
             total += sum(p * (k - 3 - p) * _at(genus, (p, k - 3 - p) + tail) for p in range(1, k - 3, 2))

@@ -3,6 +3,12 @@ import pytest
 from airyqc import CorrelatorTable, eo_shell
 
 
+@pytest.fixture(autouse=True)
+def _no_user_cache(monkeypatch):
+    """No test reads the cache file named by the user's environment."""
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+
+
 @pytest.fixture(scope="session")
 def table():
     """One shared correlator table; the memo is write-once, so sharing it

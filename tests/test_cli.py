@@ -266,6 +266,21 @@ def test_cache_missing_file_exits_3(tmp_path, capsys):
     assert code == 3 and "cannot read" in err
 
 
+@pytest.mark.parametrize("via", ["--cache", "AIRYQC_CACHE"])
+def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
+    missing = str(tmp_path / "nope.json")
+    flag = ("--cache", missing) if via == "--cache" else ()
+    if via == "AIRYQC_CACHE":
+        monkeypatch.setenv("AIRYQC_CACHE", missing)
+    for argv in (("correlator", "2", "4"), ("table", "W", "1", "1"), ("sn", "3"), ("verify", "t-rec", "--order", "2")):
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out) == (3, "") and f"cannot read {missing}:" in err, argv
+    # S_0 and S_1 read no table
+    for n in ("0", "1"):
+        code, out, _ = run(capsys, "sn", n, *flag)
+        assert code == 0 and out.startswith(f"S_{n}[+] = "), n
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "table", "W", "2", "2")
     second = run(capsys, "table", "W", "2", "2")

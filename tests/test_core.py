@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -83,10 +84,17 @@ def test_multiset_permutations_and_orbit_size():
 
 
 def test_sub_multisets_count_subsets():
-    # total multiplicity over all sub-multisets of an n-multiset is 2^n
-    items = (3, 1, 1, 0, 0)
-    assert sum(mult for _, mult in sub_multisets(items)) == 2 ** len(items)
-    as_dict = dict(sub_multisets(items))
-    assert as_dict[(1, 0)] == 4
-    assert as_dict[()] == 1
-    assert as_dict[items] == 1
+    # brute force over index subsets: each (mu, nu) pair, both descending,
+    # with the number of index subsets that realize it
+    for items in [(), (4,), (2, 2, 2, 2), (3, 1, 1, 0, 0), (5, 4, 4, 2, 2, 2, 0)]:
+        brute = {}
+        for r in range(len(items) + 1):
+            for picked in combinations(range(len(items)), r):
+                mu = tuple(sorted((items[i] for i in picked), reverse=True))
+                nu = tuple(sorted((items[i] for i in range(len(items)) if i not in picked), reverse=True))
+                brute[mu, nu] = brute.get((mu, nu), 0) + 1
+        triples = list(sub_multisets(items))
+        assert {(mu, nu): count for mu, nu, count in triples} == brute, items
+        assert len(triples) == len(brute)
+        for mu, nu, _ in triples:
+            assert tuple(sorted(mu + nu, reverse=True)) == items

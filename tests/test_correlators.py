@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable
 from airyqc.core import bounded_partitions
-from airyqc.correlators import shell_cells, shell_keys
+from airyqc.correlators import cell_keys, free_keys, shell_cells, shell_keys
 
 SEEDS = {(0, (0, 0, 0)), (1, (1,))}
 
@@ -181,6 +181,14 @@ def test_memo_hits_and_misses():
     value = t.correlator(2, (4,))
     assert value == Fraction(1, 1152)
     assert t.misses == misses and t.hits > 0
+
+
+def test_free_keys_are_the_tau1_free_cell_keys():
+    for g, n in shell_cells(1, 12):
+        expected = sorted(a for a in cell_keys(g, n) if 1 not in a)
+        assert sorted(free_keys(g, n)) == expected, (g, n)
+    with pytest.raises(ValueError, match="unstable"):
+        free_keys(0, 2)
 
 
 def test_shell_contents_chi_1():
