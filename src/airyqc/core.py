@@ -1,6 +1,7 @@
 """Exact scalars and small combinatorial helpers shared by every module.
 
-Every coefficient in this package is a ``fractions.Fraction``; no floating
+Every coefficient in this package is a ``fractions.Fraction``, except in the
+correlator table's memo, which holds ints at a per-genus scale; no floating
 point enters any computation anywhere.
 """
 

@@ -30,13 +30,35 @@ recursion with the tau_0 resp. tau_1 insertion made special, so only the
 core keys, every a_i >= 2, run the full right-hand side.  ``dvv_rhs``
 always evaluates that full right-hand side and is the oracle the reduced
 table is checked against.
+
+The memo holds integers: the key (g, a) maps to S = 2^E(g) q^g ttau(g, a),
+where ttau = value * prod (2a_i+1)!!, E(g) = 3g + v2(g!) = v2(24^g g!) and
+q is the denominator of 24 <tau_1>_1 (1 at the true seed).  In that scale
+the dilaton step is S = 3 (2g-3+n) S(lower), the string step
+S = sum (2v+1) S(lowered), and twice the right-hand side is an integer sum:
+
+    2 sum_i (2a_i+1) S(transfer) + (q S(genus g-1)) << (E(g) - E(g-1))
+        + sum S(g_1) S(g_2) << (E(g) - E(g_1) - E(g_2))
+
+(the shift of a split is v2(C(g, g_1)) >= 0).  The sum is halved once.
+Mirrored terms are equal, and a split of the rest into two equal halves
+has an even multiplicity, so only two kinds of term can make it odd: the
+genus term with b_1 = b_2, shifted by E(g) - E(g-1) >= 3, and the split
+g_1 = g_2 = g/2 of an empty rest, shifted by E(g) - 2E(g/2) >= 1.  So the
+halving is exact for any memo of ints, and a scale too small for some key
+shows as an odd sum, which raises ValueError naming the key: one parity
+test per full right-hand side certifies the scale, every other step being
+integral by construction.  Every computed S is an int, so a value read
+from a cache is rejected unless its S is one.  Values become Fractions only
+at the table's boundary.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .core import HALF, ZERO, bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
+from .core import bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -98,6 +120,16 @@ def canonical_key(g, exponents):
     return g, tuple(sorted(exponents, reverse=True))
 
 
+def _scale_exp(g):
+    """E(g) = 3g + v2(g!) = v2(24^g g!), the power of 2 in the table's scale
+    at genus g (v2(g!) = g - popcount(g), by Legendre's formula).
+
+    >>> [_scale_exp(g) for g in range(9)]
+    [0, 3, 7, 10, 15, 18, 22, 25, 31]
+    """
+    return 4 * g - g.bit_count()
+
+
 def _dilaton(g, a):
     """(2g - 3 + n, a with one tau_1 removed) when the dilaton equation
     applies to the canonical key (g, a), else None."""
@@ -110,16 +142,20 @@ def _dilaton(g, a):
 class CorrelatorTable:
     """Write-once memo of correlator values, with hit/miss counters.
 
-    Every key computed, reduced ones included, is stored.  ``misses``
-    counts keys computed; ``hits`` counts memo lookups that found a value,
-    the recursion's own lookups of lower keys included.
+    Every key computed, reduced ones included, is stored, as the int
+    S = 2^E(g) q^g ttau(g, a) of the module docstring; ``correlator``,
+    ``items``, ``sorted_records``, ``free_sum`` and ``dvv_rhs`` return
+    Fractions, and ``add_record`` takes one.  ``misses`` counts keys
+    computed; ``hits`` counts memo lookups that found a value, the
+    recursion's own lookups of lower keys included.
 
     The seed <tau_1>_1 can be overridden (``tau1``, an int or a Fraction),
     which is used by mutation tests to confirm the downstream identities
     actually depend on it.  An overridden seed propagates through the
     string and dilaton reductions as through the full recursion, so such a
     table no longer satisfies ``dvv_rhs`` for every choice of special
-    insertion.
+    insertion.  A genus-g value is a polynomial of degree at most g in the
+    seed, so the factor q^g keeps such a table integral too.
 
     >>> t = CorrelatorTable()
     >>> t.correlator(1, (1,))
@@ -129,67 +165,83 @@ class CorrelatorTable:
     """
 
     def __init__(self, *, tau1: Fraction = Fraction(1, 24)):
-        self._memo = {}
+        tau1 = exact(tau1, "tau1")
+        self._q = (24 * tau1).denominator
         self._free_sums = {}
         self.hits = 0
         self.misses = 0
-        self._memo[(0, (0, 0, 0))] = Fraction(1)
-        self._memo[(1, (1,))] = exact(tau1, "tau1")
+        # S of <tau_0^3>_0 = 1 and of <tau_1>_1 = tau1: 2^3 q 3!! tau1
+        self._memo = {(0, (0, 0, 0)): 1, (1, (1,)): (24 * self._q * tau1).numerator}
 
     def __len__(self):
         return len(self._memo)
 
+    def _unit(self, g, a) -> int:
+        """S / value of the key (g, a): prod (2a_i+1)!! 2^E(g) q^g."""
+        return (odd_weight(a, 1) << _scale_exp(g)) * self._q**g
+
+    def _fraction(self, g, a, s) -> Fraction:
+        return Fraction(s, self._unit(g, a))
+
     def items(self):
-        return self._memo.items()
+        """The stored ((g, a), value) pairs, values as Fractions."""
+        return (((g, a), self._fraction(g, a, s)) for (g, a), s in self._memo.items())
 
     def correlator(self, g, exponents) -> Fraction:
         """<tau_{a_1} ... tau_{a_n}>_g, memoized."""
-        return self._value(*canonical_key(g, exponents))
+        g, a = canonical_key(g, exponents)
+        return self._fraction(g, a, self._value(g, a))
 
     def add_record(self, g, a, value) -> None:
         """Store a value read from outside the table, such as a cache record:
-        ``a`` canonical as given and on the shell, ``value`` exact and in
-        agreement with any known value and with the dilaton equation.
-        Otherwise raise ValueError and leave the table unchanged.  ``hits``
-        and ``misses`` are not touched."""
+        ``a`` canonical as given and on the shell, ``value`` exact, in
+        agreement with any known value and with the dilaton equation, and a
+        whole multiple of 1 / (prod (2a_i+1)!! 2^E(g) q^g), as every value
+        the table computes is.  Otherwise raise ValueError and leave the
+        table unchanged.  ``hits`` and ``misses`` are not touched."""
         g, key = canonical_key(g, a)
         if key != tuple(a):
             raise ValueError(f"exponents {list(a)} not sorted descending")
         if sum(key) != 3 * g - 3 + len(key):
             raise ValueError(f"off-shell key: sum(a) = {sum(key)}, not 3g - 3 + n = {3 * g - 3 + len(key)}")
         value = exact(value, "value")
-        known = self._memo.get((g, key), value)
-        if known != value:
-            raise ValueError(f"value {rat_str(value)!r} conflicts with known {rat_str(known)!r}")
+        unit = self._unit(g, key)
+        s, r = divmod(value.numerator * unit, value.denominator)
+        known = self._memo.get((g, key))
+        if known is not None and (r or s != known):
+            raise ValueError(f"value {rat_str(value)!r} conflicts with known {rat_str(self._fraction(g, key, known))!r}")
         if dilaton := _dilaton(g, key):
             factor, lower = dilaton
             base = self._memo.get((g, lower))
-            # value == factor * base, cross-multiplied: a Fraction product
-            # would reduce by a gcd on every record
-            if base is not None and value.numerator * base.denominator != factor * base.numerator * value.denominator:
-                gives = rat_str(factor * base)
+            if base is not None and (r or s != 3 * factor * base):
+                gives = rat_str(self._fraction(g, key, 3 * factor * base))
                 raise ValueError(f"value {rat_str(value)!r} breaks the dilaton equation, which gives {gives!r}")
-        self._memo[(g, key)] = value
+        if r:
+            raise ValueError(f"value {rat_str(value)!r} is not a multiple of 1/{unit}, as every value of this key is")
+        self._memo[(g, key)] = s
 
     def free_sum(self, g, n) -> Fraction:
         """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
         ``free_keys`` a of the stable cell (g, n), once per table (the memo
-        is write-once, the seeds fixed); each key is read by ``_value``."""
+        is write-once, the seeds fixed); each key is read by ``_value``, and
+        the sum is divided by the scale 2^E(g) q^g once."""
         total = self._free_sums.get((g, n))
         if total is None:
-            total = ZERO
+            total = Fraction(0)
             for a in free_keys(g, n):
-                value = self._value(g, a)
-                if value:
-                    total += orbit_size(a) * odd_weight(a, -1) * value
+                s = self._value(g, a)
+                if s:
+                    # prod (2a_i - 1)!! <tau_a> = S / (prod (2a_i + 1) 2^E(g) q^g)
+                    total += Fraction(orbit_size(a) * s, math.prod([2 * x + 1 for x in a]))
+            total /= self._q**g << _scale_exp(g)
             self._free_sums[(g, n)] = total
         return total
 
-    def _value(self, g, a) -> Fraction:
-        """Value of the canonical key (g, a): zero off the shell, else from
-        the memo, else reduced or recursed and stored."""
+    def _value(self, g, a) -> int:
+        """S of the canonical key (g, a): zero off the shell, else from the
+        memo, else reduced or recursed and stored."""
         if sum(a) != 3 * g - 3 + len(a):
-            return ZERO
+            return 0
         value = self._memo.get((g, a))
         if value is not None:
             self.hits += 1
@@ -199,19 +251,19 @@ class CorrelatorTable:
         self._store(g, a, value)
         return value
 
-    def _reduce(self, g, a) -> Fraction:
+    def _reduce(self, g, a) -> int:
         """Dilaton or string equation when (g, n - 1) is stable, else the
         full recursion with the largest exponent special."""
         if dilaton := _dilaton(g, a):
             factor, lower = dilaton
-            return factor * self._value(g, lower)
+            return 3 * factor * self._value(g, lower)
         if a[-1] == 0 and is_stable(g, len(a) - 1):
             rest = a[:-1]
-            total = ZERO
+            total = 0
             for j, v in enumerate(rest):
                 # lower the last copy of each v >= 1; the key stays sorted
                 if v and rest[j + 1 : j + 2] != (v,):
-                    total += rest.count(v) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+                    total += rest.count(v) * (2 * v + 1) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
             return total
         return self._rhs(g, a[0], a[1:])
 
@@ -225,26 +277,22 @@ class CorrelatorTable:
         dilaton reductions that :meth:`correlator` takes first are an
         optimization, not part of the result.
         """
-        g, _ = canonical_key(g, exponents)
+        g, a = canonical_key(g, exponents)
         a0 = exponents[special]
         rest = tuple(sorted(exponents[:special] + exponents[special + 1 :], reverse=True))
-        return self._rhs(g, a0, rest)
+        return self._fraction(g, a, self._rhs(g, a0, rest))
 
     def _store(self, g, a, value):
         prior = self._memo.setdefault((g, a), value)
         assert prior == value, f"memo for {(g, a)} changed: {prior} -> {value}"
 
-    def _tnorm(self, g, exponents) -> Fraction:
-        """Correlator of a canonical key in the ttau normalization:
-        value * prod (2a_i+1)!!."""
-        c = self._value(g, exponents)
-        if not c:
-            return ZERO
-        return c * odd_weight(exponents, 1)
-
-    def _rhs(self, g, a0, rest) -> Fraction:
+    def _rhs(self, g, a0, rest) -> int:
+        """S of the key (a0,) + rest from the right-hand side with a0
+        special: twice it is an integer sum, halved once; an odd sum raises
+        ValueError naming the key."""
         n = len(rest)
-        total = ZERO
+        e = _scale_exp(g)
+        total = 0
 
         # transfer term: join a_0 with one other insertion, each distinct
         # v read at its last copy
@@ -252,16 +300,17 @@ class CorrelatorTable:
             b = a0 + v - 1
             if b >= 0 and rest[i + 1 : i + 2] != (v,):
                 child = tuple(sorted(rest[:i] + rest[i + 1 :] + (b,), reverse=True))
-                total += rest.count(v) * (2 * v + 1) * self._tnorm(g, child)
+                total += 2 * rest.count(v) * (2 * v + 1) * self._value(g, child)
 
         # genus reduction (skipped for (g-1, n+2) unstable, only (1,1) targets)
         if g >= 1 and a0 >= 2 and is_stable(g - 1, n + 2):
+            genus = 0
             for b1 in range(a0 - 1):
                 b2 = a0 - 2 - b1
-                child = tuple(sorted(rest + (b1, b2), reverse=True))
-                total += HALF * self._tnorm(g - 1, child)
+                genus += self._value(g - 1, tuple(sorted(rest + (b1, b2), reverse=True)))
+            total += (self._q * genus) << (e - _scale_exp(g - 1))
 
-        # stable splittings, ordered pairs with the 1/2 prefactor
+        # stable splittings, ordered pairs
         if a0 >= 2:
             for mu, nu, mult in sub_multisets(rest):
                 for g1 in range(g + 1):
@@ -273,15 +322,18 @@ class CorrelatorTable:
                     b2 = a0 - 2 - b1
                     if b1 < 0 or b2 < 0:
                         continue
-                    f1 = self._tnorm(g1, tuple(sorted(mu + (b1,), reverse=True)))
+                    f1 = self._value(g1, tuple(sorted(mu + (b1,), reverse=True)))
                     if not f1:
                         continue
-                    f2 = self._tnorm(g2, tuple(sorted(nu + (b2,), reverse=True)))
+                    f2 = self._value(g2, tuple(sorted(nu + (b2,), reverse=True)))
                     if not f2:
                         continue
-                    total += HALF * mult * f1 * f2
+                    total += (mult * f1 * f2) << (e - _scale_exp(g1) - _scale_exp(g2))
 
-        return total / odd_weight((a0,) + rest, 1)
+        if total & 1:
+            key = tuple(sorted((a0,) + rest, reverse=True))
+            raise ValueError(f"DVV sum of (g, a) = ({g}, {key}) is odd: the scale 2^E(g) q^g is too small for it")
+        return total >> 1
 
     def fill_shell(self, max_chi: int) -> None:
         """Compute every on-shell key with 2g - 2 + n <= max_chi, shell by
@@ -293,10 +345,8 @@ class CorrelatorTable:
 
     def sorted_records(self):
         """Memo contents as (g, a, value) sorted by (2g-2+n, g, a)."""
-        return sorted(
-            ((g, a, v) for (g, a), v in self._memo.items()),
-            key=lambda r: record_order(r[0], r[1]),
-        )
+        keys = sorted(self._memo, key=lambda k: record_order(*k))
+        return [(g, a, self._fraction(g, a, self._memo[(g, a)])) for g, a in keys]
 
 
 def shell_cells(min_chi: int, max_chi: int):

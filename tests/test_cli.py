@@ -228,14 +228,27 @@ def test_stats_on_sn_and_verify(capsys, monkeypatch, argv, code, expected):
 
 
 def test_stats_on_failing_verify(tmp_path, capsys, monkeypatch):
-    # <tau_4>_2 = 1/1152 holds no tau_1, so the file loads; S_4 reads it
+    # <tau_4>_2 = 1/1152 holds no tau_1, and 1/576 = 210/120960 is a whole
+    # multiple of its unit 1/(9!! 2^7), so the file loads; S_4 reads it
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    path = tmp_path / "wrong.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    '"records": [{"g": 2, "a": [4], "value": "1/576"}]}')
+    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path), "--stats")
+    assert code == 1 and out.splitlines()[-1].startswith("FAIL quantum-curve order 4 ")
+    assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
+
+
+def test_cache_value_off_the_scale_exits_3(tmp_path, capsys, monkeypatch):
+    # every value the table computes for <tau_4>_2 is a multiple of 1/(9!! 2^7)
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
     path = tmp_path / "wrong.json"
     path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
                     '"records": [{"g": 2, "a": [4], "value": "1/1151"}]}')
-    code, out, err = run(capsys, "verify", "quantum-curve", "--order", "4", "--cache", str(path), "--stats")
-    assert code == 1 and out.splitlines()[-1].startswith("FAIL quantum-curve order 4 ")
-    assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
+    code, out, err = run(capsys, "correlator", "2", "4", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("cache error: record #0 (line 6): value '1/1151' is not a multiple of 1/120960, "
+                   "as every value of this key is\n")
 
 
 def test_cache_dilaton_record_checked_against_seed(tmp_path, capsys, monkeypatch):

@@ -141,7 +141,7 @@ def dijkgraaf_two_point(g):
 
 
 @st.composite
-def two_point_keys(draw, max_genus=10):
+def two_point_keys(draw, max_genus=12):
     g = draw(st.integers(1, max_genus))
     return g, draw(st.integers(0, 3 * g - 1))
 

@@ -136,13 +136,13 @@ def _airy_log_coeffs(N):
     return L
 
 
-def test_quantum_curve_order_20_matches_airy_series():
+def test_quantum_curve_order_22_matches_airy_series():
     # a third route to S_n, independent of both DVV and EO
     table = CorrelatorTable()
     for branch in (1, -1):
-        assert quantum_curve_report(20, branch, table).passed
-    L = _airy_log_coeffs(20)
-    for n, term in s_terms(20, -1, table).items():
+        assert quantum_curve_report(22, branch, table).passed
+    L = _airy_log_coeffs(22)
+    for n, term in s_terms(22, -1, table).items():
         if n >= 2:
             assert term.coeff == 3 ** (n - 1) * L[n - 1], n
 
