@@ -65,6 +65,8 @@ def loads_table(text: str) -> CorrelatorTable:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CacheFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise CacheFormatError("top level is not an object")
     if doc.get("format") != FORMAT_NAME:

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success / everything verified, 1 verification counterexample,
-2 domain error (also argparse usage errors), 3 cache I/O or format error.
+2 domain error (also argparse usage errors, and an input too deep for
+Python's recursion limit), 3 cache I/O or format error.
 All output is deterministic: identical invocations print identical bytes.
 """
 
@@ -175,4 +176,7 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep for the recursion limit", file=sys.stderr)
         return 2

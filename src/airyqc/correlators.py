@@ -9,33 +9,35 @@ reads (a_0 is the special insertion, [n]_i drops index i):
     <ttau_{a_0} prod ttau_{a_i}>_g
         = sum_i (2a_i+1) <ttau_{a_0+a_i-1} prod_{[n]_i} ttau_{a_j}>_g
         + 1/2 sum_{b_1+b_2=a_0-2} ( <ttau_{b_1} ttau_{b_2} prod ttau>_{g-1}
-        + sum_{stable ordered splits} <ttau_{b_1} ...>_{g_1} <ttau_{b_2} ...>_{g_2} )
+        + sum_{ordered splits} <ttau_{b_1} ...>_{g_1} <ttau_{b_2} ...>_{g_2} )
 
 Insertions with a negative subscript contribute zero, the splitting sum
-runs over ordered pairs (g_1, A_1), (g_2, A_2) with both parts stable, and
-the two base values <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24 are seeded (the
-recursion itself yields no constant term for them).
+runs over ordered pairs (g_1, A_1), (g_2, A_2), and the two base values
+<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24 are seeded (the recursion itself
+yields no constant term for them).
 
 A value is nonzero only on the dimension shell sum(a_i) = 3g - 3 + n; keys
-off that shell evaluate to 0 without recursing.
+off that shell evaluate to 0 without recursing, the only zero test.  No
+unstable cell has an on-shell key, and an on-shell split part with
+b_i = 3g_i - 2 + |A_i| - sum(A_i) >= 0 is stable.
 
-Before the full recursion, a key is reduced by the string and dilaton
-equations (Witten 1991) whenever (g, n - 1) is stable:
+Before the full recursion, a key is reduced by the dilaton equation (Witten
+1991) when it holds a tau_1 and (g, n - 1) is stable, else by the string
+equation when it holds a tau_0:
 
-    <tau_0 prod tau_{a_i}>_g = sum_i <tau_{a_i - 1} prod_{[n]_i} tau_{a_j}>_g
     <tau_1 prod tau_{a_i}>_g = (2g - 3 + n) <prod tau_{a_i}>_g
+    <tau_0 prod tau_{a_i}>_g = sum_i <tau_{a_i - 1} prod_{[n]_i} tau_{a_j}>_g
 
-(dilaton first when the key holds a tau_1).  Both follow from the
-recursion with the tau_0 resp. tau_1 insertion made special, so only the
-core keys, every a_i >= 2, run the full right-hand side.  ``dvv_rhs``
-always evaluates that full right-hand side and is the oracle the reduced
-table is checked against.
+The string equation is the right-hand side with a_0 = 0, whose genus and
+split terms vanish, so only the core keys, every a_i >= 2, run it with
+a_0 >= 2.  ``dvv_rhs`` evaluates the right-hand side for any special
+insertion and is the oracle the reduced table is checked against.
 
 The memo holds integers: the key (g, a) maps to S = 2^E(g) q^g ttau(g, a),
 where ttau = value * prod (2a_i+1)!!, E(g) = 3g + v2(g!) = v2(24^g g!) and
 q is the denominator of 24 <tau_1>_1 (1 at the true seed).  In that scale
-the dilaton step is S = 3 (2g-3+n) S(lower), the string step
-S = sum (2v+1) S(lowered), and twice the right-hand side is an integer sum:
+the dilaton step is S = 3 (2g-3+n) S(lower), and twice the right-hand side,
+the string step included, is an integer sum:
 
     2 sum_i (2a_i+1) S(transfer) + (q S(genus g-1)) << (E(g) - E(g-1))
         + sum S(g_1) S(g_2) << (E(g) - E(g_1) - E(g_2))
@@ -229,17 +231,20 @@ class CorrelatorTable:
         if total is None:
             total = Fraction(0)
             for a in free_keys(g, n):
-                s = self._value(g, a)
-                if s:
-                    # prod (2a_i - 1)!! <tau_a> = S / (prod (2a_i + 1) 2^E(g) q^g)
-                    total += Fraction(orbit_size(a) * s, math.prod([2 * x + 1 for x in a]))
+                # prod (2a_i - 1)!! <tau_a> = S / (prod (2a_i + 1) 2^E(g) q^g)
+                total += Fraction(orbit_size(a) * self._value(g, a), math.prod([2 * x + 1 for x in a]))
             total /= self._q**g << _scale_exp(g)
             self._free_sums[(g, n)] = total
         return total
 
     def _value(self, g, a) -> int:
         """S of the canonical key (g, a): zero off the shell, else from the
-        memo, else reduced or recursed and stored."""
+        memo, else computed once and stored.  A key holding a tau_1 with
+        (g, n - 1) stable takes the dilaton step, else one holding a tau_0
+        the string step, ``_rhs`` with that tau_0 special, and else ``_rhs``
+        with the largest exponent special.  The string branch needs no
+        stability test: <tau_0^3>_0 is the only key with a tau_0 and an
+        unstable (g, n - 1), and it is seeded."""
         if sum(a) != 3 * g - 3 + len(a):
             return 0
         value = self._memo.get((g, a))
@@ -247,25 +252,16 @@ class CorrelatorTable:
             self.hits += 1
             return value
         self.misses += 1
-        value = self._reduce(g, a)
-        self._store(g, a, value)
-        return value
-
-    def _reduce(self, g, a) -> int:
-        """Dilaton or string equation when (g, n - 1) is stable, else the
-        full recursion with the largest exponent special."""
         if dilaton := _dilaton(g, a):
             factor, lower = dilaton
-            return 3 * factor * self._value(g, lower)
-        if a[-1] == 0 and is_stable(g, len(a) - 1):
-            rest = a[:-1]
-            total = 0
-            for j, v in enumerate(rest):
-                # lower the last copy of each v >= 1; the key stays sorted
-                if v and rest[j + 1 : j + 2] != (v,):
-                    total += rest.count(v) * (2 * v + 1) * self._value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
-            return total
-        return self._rhs(g, a[0], a[1:])
+            value = 3 * factor * self._value(g, lower)
+        elif a[-1] == 0:
+            value = self._rhs(g, 0, a[:-1])
+        else:
+            value = self._rhs(g, a[0], a[1:])
+        prior = self._memo.setdefault((g, a), value)
+        assert prior == value, f"memo for {(g, a)} changed: {prior} -> {value}"
+        return value
 
     def dvv_rhs(self, g, exponents, special: int) -> Fraction:
         """Evaluate the recursion's right-hand side with ``exponents[special]``
@@ -282,15 +278,10 @@ class CorrelatorTable:
         rest = tuple(sorted(exponents[:special] + exponents[special + 1 :], reverse=True))
         return self._fraction(g, a, self._rhs(g, a0, rest))
 
-    def _store(self, g, a, value):
-        prior = self._memo.setdefault((g, a), value)
-        assert prior == value, f"memo for {(g, a)} changed: {prior} -> {value}"
-
     def _rhs(self, g, a0, rest) -> int:
         """S of the key (a0,) + rest from the right-hand side with a0
         special: twice it is an integer sum, halved once; an odd sum raises
-        ValueError naming the key."""
-        n = len(rest)
+        ValueError naming the key.  With a0 = 0 it is the string step."""
         e = _scale_exp(g)
         total = 0
 
@@ -302,33 +293,24 @@ class CorrelatorTable:
                 child = tuple(sorted(rest[:i] + rest[i + 1 :] + (b,), reverse=True))
                 total += 2 * rest.count(v) * (2 * v + 1) * self._value(g, child)
 
-        # genus reduction (skipped for (g-1, n+2) unstable, only (1,1) targets)
-        if g >= 1 and a0 >= 2 and is_stable(g - 1, n + 2):
+        # genus reduction
+        if g >= 1 and a0 >= 2:
             genus = 0
             for b1 in range(a0 - 1):
                 b2 = a0 - 2 - b1
                 genus += self._value(g - 1, tuple(sorted(rest + (b1, b2), reverse=True)))
             total += (self._q * genus) << (e - _scale_exp(g - 1))
 
-        # stable splittings, ordered pairs
+        # splittings, ordered pairs; only the on-shell b_1 can contribute
         if a0 >= 2:
             for mu, nu, mult in sub_multisets(rest):
                 for g1 in range(g + 1):
-                    g2 = g - g1
-                    if not (is_stable(g1, len(mu) + 1) and is_stable(g2, len(nu) + 1)):
-                        continue
-                    # only the on-shell b_1 can contribute; others vanish
                     b1 = 3 * g1 - 2 + len(mu) - sum(mu)
                     b2 = a0 - 2 - b1
-                    if b1 < 0 or b2 < 0:
-                        continue
-                    f1 = self._value(g1, tuple(sorted(mu + (b1,), reverse=True)))
-                    if not f1:
-                        continue
-                    f2 = self._value(g2, tuple(sorted(nu + (b2,), reverse=True)))
-                    if not f2:
-                        continue
-                    total += (mult * f1 * f2) << (e - _scale_exp(g1) - _scale_exp(g2))
+                    if b1 >= 0 and b2 >= 0:
+                        f1 = self._value(g1, tuple(sorted(mu + (b1,), reverse=True)))
+                        f2 = self._value(g - g1, tuple(sorted(nu + (b2,), reverse=True)))
+                        total += (mult * f1 * f2) << (e - _scale_exp(g1) - _scale_exp(g - g1))
 
         if total & 1:
             key = tuple(sorted((a0,) + rest, reverse=True))

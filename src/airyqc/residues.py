@@ -127,14 +127,16 @@ def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
     return ZSeries(nspec, M, terms)
 
 
-def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, both_active: bool = False) -> ZSeries:
-    """A stable cell W(z, z_{spectators}) (or W(z, -z, z_{spectators}) when
-    ``both_active``) as an exact ZSeries.  Cells are even in every variable,
-    so the sign of an active leg never matters.
+def series_from_cell(cell: SparseSymPoly, spectators, nspec: int) -> ZSeries:
+    """A stable cell W(z, z_{spectators}), or W(z, -z, z_{spectators}) when
+    the cell has two variables more than ``spectators``, as an exact
+    ZSeries; any other count of active legs raises ValueError.  Cells are
+    even in every variable, so the sign of an active leg never matters.
     """
     spectators = tuple(spectators)
-    active = 2 if both_active else 1
-    assert cell.nvars == active + len(spectators)
+    active = cell.nvars - len(spectators)
+    if active not in (1, 2):
+        raise ValueError(f"{active} active legs, expected 1 or 2")
     terms = {}
     for vec, coeff in cell.expand().items():
         k = sum(-2 * a - 2 for a in vec[:active])
@@ -222,7 +224,7 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     if (g, n) == (1, 1):
         inner[-2] = {(0,): Fraction(1, 4)}
     elif g >= 1:
-        inner = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, both_active=True).terms
+        inner = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec).terms
 
     for g1, A1, g2, A2 in ordered_splits(g, rest):
         if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):

@@ -46,6 +46,10 @@ def _valid_doc():
         lambda t: t.replace('"g": 1', '"g": -1'),
         lambda t: t.replace('"version": 1', '"version": true'),
         lambda t: t.replace('"count": 2', '"count": 2.0'),
+        lambda t: f"[{t}]",                           # top level not an object
+        lambda t: t.replace("airyqc-correlator-cache", "airyqc-cache"),
+        lambda t: t.replace('"records": [', '"records": {}, "rows": ['),
+        lambda t: t.replace('"value": "1/24"', '"value": "1/24", "note": ""'),
     ],
 )
 def test_loader_rejects_malformed(mangle):

@@ -168,8 +168,19 @@ _ONE_RECORD_FILE = (
             '{"g": false, "a": [1, 0, 0, 0]',
             "record #2 (line 8): genus must be a non-negative integer, got False",
         ),
+        (None, "[]\n", "top level is not an object"),
+        ('"format": "airyqc-correlator-cache"', '"format": "airyqc-cache"', "unknown format 'airyqc-cache'"),
+        ('"records": [', '"records": {}, "rows": [', "'records' is not a list"),
+        (
+            '{"g": 1, "a": [1], "value": "1/24"}',
+            '{"g": 1, "a": [1], "value": "1/24", "note": ""}',
+            "record #1 (line 7): expected keys g, a, value",
+        ),
     ],
-    ids=["seed-conflict", "dilaton-record", "dilaton-seed", "unsorted", "off-shell", "2/48", "order", "bool-genus"],
+    ids=[
+        "seed-conflict", "dilaton-record", "dilaton-seed", "unsorted", "off-shell", "2/48", "order", "bool-genus",
+        "top-level", "format", "records", "record-keys",
+    ],
 )
 def test_cache_record_faults_pinned(tmp_path, capsys, monkeypatch, old, new, message):
     # one fault per file, in a chi <= 3 file from `cache save` unless the
@@ -239,6 +250,24 @@ def test_stats_on_failing_verify(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"cache hits=\d+ misses=\d+\n", err)
 
 
+@pytest.mark.parametrize(
+    "suite, last",
+    [
+        ("omega-rec", "FAIL omega-rec omega_(2,1) step: first differing orbit (5,): rec=105/128, def=105/64"),
+        ("Omega-rec", "FAIL Omega-rec Omega_(2,1) step: first differing orbit (9,): rec=35/384, def=35/192"),
+        ("dvv-eo", "FAIL dvv-eo W_(2,1): first differing orbit (4,): eo=105/128, dvv=105/64"),
+    ],
+)
+def test_failing_cell_suites_name_the_orbit(tmp_path, capsys, suite, last):
+    # the loadable wrong record <tau_4>_2 = 1/576 doubles every (2, 1) cell
+    # built from the table; each suite stops at its first differing orbit
+    path = tmp_path / "wrong.json"
+    path.write_text('{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+                    '"records": [{"g": 2, "a": [4], "value": "1/576"}]}')
+    code, out, err = run(capsys, "verify", suite, "--max-chi", "3", "--cache", str(path))
+    assert (code, out.splitlines()[-1], err) == (1, last, "")
+
+
 def test_cache_value_off_the_scale_exits_3(tmp_path, capsys, monkeypatch):
     # every value the table computes for <tau_4>_2 is a multiple of 1/(9!! 2^7)
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
@@ -292,6 +321,26 @@ def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
     for n in ("0", "1"):
         code, out, _ = run(capsys, "sn", n, *flag)
         assert code == 0 and out.startswith(f"S_{n}[+] = "), n
+
+
+def test_table_Omega_json_half_steps(capsys):
+    code, out, err = run(capsys, "table", "Omega", "1", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == ('{"kind": "Omega", "g": 1, "n": 2, "terms": [{"orbit": ["5/2", "1/2"], "coeff": "1/8"}, '
+                   '{"orbit": ["3/2", "3/2"], "coeff": "1/24"}]}\n')
+
+
+def test_too_deep_input_exits_2(capsys):
+    # <tau_1000 tau_0^1002>_0 = 1 walks a string chain 1000 levels deep
+    exponents = ",".join(["1000"] + ["0"] * 1002)
+    assert list(run(capsys, "correlator", "0", exponents)) == [2, "", "error: input too deep for the recursion limit\n"]
+
+
+def test_too_deeply_nested_cache_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    result = run(capsys, "correlator", "2", "4", "--cache", str(path))
+    assert list(result) == [3, "", "cache error: not valid JSON: nested too deeply\n"]
 
 
 def test_deterministic_output(capsys):

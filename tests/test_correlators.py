@@ -183,6 +183,11 @@ def test_memo_hits_and_misses():
     assert t.misses == misses and t.hits > 0
 
 
+def test_long_dilaton_chain():
+    # <tau_1^k>_1 = (k - 1)!/24 by k - 1 dilaton steps, one Python frame each
+    assert CorrelatorTable().correlator(1, (1,) * 600) == Fraction(math.factorial(599), 24)
+
+
 def test_free_keys_are_the_tau1_free_cell_keys():
     for g, n in shell_cells(1, 12):
         expected = sorted(a for a in cell_keys(g, n) if 1 not in a)

@@ -22,6 +22,35 @@ def test_truncation_certificate_fires(monkeypatch, wtable6):
         residues.eo_W(0, 4, wtable6)
 
 
+def _patched_b02(monkeypatch, change):
+    # each W_(0,2) leg's series with every term (exponents, coeff) of
+    # spectator i replaced by change(i, exponents, coeff)
+    original = residues.b02_series
+
+    def patched(sign, i, M, nspec):
+        s = original(sign, i, M, nspec)
+        terms = {k: dict(change(i, e, c) for e, c in p.items()) for k, p in s.terms.items()}
+        return residues.ZSeries(nspec, s.trunc, terms)
+
+    monkeypatch.setattr(residues, "b02_series", patched)
+
+
+def test_symmetry_check_fires(monkeypatch, wtable6):
+    # a W_(0,2) leg doubled on spectator 1 only breaks the S_4 symmetry
+    _patched_b02(monkeypatch, lambda i, e, c: (e, 2 * c if i == 1 else c))
+    with pytest.raises(ValueError) as err:
+        residues.eo_W(0, 4, wtable6)
+    assert str(err.value) == "W_(0,4) failed its symmetry check: terms are not symmetric on orbit (1, 0, 0, 0)"
+
+
+def test_exponent_parity_check_fires(monkeypatch, wtable6):
+    # a W_(0,2) leg with z_i^(-m-3) in place of z_i^(-m-2) leaves an odd exponent
+    _patched_b02(monkeypatch, lambda i, e, c: (e[:i] + (e[i] - 1,) + e[i + 1 :], c))
+    with pytest.raises(ValueError) as err:
+        residues.eo_W(0, 4, wtable6)
+    assert str(err.value) == "non-even or non-negative exponent (-2, -5, -2, -2) in W_(0,4)"
+
+
 def test_kernel_coverage_fires(wtable6):
     # an off-shell W_(0,3) puts z^-28 into W_(1,2)'s first term, beyond the
     # kernel's truncation z^10
@@ -29,6 +58,11 @@ def test_kernel_coverage_fires(wtable6):
     lower[(0, 3)] = SparseSymPoly(3, {(6, 6, 0): 1})
     with pytest.raises(ValueError, match="kernel truncated at z\\^10"):
         residues.eo_W(1, 2, lower)
+
+
+def test_series_from_cell_needs_one_or_two_active_legs():
+    with pytest.raises(ValueError, match="3 active legs, expected 1 or 2"):
+        residues.series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), (), 4)
 
 
 def test_each_leg_is_built_once(monkeypatch, wtable6):
