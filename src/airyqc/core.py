@@ -1,8 +1,9 @@
 """Exact scalars and small combinatorial helpers shared by every module.
 
 Every coefficient in this package is a ``fractions.Fraction``, except in the
-correlator table's memo, which holds ints at a per-genus scale; no floating
-point enters any computation anywhere.
+correlator table's memo and the EO route's series, which hold ints at the
+per-genus scale 2^E(g) of :func:`_scale_exp`; no floating point enters any
+computation anywhere.
 """
 
 from __future__ import annotations
@@ -92,6 +93,18 @@ def odd_weight(a, shift: int) -> int:
     for ai in a:
         w *= double_factorial(2 * ai + shift)
     return w
+
+
+def _scale_exp(g):
+    """E(g) = 3g + v2(g!) = v2(24^g g!), the power of 2 that makes
+    2^E(g) (2a+1)!! <tau_a>_g an integer at the true seed: the scale of the
+    DVV table's memo and of the EO route's series (v2(g!) = g - popcount(g),
+    by Legendre's formula).
+
+    >>> [_scale_exp(g) for g in range(9)]
+    [0, 3, 7, 10, 15, 18, 22, 25, 31]
+    """
+    return 4 * g - g.bit_count()
 
 
 def exact(value, what: str) -> Fraction:

@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
+from .core import _scale_exp, bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -120,16 +120,6 @@ def canonical_key(g, exponents):
         raise ValueError(f"exponents must be non-negative integers, got {exponents!r}")
     require_stable(g, len(exponents))
     return g, tuple(sorted(exponents, reverse=True))
-
-
-def _scale_exp(g):
-    """E(g) = 3g + v2(g!) = v2(24^g g!), the power of 2 in the table's scale
-    at genus g (v2(g!) = g - popcount(g), by Legendre's formula).
-
-    >>> [_scale_exp(g) for g in range(9)]
-    [0, 3, 7, 10, 15, 18, 22, 25, 31]
-    """
-    return 4 * g - g.bit_count()
 
 
 def _dilaton(g, a):

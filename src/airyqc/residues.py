@@ -4,8 +4,9 @@ The Airy curve x = z^2/2, y = z has its single branch point at the origin,
 conjugation z -> -z, Bergman kernel dz1 dz2/(z1 - z2)^2, and recursion
 kernel factor 1/(z (z_0^2 - z^2)).  The recursion is evaluated with formal
 Laurent series: the residue at z = 0 is read off as the coefficient of
-z^(-1), never via numerical contours, so this route shares no code or
-values with the correlator engine.
+z^(-1), never via numerical contours, so this route shares no values with
+the correlator engine, and of its arithmetic only the scale exponent
+:func:`~airyqc.core._scale_exp`.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in the
@@ -17,6 +18,11 @@ z^min(trunc_1 + val_2, trunc_2 + val_1).  ``ZSeries.__mul__`` keeps the
 strata the certificate covers; :func:`eo_W` keeps the even strata
 z^k, k <= 0, of each split product and then only the z^(-1) stratum of
 the kernel contraction, which it reads with ``ZSeries.residue``.
+
+:func:`eo_W` runs on ints: each genus-g_i cell enters at the scale
+2^E(g_i) on which the DVV table is integral, each split is added together
+with its mirror, and the recursion's 1/2 folds into non-negative left
+shifts, so only the result is divided by 2^E(g).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .core import HALF, ZERO, ordered_splits
+from .core import ZERO, _scale_exp, ordered_splits
 from .correlators import require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell
 
@@ -104,7 +110,7 @@ def kernel_series(M, nspec: int) -> ZSeries:
     while 2 * j - 1 <= M:
         exps = [0] * nspec
         exps[0] = -2 * j - 2
-        terms[2 * j - 1] = {tuple(exps): Fraction(1)}
+        terms[2 * j - 1] = {tuple(exps): 1}
         j += 1
     return ZSeries(nspec, M, terms)
 
@@ -123,29 +129,39 @@ def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
     for m in range(M + 1):
         exps = [0] * nspec
         exps[i] = -m - 2
-        terms[m] = {tuple(exps): Fraction((m + 1) * (sign**m))}
+        terms[m] = {tuple(exps): (m + 1) * sign**m}
     return ZSeries(nspec, M, terms)
 
 
-def series_from_cell(cell: SparseSymPoly, spectators, nspec: int) -> ZSeries:
-    """A stable cell W(z, z_{spectators}), or W(z, -z, z_{spectators}) when
-    the cell has two variables more than ``spectators``, as an exact
-    ZSeries; any other count of active legs raises ValueError.  Cells are
-    even in every variable, so the sign of an active leg never matters.
+def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0) -> ZSeries:
+    """2^scale times a stable cell W(z, z_{spectators}), or W(z, -z,
+    z_{spectators}) when the cell has two variables more than
+    ``spectators``, as an exact ZSeries with int coefficients; any other
+    count of active legs raises ValueError, and so does a cell coefficient
+    that 2^scale does not make an integer.  Each orbit coefficient is
+    scaled and checked once; its permutations come from the cell's cached
+    expansion.  Cells are even in every variable, so the sign of an active
+    leg never matters.
     """
     spectators = tuple(spectators)
     active = cell.nvars - len(spectators)
     if active not in (1, 2):
         raise ValueError(f"{active} active legs, expected 1 or 2")
+    scaled = {}
+    for orbit, coeff in cell.orbits.items():
+        c, r = divmod(coeff.numerator << scale, coeff.denominator)
+        if r:
+            raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
+        scaled[orbit] = c
     terms = {}
-    for vec, coeff in cell.expand().items():
-        k = sum(-2 * a - 2 for a in vec[:active])
+    for vec in cell.expand():
+        k = -2 * (sum(vec[:active]) + active)
         exps = [0] * nspec
         for pos, a in zip(spectators, vec[active:]):
             exps[pos] = -2 * a - 2
         tgt = terms.setdefault(k, {})
         e = tuple(exps)
-        tgt[e] = tgt[e] + coeff if e in tgt else coeff
+        tgt[e] = tgt.get(e, 0) + scaled[tuple(sorted(vec, reverse=True))]
     return ZSeries(nspec, math.inf, terms)
 
 
@@ -162,9 +178,10 @@ def exact_through(f1: ZSeries, f2: ZSeries):
     return min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
 
 
-def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep) -> dict:
-    """Add the strata z^k of f1 * f2 with ``keep(k)`` true into the stratum
-    dict ``out`` in place and return it; no other stratum is formed.
+def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> dict:
+    """Add the strata z^k of f1 * f2 with ``keep(k)`` true, times 2^shift,
+    into the stratum dict ``out`` in place and return it; no other stratum
+    is formed.  A nonzero ``shift`` needs int coefficients in f1.
     Exactness is the caller's, by :func:`exact_through`."""
     for k1, p1 in f1.terms.items():
         for k2, p2 in f2.terms.items():
@@ -173,9 +190,11 @@ def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep) -> dict:
                 continue
             tgt = out.setdefault(k, {})
             for e1, c1 in p1.items():
+                if shift:
+                    c1 <<= shift
                 for e2, c2 in p2.items():
                     e = tuple(map(add, e1, e2))
-                    tgt[e] = tgt.get(e, ZERO) + c1 * c2
+                    tgt[e] = tgt.get(e, 0) + c1 * c2
     return out
 
 
@@ -188,17 +207,37 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     with W_{0,1} = 0 (terms dropped), W_{0,2} legs expanded by
     :func:`b02_series` through z^M, M = 6g + 2n, and W_{0,2}(z, -z) =
-    1/(4 z^2) in the first term.  Every other leg is even in its active
-    variable, so each (g_i, A) is built once by :func:`series_from_cell`
-    and serves a split and its mirror.  The kernel is odd in z, so the
-    residue reads only the even strata of the bracket: each split product
-    adds its strata z^k, k even and k <= 0, into one stratum dict by
+    1/(4 z^2) in the first term.  The kernel is odd in z, so the residue
+    reads only the even strata of the bracket: each split product adds its
+    strata z^k, k even and k <= 0, into one stratum dict by
     :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
     exact through z^0.  Then ``kernel_series(M, nspec)`` is contracted with
     ``inner`` by the same routine, forming only the z^(-1) stratum, which
     ``ZSeries.residue`` reads.
 
-    Checks, each raising ValueError: every split product is exact through
+    Mirror fold: a split (g_1, A_1, g_2, A_2) and its mirror (g_2, A_2,
+    g_1, A_1) give the products P(z) and P(-z), whose even strata are
+    equal, so each unordered split is multiplied once, at twice the weight,
+    and its truncation certificate, which the mirror shares, is checked
+    once.  Only the split g_1 = g_2 = g/2 of n = 1 is its own mirror.
+
+    Scale: ``inner`` holds 2^(E(g) - 1) times the even part of the
+    bracket, in ints, with E = :func:`~airyqc.core._scale_exp`, so the
+    residue r is 2^E(g) W_{g,n} and each output coefficient is r / 2^E(g).
+    Each cell enters at its own scale through :func:`series_from_cell`,
+    the kernel and the W_(0,2) legs as they are, and each term is shifted
+    left by
+
+        E(g) - E(g-1) - 1 >= 2           the genus term,
+        E(g) - E(g_1) - E(g_2) >= 0      an unordered split pair,
+        E(g) - 2 E(g/2) - 1 >= 0         the self-mirrored split,
+
+    the last two being popcount(g_1) + popcount(g_2) - popcount(g) and
+    popcount(g/2) - 1 by E(g) = 4g - popcount(g); the base term 1/4 of
+    (1, 1) is the int 2^(3 - 1) / 4 = 1.
+
+    Checks, each raising ValueError: every lower cell is integral at its
+    scale (:func:`series_from_cell`), every split product is exact through
     z^0 and the contraction through z^(-1) (:func:`exact_through`; the
     latter says the kernel's truncation reaches every stratum of
     ``inner``), every exponent of the result is even and negative, and the
@@ -209,31 +248,33 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     M = 6 * g + 2 * n
     nspec = n
     rest = list(range(1, n))
-
-    legs = {}
+    E = _scale_exp(g)
 
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
             return b02_series(sign, A[0], M, nspec)
-        key = gi, tuple(A)
-        if key not in legs:
-            legs[key] = series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec)
-        return legs[key]
+        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec, scale=_scale_exp(gi))
 
     inner = {}
     if (g, n) == (1, 1):
-        inner[-2] = {(0,): Fraction(1, 4)}
+        inner[-2] = {(0,): 1}
     elif g >= 1:
-        inner = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec).terms
+        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, scale=_scale_exp(g - 1))
+        shift = E - _scale_exp(g - 1) - 1
+        inner = {k: {e: c << shift for e, c in poly.items()} for k, poly in genus.terms.items()}
 
     for g1, A1, g2, A2 in ordered_splits(g, rest):
-        if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
-            continue  # W_(0,1) = 0
-        f1, f2 = leg(g1, A1, 1), leg(g2, A2, -1)
+        if (g1, A1) > (g2, A2) or (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
+            continue  # the mirror is taken instead, or W_(0,1) = 0
+        f1 = leg(g1, A1, 1)
+        if (g1, A1) == (g2, A2):  # n = 1 and g_1 = g/2: its own mirror
+            f2, shift = f1, E - 2 * _scale_exp(g1) - 1
+        else:
+            f2, shift = leg(g2, A2, -1), E - _scale_exp(g1) - _scale_exp(g2)
         exact = exact_through(f1, f2)
         if exact < 0:
             raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
-        _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2)
+        _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2, shift)
 
     inner = ZSeries(nspec, 0, inner)
     kernel = kernel_series(M, nspec)
@@ -246,7 +287,7 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     for exps, coeff in residue.items():
         if any(e >= 0 or e % 2 for e in exps):
             raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
-        terms[tuple((-e - 2) // 2 for e in exps)] = HALF * coeff
+        terms[tuple((-e - 2) // 2 for e in exps)] = Fraction(coeff, 1 << E)
     try:
         return SparseSymPoly.from_expanded(n, terms)
     except ValueError as exc:

@@ -1,9 +1,15 @@
-"""The residue route one shell further, and its explicit checks firing."""
+"""The residue route one shell further, its explicit checks firing, a
+Fraction oracle for its integer scale, and the quantum curve from its cells."""
+
+import math
+import re
+from fractions import Fraction
 
 import pytest
 
-from airyqc import SparseSymPoly, residues, tW_from_correlators
-from airyqc.correlators import shell_cells
+from airyqc import SparseSymPoly, residues, s_term, tW_from_correlators
+from airyqc.core import HALF, ordered_splits, orbit_size
+from airyqc.correlators import require_stable, shell_cells
 
 
 def test_eo_equals_dvv_at_chi_7(table, wtable6):
@@ -72,7 +78,7 @@ def test_each_leg_is_built_once(monkeypatch, wtable6):
     original = residues.series_from_cell
 
     def counting(cell, spectators, nspec, **kw):
-        built.append((id(cell), tuple(spectators), kw.get("both_active", False)))
+        built.append((id(cell), tuple(spectators), kw["scale"]))
         return original(cell, spectators, nspec, **kw)
 
     monkeypatch.setattr(residues, "series_from_cell", counting)
@@ -80,3 +86,117 @@ def test_each_leg_is_built_once(monkeypatch, wtable6):
         built.clear()
         assert residues.eo_W(g, n, wtable6) == wtable6[(g, n)]
         assert len(built) == len(set(built)), (g, n)
+
+
+@pytest.mark.parametrize(
+    "key, cell, target, message",
+    [
+        ((0, 3), SparseSymPoly(3, {(0, 0, 0): Fraction(1, 3)}), (0, 4), "coefficient 1/3 is not an integer at scale 2^0"),
+        ((1, 1), SparseSymPoly(1, {(1,): Fraction(1, 16)}), (1, 2), "coefficient 1/16 is not an integer at scale 2^3"),
+    ],
+    ids=["W_(0,3)=1/3", "W_(1,1)=1/16"],
+)
+def test_scale_check_fires(wtable6, key, cell, target, message):
+    # a lower cell off the scale 2^E(g) on which every genus-g cell is integral
+    lower = dict(wtable6)
+    lower[key] = cell
+    with pytest.raises(ValueError, match=re.escape(message)):
+        residues.eo_W(*target, lower)
+
+
+# --- the Fraction route: eo_W before it ran on ints ---------------------------
+
+def _fraction_series(cell, spectators, nspec):
+    """``series_from_cell`` with the cell's Fraction coefficients."""
+    spectators = tuple(spectators)
+    active = cell.nvars - len(spectators)
+    terms = {}
+    for vec, coeff in cell.expand().items():
+        k = sum(-2 * a - 2 for a in vec[:active])
+        exps = [0] * nspec
+        for pos, a in zip(spectators, vec[active:]):
+            exps[pos] = -2 * a - 2
+        tgt = terms.setdefault(k, {})
+        e = tuple(exps)
+        tgt[e] = tgt[e] + coeff if e in tgt else coeff
+    return residues.ZSeries(nspec, math.inf, terms)
+
+
+def _fraction_eo_W(g, n, lower):
+    """W_{g,n} in Fractions: every ordered split, each product at weight 1,
+    and the 1/2 applied to the residue."""
+    require_stable(g, n)
+    M = 6 * g + 2 * n
+    rest = list(range(1, n))
+
+    def leg(gi, A, sign):
+        if (gi, len(A)) == (0, 1):
+            return residues.b02_series(sign, A[0], M, n)
+        return _fraction_series(lower[(gi, len(A) + 1)], A, n)
+
+    inner = {}
+    if (g, n) == (1, 1):
+        inner[-2] = {(0,): Fraction(1, 4)}
+    elif g >= 1:
+        inner = _fraction_series(lower[(g - 1, n + 1)], rest, n).terms
+    for g1, A1, g2, A2 in ordered_splits(g, rest):
+        if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
+            continue
+        f1, f2 = leg(g1, A1, 1), leg(g2, A2, -1)
+        assert residues.exact_through(f1, f2) >= 0
+        residues._mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2)
+    inner = residues.ZSeries(n, 0, inner)
+    kernel = residues.kernel_series(M, n)
+    assert residues.exact_through(kernel, inner) >= -1
+    residue = (kernel * inner).residue()
+    terms = {tuple((-e - 2) // 2 for e in exps): HALF * c for exps, c in residue.items()}
+    return SparseSymPoly.from_expanded(n, terms)
+
+
+def test_integer_route_equals_fraction_route(wtable6):
+    oracle = {}
+    for g, n in shell_cells(1, 6):
+        oracle[(g, n)] = _fraction_eo_W(g, n, oracle)
+        assert wtable6[(g, n)] == oracle[(g, n)], (g, n)
+
+
+# --- the quantum curve from the EO cells --------------------------------------
+
+def _eo_cells(max_chi, seed):
+    """The cells in ``seed`` and, in shell order, every other stable cell
+    with 2g - 2 + n <= max_chi computed by ``eo_W`` from them."""
+    cells = dict(seed)
+    for g, n in shell_cells(1, max_chi):
+        if (g, n) not in cells:
+            cells[(g, n)] = residues.eo_W(g, n, cells)
+    return cells
+
+
+def _eo_s_n(n, cells):
+    """S_n = sum over 2g - 1 + k = n of 1/k! times the diagonal of W_{g,k},
+    sum_a orbit_size(a) c(a) / prod (2a_i + 1) over its tW orbits a."""
+    total = Fraction(0)
+    for g in range(n // 2 + 1):
+        k = n + 1 - 2 * g
+        diagonal = sum(Fraction(orbit_size(a) * c) / math.prod(2 * ai + 1 for ai in a) for a, c in cells[(g, k)].orbits.items())
+        total += diagonal / math.factorial(k)
+    return total
+
+
+def _s_n_mismatches(cells, table):
+    return [n for n in range(2, 9) if _eo_s_n(n, cells) != s_term(n, 1, table).coeff]
+
+
+def test_quantum_curve_from_eo_cells(wtable6, table):
+    # S_2 ... S_8, the quantum curve's WKB terms through hbar^7, from EO cells alone
+    assert _s_n_mismatches(_eo_cells(7, wtable6), table) == []
+
+
+def test_quantum_curve_from_eo_cells_catches_a_doubled_base(wtable6, table):
+    # W_(1,1) at twice its value breaks S_2, the one term that reads it, and
+    # the later cells fed with it cannot be formed: W_(1,2) is not symmetric
+    doubled = SparseSymPoly(1, {a: 2 * c for a, c in wtable6[(1, 1)].orbits.items()})
+    assert _s_n_mismatches({**_eo_cells(7, wtable6), (1, 1): doubled}, table) == [2]
+    genus0 = {(g, n): cell for (g, n), cell in wtable6.items() if g == 0}
+    with pytest.raises(ValueError, match=re.escape("W_(1,2) failed its symmetry check")):
+        _eo_cells(7, {**genus0, (1, 1): doubled})
