@@ -87,6 +87,9 @@ def _cmd_sn(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for option, bound in (("--max-chi", args.max_chi), ("--max-m", args.max_m), ("--order", args.order)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{option} must be >= 0, got {bound}")
     table = _make_table(args)
     suite = SUITES[args.suite]
     if args.suite == "d-lemma":

@@ -29,9 +29,13 @@ equation when it holds a tau_0:
     <tau_0 prod tau_{a_i}>_g = sum_i <tau_{a_i - 1} prod_{[n]_i} tau_{a_j}>_g
 
 The string equation is the right-hand side with a_0 = 0, whose genus and
-split terms vanish, so only the core keys, every a_i >= 2, run it with
-a_0 >= 2.  ``dvv_rhs`` evaluates the right-hand side for any special
-insertion and is the oracle the reduced table is checked against.
+split terms vanish.  Every key that is not reduced by the dilaton equation
+takes its smallest exponent as a_0, so only the core keys, every
+a_i >= 2, run the right-hand side with a_0 >= 2, and they run it with the
+fewest genus and split terms: a_0 - 1 genus reads, and about a_0/3 + 1
+split pairs per sub-multiset of the rest.  ``dvv_rhs`` evaluates the
+right-hand side for any special insertion and is the oracle the reduced
+table is checked against.
 
 The memo holds integers: the key (g, a) maps to S = 2^E(g) q^g ttau(g, a),
 where ttau = value * prod (2a_i+1)!!, E(g) = 3g + v2(g!) = v2(24^g g!) and
@@ -60,7 +64,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import _scale_exp, bounded_partitions, exact, odd_weight, orbit_size, rat_str, sub_multisets
+from .core import _scale_exp, bounded_partitions, exact, odd_weight, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -90,13 +94,46 @@ def cell_keys(g, n):
     return bounded_partitions(3 * g - 3 + n, n)
 
 
-def free_keys(g, n):
-    """The on-shell keys of the stable cell (g, n) with no tau_1: k entries
-    >= 2, descending, then n - k zeros, for each k."""
+def free_walk(g, n):
+    """Yield (a, m) for each on-shell key a of the stable cell (g, n) with
+    no tau_1, each once: descending entries >= 2, then zeros.  The weight
+    m = (n-k)! prod_v c_v! (2v+1)^c_v, over the k entries >= 2 and their
+    distinct values v with counts c_v, makes n!/m = orbit_size(a) /
+    prod (2a_i+1).
+
+    >>> list(free_walk(1, 4))
+    [((2, 2, 0, 0), 100), ((4, 0, 0, 0), 54)]
+    """
     require_stable(g, n)
-    d = 3 * g - 3 + n
-    # built from one list: tuple() of a generator, then concatenated, fragments the heap
-    return (tuple([x + 2 for x in xs] + [0] * (n - k)) for k in range(n + 1) for xs in bounded_partitions(d - 2 * k, k))
+    return _walk(3 * g - 3 + n, n)
+
+
+def _walk(d, n):
+    """The walk of ``free_walk`` over the keys of sum d with n entries: it
+    picks each distinct part v >= 2 with its count c, from the largest
+    down, on an explicit stack whose nodes are a key's head, the sum and
+    the number of slots left for its tail, the cap v - 1 on the next part,
+    and the weight so far."""
+    stack = [((), d, n, d, 1)]
+    while stack:
+        head, total, slots, cap, m = stack.pop()
+        if total == 0:
+            yield head + (0,) * slots, m * math.factorial(slots)
+            continue
+        for v in range(min(cap, total), 1, -1):
+            if v * slots < total:
+                break
+            w = 2 * v + 1
+            key, mv = head, m
+            for c in range(1, min(slots, total // v) + 1):
+                key += (v,)
+                mv *= c * w
+                stack.append((key, total - c * v, slots - c, v - 1, mv))
+
+
+def free_keys(g, n):
+    """The keys of ``free_walk``, without their weights."""
+    return (a for a, _ in free_walk(g, n))
 
 
 def record_order(g, a):
@@ -214,27 +251,34 @@ class CorrelatorTable:
 
     def free_sum(self, g, n) -> Fraction:
         """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
-        ``free_keys`` a of the stable cell (g, n), once per table (the memo
-        is write-once, the seeds fixed); each key is read by ``_value``, and
-        the sum is divided by the scale 2^E(g) q^g once."""
+        ``free_walk`` keys a of the stable cell (g, n), once per table (the
+        memo is write-once, the seeds fixed).  That is n!/(2^E(g) q^g)
+        times sum S(a)/m(a), with m the walk's weight, so the walk adds
+        each S(a) (read by ``_value``) as S(a) * (den // m) over a running
+        common denominator den, the lcm of the weights so far, and the
+        cell makes one Fraction."""
         total = self._free_sums.get((g, n))
         if total is None:
-            total = Fraction(0)
-            for a in free_keys(g, n):
-                # prod (2a_i - 1)!! <tau_a> = S / (prod (2a_i + 1) 2^E(g) q^g)
-                total += Fraction(orbit_size(a) * self._value(g, a), math.prod([2 * x + 1 for x in a]))
-            total /= self._q**g << _scale_exp(g)
+            num, den = 0, 1
+            for a, m in free_walk(g, n):
+                if den % m:
+                    lcm = math.lcm(den, m)
+                    num *= lcm // den
+                    den = lcm
+                num += self._value(g, a) * (den // m)
+            total = Fraction(math.factorial(n) * num, den * self._q**g << _scale_exp(g))
             self._free_sums[(g, n)] = total
         return total
 
     def _value(self, g, a) -> int:
         """S of the canonical key (g, a): zero off the shell, else from the
         memo, else computed once and stored.  A key holding a tau_1 with
-        (g, n - 1) stable takes the dilaton step, else one holding a tau_0
-        the string step, ``_rhs`` with that tau_0 special, and else ``_rhs``
-        with the largest exponent special.  The string branch needs no
-        stability test: <tau_0^3>_0 is the only key with a tau_0 and an
-        unstable (g, n - 1), and it is seeded."""
+        (g, n - 1) stable takes the dilaton step, and every other key
+        ``_rhs`` with its smallest exponent special: the string step when
+        it holds a tau_0, else the full right-hand side, whose cost grows
+        with the special exponent.  The string branch needs no stability
+        test: <tau_0^3>_0 is the only key with a tau_0 and an unstable
+        (g, n - 1), and it is seeded."""
         if sum(a) != 3 * g - 3 + len(a):
             return 0
         value = self._memo.get((g, a))
@@ -245,10 +289,8 @@ class CorrelatorTable:
         if dilaton := _dilaton(g, a):
             factor, lower = dilaton
             value = 3 * factor * self._value(g, lower)
-        elif a[-1] == 0:
-            value = self._rhs(g, 0, a[:-1])
         else:
-            value = self._rhs(g, a[0], a[1:])
+            value = self._rhs(g, a[-1], a[:-1])
         prior = self._memo.setdefault((g, a), value)
         assert prior == value, f"memo for {(g, a)} changed: {prior} -> {value}"
         return value

@@ -9,21 +9,26 @@ With (-1)!! = 1 and the 2x2 matrix series
     B = sum_{g>=0} (6g-1)!! / (24^g g!) l^(-3g),
     C = sum_{g>=0} (6g+1)/(6g-1) (6g-1)!! / (24^g g!) l^(1-3g),
 
-every n-point function with n >= 3 is
+every n-point function with n >= 2 is
 
     sum_d <tau_d1 ... tau_dn>_g prod (2d_i+1)!! l_i^(-d_i-1)
         = -(1/n) sum_{s in S_n} tr(M(l_s1) ... M(l_sn)) / prod_i (l_si - l_s(i+1))
+          - delta_{n,2} (l_1 + l_2) / (l_1 - l_2)^2
 
 with s(n+1) = s1.  Rotating a cycle changes neither the trace nor the
-denominator, so the sum is n times the sum over the s with s1 = 1.
+denominator, so the sum is n times the sum over the s with s1 = 1.  The
+delta term has degree -1, so it is the genus-0 part of n = 2, where it
+cancels the traces: (0, 2) is unstable and has no correlators.
 
-Both sides are multiplied by D = prod_{i<j} (l_i - l_j)^2, so no series
-is divided.  For n >= 3 a cycle uses each pair at most once, and
-D / den_s = prod_{cycle edges (a, b)} (l_a - l_b) prod_{other pairs}
-(l_i - l_j)^2.  The genus-g part of the left side has degree
--(3g - 3 + 2n), so only the degree-(3 - n - 3g) part of each trace is
-needed.  Every entry of M has degree at most 1, which prunes the partial
-products that can no longer reach it.
+Both sides are multiplied by a polynomial D, so no series is divided.
+For n >= 3 a cycle uses each pair once, so D = prod_{i<j} (l_i - l_j)
+suffices, and D / den_s is prod_{other pairs} (l_i - l_j) times -1 for
+each cycle edge (a, b) with a > b.  For n = 2 the one cycle's denominator
+is -(l_1 - l_2)^2, so D = (l_1 - l_2)^2 and D / den_s = -1.  Either way
+D / den_s has degree deg D - n, and the genus-g part of the left side has
+degree -(3g - 3 + 2n), so only the degree-(3 - n - 3g) part of each trace
+is needed.  Every entry of M has degree at most 1, which prunes the
+partial products that can no longer reach it.
 
 The oracle has its own partitions, weights and permutations, and reads
 the DVV table only through ``CorrelatorTable.correlator``.
@@ -118,35 +123,46 @@ def _one(n):
     return {(0,) * n: 1}
 
 
-def _vandermonde_square(n):
+def _multiplier(n):
+    """D: prod_{i<j} (l_i - l_j), squared for n = 2."""
     D = _one(n)
     for i in range(n):
         for j in range(i + 1, n):
-            D = _mul(D, _mul(_difference(n, i, j), _difference(n, i, j)))
-    return D
+            D = _mul(D, _difference(n, i, j))
+    return _mul(D, D) if n == 2 else D
 
 
 def _cofactor(cycle):
-    """D / prod_i (l_ci - l_c(i+1)) for a cycle through n >= 3 variables."""
+    """D / prod_i (l_ci - l_c(i+1)) for a cycle through n >= 2 variables."""
     n = len(cycle)
-    edges = {frozenset((cycle[i], cycle[(i + 1) % n])) for i in range(n)}
+    if n == 2:
+        return {(0, 0): -1}
+    edges = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)}
     out = _one(n)
     for i in range(n):
-        out = _mul(out, _difference(n, cycle[i], cycle[(i + 1) % n]))
         for j in range(i + 1, n):
-            if frozenset((i, j)) not in edges:
-                out = _mul(out, _mul(_difference(n, i, j), _difference(n, i, j)))
+            if (j, i) in edges:
+                out = {k: -c for k, c in out.items()}
+            elif (i, j) not in edges:
+                out = _mul(out, _difference(n, i, j))
     return out
 
 
 def bdy_side(n, g):
-    """D times the genus-g part of the BDY right-hand side."""
+    """D times the genus-g part of the BDY right-hand side, summed in
+    integers over one common denominator of the traces."""
+    cycles = [(0,) + rest for rest in permutations(range(1, n))]
+    traces = [_trace(cycle, 3 - n - 3 * g) for cycle in cycles]
+    den = math.lcm(*(c.denominator for trace in traces for c in trace.values()))
     total = {}
-    for rest in permutations(range(1, n)):
-        cycle = (0,) + rest
-        for key, c in _mul_rational(_trace(cycle, 3 - n - 3 * g), _cofactor(cycle)).items():
+    for cycle, trace in zip(cycles, traces):
+        scaled = {k: c.numerator * (den // c.denominator) for k, c in trace.items()}
+        for key, c in _mul(scaled, _cofactor(cycle)).items():
             total[key] = total.get(key, 0) - c
-    return {k: c for k, c in total.items() if c}
+    if (n, g) == (2, 0):  # D times -(l_1 + l_2) / (l_1 - l_2)^2
+        for key in ((1, 0), (0, 1)):
+            total[key] = total.get(key, 0) - den
+    return {k: Fraction(c, den) for k, c in total.items() if c}
 
 
 def _compositions(total, parts):
@@ -165,10 +181,10 @@ def dvv_side(n, g, table):
     for d in _compositions(3 * g - 3 + n, n):
         weight = math.prod(_odd_factorial(2 * di + 1) for di in d)
         generating[tuple(-di - 1 for di in d)] = weight * table.correlator(g, d)
-    return _mul_rational(generating, _vandermonde_square(n))
+    return _mul_rational(generating, _multiplier(n))
 
 
-REACH = [(3, g) for g in range(11)] + [(4, g) for g in range(4)]
+REACH = [(2, g) for g in range(11)] + [(3, g) for g in range(11)] + [(4, g) for g in range(4)] + [(5, g) for g in range(3)]
 
 
 @pytest.mark.parametrize("n, g", REACH)
@@ -181,3 +197,5 @@ def test_bdy_rejects_wrong_tau1_seed():
     assert bdy_side(3, 0) == dvv_side(3, 0, bad)  # genus 0 never reads <tau_1>_1
     assert bdy_side(3, 1) != dvv_side(3, 1, bad)
     assert bdy_side(4, 2) != dvv_side(4, 2, bad)
+    assert bdy_side(2, 1) != dvv_side(2, 1, bad)
+    assert bdy_side(5, 1) != dvv_side(5, 1, bad)

@@ -223,9 +223,25 @@ def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify dvv-eo --max-chi -1", "--max-chi must be >= 0, got -1"),
+        ("verify omega-rec --max-chi -1", "--max-chi must be >= 0, got -1"),
+        ("verify d-lemma --max-chi -2 --max-m 0", "--max-chi must be >= 0, got -2"),
+        ("verify t-rec --order -3", "--order must be >= 0, got -3"),
+        ("verify d-lemma --max-m -5", "--max-m must be >= 0, got -5"),
+    ],
+)
+def test_negative_suite_bounds_exit_2(capsys, monkeypatch, argv, message):
+    # each ran no check, or dropped every m check, and exited 0
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, code, expected",
     [
-        ("sn 6", 0, "cache hits=44 misses=24\n"),
+        ("sn 6", 0, "cache hits=39 misses=24\n"),
         ("sn 1", 0, ""),
         ("verify quantum-curve --order 4", 0, "cache hits=15 misses=6\n"),
         ("verify t-rec --order 2", 0, "cache hits=0 misses=0\n"),

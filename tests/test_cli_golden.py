@@ -16,7 +16,7 @@ from airyqc.cli import main
 GOLDEN = {
     "correlator 2 4": "b010469f0ec16d80d0150ee2ef32e04dcc89a8c62b37443d94963059cbd50a82",
     "correlator 3 3,2,1,1,1": "c20c606b7cf2283c7babbadd203a9105202b7934867a946ea1cd86b1f22fabba",
-    "correlator 4 5,4,4,0 --stats": "6bb3bb305f94b6b98e16213163872a1a18d89330516d73f7d0e7c7f5b0bc46f1",
+    "correlator 4 5,4,4,0 --stats": "bdf8d473504933f8befa447d48bc5b80846762763750153475913e54900ddab5",
     "correlator 0 2,1,0,0,0,0": "3664dc7cef1188c7bc0ebd9e452a0856d6c63e57239371f5f4dda2f0d1eaaa03",
     "correlator 5 13": "f5c32b92aa4a13e7cfba3cb216f7c936e825f57a3d6331ce8692551634d7b755",
     "table W 2 2": "2bfcde603efdcd6dd67cab3be3c316ecdb05037db5467bb6d047905f7cce515c",

@@ -2,10 +2,12 @@
 
 ``_FractionTable`` is the DVV table as it was before the memo held the
 ints S = 2^E(g) q^g ttau: the same string and dilaton reductions and the
-same full right-hand side, summed in ``Fraction``s in the ttau
-normalization and divided by prod (2a_i+1)!! at the end.  It shares only
-the combinatorics (``sub_multisets``, ``odd_weight``, ``is_stable``) with
-the table, no arithmetic.
+same full right-hand side, with the same special insertion (the smallest
+entry), summed in ``Fraction``s in the ttau normalization and divided by
+prod (2a_i+1)!! at the end.  Its job is the integer scale, not the choice
+of special, which only a mutated seed can see.  It shares only the
+combinatorics (``sub_multisets``, ``odd_weight``, ``is_stable``) with the
+table, no arithmetic.
 """
 
 import re
@@ -45,7 +47,7 @@ class _FractionTable:
                 if v and rest[j + 1 : j + 2] != (v,):
                     total += rest.count(v) * self.value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
             return total
-        return self._rhs(g, a[0], a[1:])
+        return self._rhs(g, a[-1], a[:-1])
 
     def _tnorm(self, g, a):
         return self.value(g, a) * odd_weight(a, 1)

@@ -136,13 +136,13 @@ def _airy_log_coeffs(N):
     return L
 
 
-def test_quantum_curve_order_22_matches_airy_series():
+def test_quantum_curve_order_24_matches_airy_series():
     # a third route to S_n, independent of both DVV and EO
     table = CorrelatorTable()
     for branch in (1, -1):
-        assert quantum_curve_report(22, branch, table).passed
-    L = _airy_log_coeffs(22)
-    for n, term in s_terms(22, -1, table).items():
+        assert quantum_curve_report(24, branch, table).passed
+    L = _airy_log_coeffs(24)
+    for n, term in s_terms(24, -1, table).items():
         if n >= 2:
             assert term.coeff == 3 ** (n - 1) * L[n - 1], n
 
@@ -161,8 +161,8 @@ _PINNED_RESIDUALS = {
     2: ("-1/8*(2u)^(-4/2)", "-1/184*(2u)^(-4/2)"),
     3: ("1/4*w^(9/2)", "1/92*w^(9/2)"),
     4: ("1*w^(12/2)", "1/23*w^(12/2)"),
-    5: ("463/112*w^(15/2)", "5319/29624*w^(15/2)"),
-    6: ("247/14*w^(18/2)", "5659/7406*w^(18/2)"),
+    5: ("329/80*w^(15/2)", "3789/21160*w^(15/2)"),
+    6: ("173/10*w^(18/2)", "4001/5290*w^(18/2)"),
 }
 
 
