@@ -41,7 +41,7 @@ def dumps_table(table: CorrelatorTable) -> str:
     ]
     body = []
     for g, a, value in records:
-        body.append(json.dumps({"g": g, "a": list(a), "value": rat_str(value)}, separators=(", ", ": ")))
+        body.append(json.dumps({"g": g, "a": list(a), "value": rat_str(value)}))
     lines.append(",\n".join(body))
     lines.append("]")
     lines.append("}")

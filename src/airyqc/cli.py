@@ -1,5 +1,10 @@
 """Command-line surface.
 
+``main`` makes one correlator table for every command but ``cache``: from
+``--cache``, else ``$AIRYQC_CACHE``, else empty.  It hands the table to the
+command, and after the command returns prints the one line
+``cache hits=H misses=M`` on stderr when ``--stats`` is given.
+
 Exit codes: 0 success / everything verified, 1 verification counterexample,
 2 domain error (also argparse usage errors, and an input too deep for
 Python's recursion limit), 3 cache I/O or format error.
@@ -30,21 +35,14 @@ def _parse_exponents(text: str):
         raise ValueError(f"cannot parse exponent list {text!r}; expected e.g. 1,0,0") from None
 
 
-def _make_table(args) -> CorrelatorTable:
-    path = args.cache or os.environ.get(ENV_CACHE)
-    return load_table(path) if path else CorrelatorTable()
+def _require(option: str, value, least: int):
+    if value is not None and value < least:
+        raise ValueError(f"{option} must be >= {least}, got {value}")
 
 
-def _print_stats(args, table):
-    if args.stats:
-        print(f"cache hits={table.hits} misses={table.misses}", file=sys.stderr)
-
-
-def _cmd_correlator(args) -> int:
-    table = _make_table(args)
+def _cmd_correlator(args, table) -> int:
     value = table.correlator(args.g, _parse_exponents(args.exponents))
     print(rat_str(value))
-    _print_stats(args, table)
     return 0
 
 
@@ -55,8 +53,7 @@ _TABLE_BUILDERS = {
 }
 
 
-def _cmd_table(args) -> int:
-    table = _make_table(args)
+def _cmd_table(args, table) -> int:
     poly = _TABLE_BUILDERS[args.kind](args.g, args.n, table)
     if args.format == "json":
         doc = {
@@ -65,51 +62,45 @@ def _cmd_table(args) -> int:
             "n": args.n,
             "terms": poly_orbit_records(poly, args.kind),
         }
-        print(json.dumps(doc, separators=(", ", ": ")))
+        print(json.dumps(doc))
     else:
         print(poly_text(poly, args.kind))
-    _print_stats(args, table)
     return 0
 
 
-def _cmd_sn(args) -> int:
+def _cmd_sn(args, table) -> int:
     branch = 1 if args.branch == "+" else -1
-    table = _make_table(args) if args.n >= 2 else None
     term = s_term(args.n, branch, table)
     if args.format == "json":
         doc = {"n": term.n, "branch": args.branch, "kind": term.kind, "term": term.text()}
-        print(json.dumps(doc, separators=(", ", ": ")))
+        print(json.dumps(doc))
     else:
         print(f"S_{args.n}[{args.branch}] = {term.text()}")
-    if table is not None:
-        _print_stats(args, table)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, table) -> int:
     for option, bound in (("--max-chi", args.max_chi), ("--max-m", args.max_m), ("--order", args.order)):
-        if bound is not None and bound < 0:
-            raise ValueError(f"{option} must be >= 0, got {bound}")
-    table = _make_table(args)
+        _require(option, bound, 0)
     suite = SUITES[args.suite]
     if args.suite == "d-lemma":
         checks = suite(args.max_m, 4 if args.max_chi is None else args.max_chi, table)
     elif args.suite in ("quantum-curve", "t-rec"):
         checks = suite(args.order, table)
     else:
+        # a cell suite at --max-chi 0 would check nothing
+        _require("--max-chi", args.max_chi, 1)
         checks = suite(6 if args.max_chi is None else args.max_chi, table)
-    status = 0
     for check in checks:
         print(check.line())
         if not check.ok:
-            status = 1
-            break
-    _print_stats(args, table)
-    return status
+            return 1
+    return 0
 
 
 def _cmd_cache(args) -> int:
     if args.action == "save":
+        _require("--max-chi", args.max_chi, 1)
         table = CorrelatorTable()
         table.fill_shell(args.max_chi)
         count = save_table(table, args.path)
@@ -164,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("save", "load"))
     p.add_argument("path")
     p.add_argument("--max-chi", type=int, default=4, help="shells to precompute on save")
-    p.set_defaults(func=_cmd_cache)
 
     return parser
 
@@ -173,7 +163,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "cache":
+            return _cmd_cache(args)
+        path = args.cache or os.environ.get(ENV_CACHE)
+        table = load_table(path) if path else CorrelatorTable()
+        status = args.func(args, table)
+        if args.stats:
+            print(f"cache hits={table.hits} misses={table.misses}", file=sys.stderr)
+        return status
     except CacheFormatError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3

@@ -138,30 +138,26 @@ def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int 
     z_{spectators}) when the cell has two variables more than
     ``spectators``, as an exact ZSeries with int coefficients; any other
     count of active legs raises ValueError, and so does a cell coefficient
-    that 2^scale does not make an integer.  Each orbit coefficient is
-    scaled and checked once; its permutations come from the cell's cached
-    expansion.  Cells are even in every variable, so the sign of an active
-    leg never matters.
+    that 2^scale does not make an integer.  Each coefficient of the cell's
+    cached expansion is scaled and checked as it is read.  Cells are even
+    in every variable, so the sign of an active leg never matters.
     """
     spectators = tuple(spectators)
     active = cell.nvars - len(spectators)
     if active not in (1, 2):
         raise ValueError(f"{active} active legs, expected 1 or 2")
-    scaled = {}
-    for orbit, coeff in cell.orbits.items():
+    terms = {}
+    for vec, coeff in cell.expand().items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
         if r:
             raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
-        scaled[orbit] = c
-    terms = {}
-    for vec in cell.expand():
         k = -2 * (sum(vec[:active]) + active)
         exps = [0] * nspec
         for pos, a in zip(spectators, vec[active:]):
             exps[pos] = -2 * a - 2
         tgt = terms.setdefault(k, {})
         e = tuple(exps)
-        tgt[e] = tgt.get(e, 0) + scaled[tuple(sorted(vec, reverse=True))]
+        tgt[e] = tgt.get(e, 0) + c
     return ZSeries(nspec, math.inf, terms)
 
 
@@ -211,7 +207,7 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     reads only the even strata of the bracket: each split product adds its
     strata z^k, k even and k <= 0, into one stratum dict by
     :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
-    exact through z^0.  Then ``kernel_series(M, nspec)`` is contracted with
+    exact through z^0.  Then ``kernel_series(M, n)`` is contracted with
     ``inner`` by the same routine, forming only the z^(-1) stratum, which
     ``ZSeries.residue`` reads.
 
@@ -246,20 +242,19 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
-    nspec = n
     rest = list(range(1, n))
     E = _scale_exp(g)
 
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
-            return b02_series(sign, A[0], M, nspec)
-        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, nspec, scale=_scale_exp(gi))
+            return b02_series(sign, A[0], M, n)
+        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, n, scale=_scale_exp(gi))
 
     inner = {}
     if (g, n) == (1, 1):
         inner[-2] = {(0,): 1}
     elif g >= 1:
-        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, nspec, scale=_scale_exp(g - 1))
+        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, n, scale=_scale_exp(g - 1))
         shift = E - _scale_exp(g - 1) - 1
         inner = {k: {e: c << shift for e, c in poly.items()} for k, poly in genus.terms.items()}
 
@@ -276,12 +271,12 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
             raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
         _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2, shift)
 
-    inner = ZSeries(nspec, 0, inner)
-    kernel = kernel_series(M, nspec)
+    inner = ZSeries(n, 0, inner)
+    kernel = kernel_series(M, n)
     exact = exact_through(kernel, inner)
     if exact < -1:
         raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{inner.valuation()} of W_({g},{n})")
-    residue = ZSeries(nspec, exact, _mul_into({}, kernel, inner, lambda k: k == -1)).residue()
+    residue = ZSeries(n, exact, _mul_into({}, kernel, inner, lambda k: k == -1)).residue()
 
     terms = {}
     for exps, coeff in residue.items():

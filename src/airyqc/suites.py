@@ -8,7 +8,7 @@ the acceptance tests drive these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import rat_str
 from .correlators import CorrelatorTable, shell_cells
@@ -44,7 +44,7 @@ class Check:
     suite: str
     name: str
     ok: bool
-    detail: str = field(default="")
+    detail: str = ""
 
     def line(self) -> str:
         if self.ok:

@@ -245,8 +245,8 @@ class QuantumCurveReport:
 
 def quantum_curve_report(N: int, branch: int, table: CorrelatorTable) -> QuantumCurveReport:
     """Check every order 0..N on the given branch and collect residuals."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     _check_branch(branch)
     terms = s_terms(N, branch, table)
     residuals = []

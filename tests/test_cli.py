@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import re
 
 import pytest
 
+from airyqc import cli
 from airyqc.cli import main
 
 
@@ -215,6 +218,11 @@ def test_cache_load_bad_key_exits_3(tmp_path, capsys, record):
         ("table Omega 2 0", (2, "", "error: unstable (g, n) = (2, 0)\n")),
         ("table omega 0 2", (2, "", "error: unstable (g, n) = (0, 2)\n")),
         ("verify d-lemma --max-m 0 --max-chi 0", (0, "ok d-lemma m=0\n", "")),
+        ("verify quantum-curve --order 0", (0, "ok quantum-curve order 0 branch +\nok quantum-curve order 0 branch -\n", "")),
+        (
+            "verify quantum-curve --order 1",
+            (0, "".join(f"ok quantum-curve order {n} branch {b}\n" for b in "+-" for n in (0, 1)), ""),
+        ),
     ],
 )
 def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
@@ -230,19 +238,27 @@ def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
         ("verify d-lemma --max-chi -2 --max-m 0", "--max-chi must be >= 0, got -2"),
         ("verify t-rec --order -3", "--order must be >= 0, got -3"),
         ("verify d-lemma --max-m -5", "--max-m must be >= 0, got -5"),
+        ("verify dvv-eo --max-chi 0", "--max-chi must be >= 1, got 0"),
+        ("verify omega-rec --max-chi 0", "--max-chi must be >= 1, got 0"),
+        ("verify Omega-rec --max-chi 0", "--max-chi must be >= 1, got 0"),
+        ("cache save shell.json --max-chi 0", "--max-chi must be >= 1, got 0"),
+        ("cache save shell.json --max-chi -1", "--max-chi must be >= 1, got -1"),
     ],
 )
-def test_negative_suite_bounds_exit_2(capsys, monkeypatch, argv, message):
-    # each ran no check, or dropped every m check, and exited 0
+def test_negative_suite_bounds_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # each ran no check, or dropped every m check, and exited 0, or (cache
+    # save) named the library's parameter max_chi
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
     "argv, code, expected",
     [
         ("sn 6", 0, "cache hits=39 misses=24\n"),
-        ("sn 1", 0, ""),
+        ("sn 1", 0, "cache hits=0 misses=0\n"),
         ("verify quantum-curve --order 4", 0, "cache hits=15 misses=6\n"),
         ("verify t-rec --order 2", 0, "cache hits=0 misses=0\n"),
     ],
@@ -330,13 +346,49 @@ def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
     flag = ("--cache", missing) if via == "--cache" else ()
     if via == "AIRYQC_CACHE":
         monkeypatch.setenv("AIRYQC_CACHE", missing)
-    for argv in (("correlator", "2", "4"), ("table", "W", "1", "1"), ("sn", "3"), ("verify", "t-rec", "--order", "2")):
+    # the cache is read before the suite bounds are checked
+    for argv in (("correlator", "2", "4"), ("table", "W", "1", "1"), ("sn", "3"), ("verify", "t-rec", "--order", "2"),
+                 ("sn", "0"), ("sn", "1"), ("verify", "dvv-eo", "--max-chi", "-1")):
         code, out, err = run(capsys, *argv, *flag)
         assert (code, out) == (3, "") and f"cannot read {missing}:" in err, argv
-    # S_0 and S_1 read no table
-    for n in ("0", "1"):
-        code, out, _ = run(capsys, "sn", n, *flag)
-        assert code == 0 and out.startswith(f"S_{n}[+] = "), n
+
+
+@pytest.mark.parametrize("argv", ["correlator 2 4", "table W 1 1", "sn 0", "sn 3", "verify t-rec --order 2"])
+def test_main_owns_the_table(tmp_path, capsys, monkeypatch, argv):
+    # main makes the one table of a command, and --stats prints one line after stdout
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    made, loaded = [], []
+    real_load = cli.load_table
+
+    class CountedTable(cli.CorrelatorTable):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    def counted_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "CorrelatorTable", CountedTable)
+    monkeypatch.setattr(cli, "load_table", counted_load)
+    code, plain, err = run(capsys, *argv.split())
+    assert (code, err, len(made), loaded) == (0, "", 1, [])
+
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main([*argv.split(), "--stats"]) == 0
+    assert len(made) == 2 and both.getvalue() == plain + f"cache hits={made[1].hits} misses={made[1].misses}\n"
+
+    path = tmp_path / "shell.json"
+    assert main(["cache", "save", str(path), "--max-chi", "2"]) == 0
+    capsys.readouterr()
+    made.clear()
+    assert run(capsys, *argv.split(), "--cache", str(path)) == (0, plain, "")
+    assert (len(made), loaded) == (0, [str(path)])
+
+    missing = str(tmp_path / "nope.json")
+    code, out, err = run(capsys, *argv.split(), "--cache", missing, "--stats")
+    assert (code, out) == (3, "") and err.startswith(f"cache error: cannot read {missing}:") and err.count("\n") == 1
 
 
 def test_table_Omega_json_half_steps(capsys):

@@ -113,6 +113,15 @@ def test_report_passes(table):
         assert all(r == "0" for _, r in report.residuals)
 
 
+def test_report_covers_every_order_from_zero(table):
+    # R_0 and R_1 are defined on their own, so the report needs no floor above 0
+    for N in (0, 1):
+        report = quantum_curve_report(N, -1, table)
+        assert report.passed and [n for n, _ in report.residuals] == list(range(N + 1))
+    with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+        quantum_curve_report(-1, 1, table)
+
+
 def test_perturbed_base_fails_at_first_consuming_order():
     bad = CorrelatorTable(tau1=F(1, 12))
     report = quantum_curve_report(10, 1, bad)
