@@ -51,8 +51,11 @@ def dumps_table(table: CorrelatorTable) -> str:
 
 def save_table(table: CorrelatorTable, path) -> int:
     text = dumps_table(table)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CacheFormatError(f"cannot write {path}: {exc}") from None
     return len(table)
 
 
@@ -103,6 +106,6 @@ def load_table(path) -> CorrelatorTable:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheFormatError(f"cannot read {path}: {exc}") from None
     return loads_table(text)

@@ -86,6 +86,8 @@ def _cmd_verify(args, table) -> int:
     if args.suite == "d-lemma":
         checks = suite(args.max_m, 4 if args.max_chi is None else args.max_chi, table)
     elif args.suite in ("quantum-curve", "t-rec"):
+        # t-rec checks the orders n >= 3, so a smaller --order would check nothing
+        _require("--order", args.order, 3 if args.suite == "t-rec" else 0)
         checks = suite(args.order, table)
     else:
         # a cell suite at --max-chi 0 would check nothing

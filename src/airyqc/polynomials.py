@@ -24,7 +24,10 @@ that encode the contribution of the two-point function to the recursion.
 ``d_op`` is the only code that knows D's weights and ``calD_op`` the only
 code that knows calD's range: the steps, ``d_bridge_holds`` and
 ``verify_d_lemma`` all apply them, the first two through one orbit-wise
-image (``_transfer``) of the transfer cell.  The steps compute one
+image (``_transfer``) of the transfer cell.  Both recursions are one
+step on the exponent lattice s a + 1, s = 1 for omega and s = 2 half-steps
+for Omega; the degree, the pair weight, the 1/(2s) scale and where the
+transfer term is read all follow from s.  The step computes one
 coefficient per target w_0 exponent and descending tail on w_1..w_n,
 reading the lower cells by orbit.  Symmetry in w_1..w_n is then manifest;
 the steps check symmetry of w_0 against w_i by comparing every reading of
@@ -40,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    HALF,
     ZERO,
     accumulate,
     exact,
@@ -98,11 +100,6 @@ class _OrbitPoly:
         self.nvars = nvars
         self.orbits = clean
         self._expanded = None
-
-    @staticmethod
-    def _check_exponent_lattice(orbit):
-        if any(not isinstance(e, int) for e in orbit):
-            raise ValueError(f"exponents must be integers, got {orbit}")
 
     @classmethod
     def from_expanded(cls, nvars, terms):
@@ -188,19 +185,16 @@ def _from_correlators(g, n, table, poly_cls, shift, exponents):
     return poly_cls(n, orbits)
 
 
-def _omega_degree(g, n):
-    return 3 * g - 3 + 2 * n
-
-
-def _Omega_degree(g, n):
-    """Degree of Omega_{g,n} in half-steps."""
-    return 6 * g - 6 + 3 * n
+def _degree(g, n, s):
+    """Degree of the cell (g, n) on the lattice s a + 1: the w-degree of
+    omega_{g,n} (s = 1), the half-step degree of Omega_{g,n} (s = 2)."""
+    return s * (3 * g - 3 + n) + n
 
 
 def omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly:
     """omega_{g,n}: orbit (a_i + 1) carries <tau_a>_g prod (2a_i+1)!!."""
     poly = _from_correlators(g, n, table, SparseSymPoly, 1, lambda a: tuple(ai + 1 for ai in a))
-    assert poly.homogeneous_degree() in (None, _omega_degree(g, n))
+    assert poly.homogeneous_degree() in (None, _degree(g, n, 1))
     return poly
 
 
@@ -213,7 +207,7 @@ def tW_from_correlators(g: int, n: int, table: CorrelatorTable) -> SparseSymPoly
 def Omega_from_correlators(g: int, n: int, table: CorrelatorTable) -> HalfPowerPoly:
     """Omega_{g,n}: orbit half-steps (2a_i + 1) carry <tau_a>_g prod (2a_i-1)!!."""
     poly = _from_correlators(g, n, table, HalfPowerPoly, -1, lambda a: tuple(2 * ai + 1 for ai in a))
-    assert poly.homogeneous_degree() in (None, _Omega_degree(g, n))
+    assert poly.homogeneous_degree() in (None, _degree(g, n, 2))
     return poly
 
 
@@ -347,12 +341,6 @@ def Omega_base(g: int, n: int) -> HalfPowerPoly:
     raise ValueError(f"({g}, {n}) is not a seeded base cell")
 
 
-def _check_step_target(g, n1):
-    require_stable(g, n1)
-    if (g, n1) in ((0, 3), (1, 1)):
-        raise ValueError(f"({g}, {n1}) is a seeded base cell, not a recursion target")
-
-
 def _lower_cell(lower, g, n):
     try:
         return lower[(g, n)]
@@ -360,19 +348,19 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
-def _lower_cells(g, n, lower, degree, op):
-    """The lower cells of the step to (g, n+1), fetched up front: the genus
-    cell (g-1, n+2), the stable split pairs (g_1, m+1), (g-g_1, n-m+1) as
-    (degree, cell) pairs by m, and the transfer cell (g, n) as its
-    ``_transfer`` image under `op` (empty for n = 0).  Each must be
-    homogeneous of its degree with every exponent >= 1, so that every term
-    of the step lands on a target orbit."""
+def _lower_cells(g, n, lower, s, op):
+    """The lower cells of the step to (g, n+1) on the lattice s a + 1,
+    fetched up front: the genus cell (g-1, n+2), the stable split pairs
+    (g_1, m+1), (g-g_1, n-m+1) as (degree, cell) pairs by m, and the
+    transfer cell (g, n) as its ``_transfer`` image under `op` (empty for
+    n = 0).  Each must be homogeneous of its ``_degree`` with every
+    exponent >= 1, so that every term of the step lands on a target orbit."""
 
     def fetch(h, k):
         cell = _lower_cell(lower, h, k)
-        d = cell.homogeneous_degree()
-        if d not in (None, degree(h, k)):
-            raise ValueError(f"lower cell ({h}, {k}) has degree {d}, not {degree(h, k)}")
+        d, want = cell.homogeneous_degree(), _degree(h, k, s)
+        if d not in (None, want):
+            raise ValueError(f"lower cell ({h}, {k}) has degree {d}, not {want}")
         if any(orbit[-1] < 1 for orbit in cell.orbits):
             raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
         return cell
@@ -383,15 +371,15 @@ def _lower_cells(g, n, lower, degree, op):
         for g1 in range(g + 1):
             pair = ((g1, m + 1), (g - g1, n - m + 1))
             if all(is_stable(*cell) for cell in pair):
-                splits.setdefault(m, []).append(tuple((degree(*cell), fetch(*cell)) for cell in pair))
+                splits.setdefault(m, []).append(tuple((_degree(*cell, s), fetch(*cell)) for cell in pair))
     transfer = _transfer(fetch(g, n), op) if n >= 1 else {}
     return genus, splits, transfer
 
 
-def _targets(g, nvars, step):
+def _targets(g, nvars, s):
     """The ``_readings`` of the target orbits of (g, nvars): each ``cell_keys``
-    a as (step a_i + 1), the builders' map for omega (1) and Omega (2)."""
-    return _readings(tuple(step * a + 1 for a in key) for key in cell_keys(g, nvars))
+    a as (s a_i + 1), the builders' map for omega (1) and Omega (2)."""
+    return _readings(tuple(s * a + 1 for a in key) for key in cell_keys(g, nvars))
 
 
 def _at(cell, exps):
@@ -432,6 +420,38 @@ def _symmetric(cls, nvars, values):
     return cls(nvars, orbits)
 
 
+# weight(p) of a lower-cell slot w^(p/s) in the step on the lattice s a + 1:
+# 1 for omega, and p for Omega, from d_w w^(p/2) = (p/2) w^((p-2)/2)
+_WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
+
+
+def _step_values(g, n, lower, s, op):
+    """The one recursion step on the lattice s a + 1: yield (orbit, e_0,
+    tail, c) for each reading (e_0, tail) of each target orbit of (g, n+1),
+    c the coefficient at (e_0, tail) of omega_{g,n+1} (s = 1), or at
+    half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1} (s = 2).
+
+    c is 1/(2s) times the genus and split terms plus the transfer term.
+    The genus term sums weight(p) weight(q) times the genus cell at
+    (p, q, tail) over p + q = e_0 - 2s + 1, p stepping by s; the split
+    term is ``_split_term`` with the same weight; the transfer term is read
+    on w_0's exponent e_0 + s - 1 from the `op` image (``d_op`` or
+    ``_calD_dx``) of the cell (g, n).
+    """
+    nvars = n + 1
+    require_stable(g, nvars)
+    if (g, nvars) in ((0, 3), (1, 1)):
+        raise ValueError(f"({g}, {nvars}) is a seeded base cell, not a recursion target")
+    genus, splits, transfer = _lower_cells(g, n, lower, s, op)
+    weight = _WEIGHTS[s]
+    for orbit, e0, tail in _targets(g, nvars, s):
+        total = _split_term(tail, splits, weight)
+        if genus is not None:
+            pq = e0 - 2 * s + 1
+            total += sum(weight(p) * weight(pq - p) * _at(genus, (p, pq - p) + tail) for p in range(1, pq, s))
+        yield orbit, e0, tail, total / (2 * s) + _transfer_term(transfer, e0 + s - 1, tail)
+
+
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     """One recursion step: build omega_{g,n+1}(w_0, ..., w_n) from lower
     cells,
@@ -441,43 +461,12 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
                   omega_{g_1}(w_0, w_{A_1}) omega_{g_2}(w_0, w_{A_2})
             + sum_i D_{w_0, w_i} omega_{g,n}(x, w_[n]) with slot i removed.
 
-    Orbit-wise: the coefficient of w_0^e_0 w^tail, tail descending, is the
-    genus term over p + q + 1 = e_0, the split term, and the transfer term
-    read from the ``d_op`` image of omega_{g,n}.  Symmetry in w_1..w_n is
-    manifest; symmetry of w_0 against w_i is checked on every full target
-    orbit.
+    This is :func:`_step_values` on the lattice a + 1 (s = 1) with
+    ``d_op``.  Symmetry in w_1..w_n is manifest; symmetry of w_0 against
+    w_i is checked on every full target orbit.
     """
-    nvars = n + 1
-    _check_step_target(g, nvars)
-    genus, splits, transfer = _lower_cells(g, n, lower, _omega_degree, d_op)
-
-    def coeff(e0, tail):
-        total = _split_term(tail, splits, lambda p: 1)
-        if genus is not None:
-            total += sum(_at(genus, (p, e0 - 1 - p) + tail) for p in range(1, e0 - 1))
-        return total * HALF + _transfer_term(transfer, e0, tail)
-
-    targets = _targets(g, nvars, 1)
-    return _symmetric(SparseSymPoly, nvars, ((orbit, coeff(e0, t)) for orbit, e0, t in targets))
-
-
-def _Omega_dw0_values(g, n, lower):
-    """Yield (orbit, k, tail, c), c the coefficient of w_0^((k-2)/2) w^tail
-    in d_{w_0} Omega_{g,n+1}, for each reading (k, tail) of each full orbit.
-
-    d_w w^(h/2) = (h/2) w^((h-2)/2): the genus and split terms carry
-    p q / 4 on half-steps p + q + 1 = k - 2, and the transfer term is read
-    on w_0^((k+1)/2) from the calD d_x image of Omega_{g,n}, the w_0^(-3/2)
-    prefactor moving it to w_0^((k-2)/2).
-    """
-    nvars = n + 1
-    _check_step_target(g, nvars)
-    genus, splits, transfer = _lower_cells(g, n, lower, _Omega_degree, _calD_dx)
-    for orbit, k, tail in _targets(g, nvars, 2):
-        total = _split_term(tail, splits, lambda p: p)
-        if genus is not None:
-            total += sum(p * (k - 3 - p) * _at(genus, (p, k - 3 - p) + tail) for p in range(1, k - 3, 2))
-        yield orbit, k, tail, total / 4 + _transfer_term(transfer, k + 1, tail)
+    values = ((orbit, c) for orbit, _, _, c in _step_values(g, n, lower, 1, d_op))
+    return _symmetric(SparseSymPoly, n + 1, values)
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -488,12 +477,12 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
             + w_0^(-3/2) sum_i calD_{w_0,w_i} d_x Omega_{g,n}(x, ...).
 
     Keys are (n+1)-tuples of half-steps; entry 0 need not lie on the Omega
-    lattice until the antiderivative is taken.  The values are computed
-    orbit-wise, as for :func:`Omega_step`, then spread over the
-    permutations of w_1..w_n.
+    lattice until the antiderivative is taken.  The values are
+    :func:`_step_values` on the half-step lattice 2a + 1 (s = 2) with
+    ``_calD_dx``, spread over the permutations of w_1..w_n.
     """
     out = {}
-    for _, k, tail, c in _Omega_dw0_values(g, n, lower):
+    for _, k, tail, c in _step_values(g, n, lower, 2, _calD_dx):
         if c:
             for perm in multiset_permutations(tail):
                 out[(k - 2,) + perm] = c
@@ -505,7 +494,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     term, orbit-wise: w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each (k, tail)
     reading of a full orbit, and all readings of an orbit must agree (the
     symmetry of w_0 against w_i)."""
-    values = ((orbit, c * Fraction(2, k)) for orbit, k, _, c in _Omega_dw0_values(g, n, lower))
+    values = ((orbit, c * Fraction(2, k)) for orbit, k, _, c in _step_values(g, n, lower, 2, _calD_dx))
     return _symmetric(HalfPowerPoly, n + 1, values)
 
 
@@ -537,16 +526,12 @@ def d_bridge_holds(g: int, n: int, table: CorrelatorTable) -> bool:
 # ---------------------------------------------------------------------------
 # rendering and export
 
-def _halfstep_str(h: int) -> str:
-    return f"{h}/2"
-
-
 def poly_orbit_records(poly, kind: str) -> list:
     """Orbit records for JSON export, sorted by orbit descending."""
     records = []
     for orbit, coeff in poly.sorted_orbits():
         if kind == "Omega":
-            exported = [_halfstep_str(h) for h in orbit]
+            exported = [f"{h}/2" for h in orbit]
         else:
             exported = list(orbit)
         records.append({"orbit": exported, "coeff": rat_str(coeff)})
@@ -572,7 +557,7 @@ def poly_text(poly, kind: str) -> str:
                 factors.append(f"w{i + 1}" + (f"^{e}" if e > 1 else ""))
             lines.append(f"{rat_str(coeff)} * " + " ".join(factors))
         elif kind == "Omega":
-            mono = " ".join(f"w{i + 1}^({_halfstep_str(h)})" for i, h in enumerate(orbit))
+            mono = " ".join(f"w{i + 1}^({h}/2)" for i, h in enumerate(orbit))
             lines.append(f"{rat_str(coeff)} * {mono}")
         else:
             raise ValueError(f"unknown kind {kind!r}")

@@ -144,7 +144,7 @@ def suite_quantum_curve(order: int, table: CorrelatorTable):
 def suite_t_rec(order: int, table: CorrelatorTable):
     """The t-coordinate form of the order-n identities, on one set of terms."""
     checks = []
-    terms = s_terms(order, 1, table) if order >= 3 else {}
+    terms = s_terms(order, 1, table)
     for n in range(3, order + 1):
         checks.append(Check("t-rec", f"n={n}", t_recursion_check(n, terms)))
     return checks

@@ -237,6 +237,7 @@ def test_cell_guards_pinned(capsys, monkeypatch, argv, expected):
         ("verify omega-rec --max-chi -1", "--max-chi must be >= 0, got -1"),
         ("verify d-lemma --max-chi -2 --max-m 0", "--max-chi must be >= 0, got -2"),
         ("verify t-rec --order -3", "--order must be >= 0, got -3"),
+        ("verify t-rec --order 2", "--order must be >= 3, got 2"),
         ("verify d-lemma --max-m -5", "--max-m must be >= 0, got -5"),
         ("verify dvv-eo --max-chi 0", "--max-chi must be >= 1, got 0"),
         ("verify omega-rec --max-chi 0", "--max-chi must be >= 1, got 0"),
@@ -260,7 +261,7 @@ def test_negative_suite_bounds_exit_2(tmp_path, capsys, monkeypatch, argv, messa
         ("sn 6", 0, "cache hits=39 misses=24\n"),
         ("sn 1", 0, "cache hits=0 misses=0\n"),
         ("verify quantum-curve --order 4", 0, "cache hits=15 misses=6\n"),
-        ("verify t-rec --order 2", 0, "cache hits=0 misses=0\n"),
+        ("verify t-rec --order 3", 0, "cache hits=4 misses=1\n"),
     ],
 )
 def test_stats_on_sn_and_verify(capsys, monkeypatch, argv, code, expected):
@@ -340,6 +341,28 @@ def test_cache_missing_file_exits_3(tmp_path, capsys):
     assert code == 3 and "cannot read" in err
 
 
+@pytest.mark.parametrize("target", ["dir", "missing_dir/x.json"])
+def test_cache_unwritable_save_path_exits_3(tmp_path, capsys, target):
+    # exit 1 is kept for a verification counterexample
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    code, out, err = run(capsys, "cache", "save", str(path), "--max-chi", "1")
+    assert (code, out) == (3, "") and err.startswith(f"cache error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [("cache", "load", "{path}"), ("correlator", "1", "1", "--cache", "{path}")], ids=["cache-load", "--cache"]
+)
+def test_cache_non_ascii_file_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # a UnicodeDecodeError is a ValueError, which would exit 2 as a domain error
+    monkeypatch.delenv("AIRYQC_CACHE", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format": "\xc3"}')
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (3, "") and err.startswith(f"cache error: cannot read {path}: 'ascii' codec can't decode")
+
+
 @pytest.mark.parametrize("via", ["--cache", "AIRYQC_CACHE"])
 def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
     missing = str(tmp_path / "nope.json")
@@ -353,7 +376,7 @@ def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
         assert (code, out) == (3, "") and f"cannot read {missing}:" in err, argv
 
 
-@pytest.mark.parametrize("argv", ["correlator 2 4", "table W 1 1", "sn 0", "sn 3", "verify t-rec --order 2"])
+@pytest.mark.parametrize("argv", ["correlator 2 4", "table W 1 1", "sn 0", "sn 3", "verify t-rec --order 3"])
 def test_main_owns_the_table(tmp_path, capsys, monkeypatch, argv):
     # main makes the one table of a command, and --stats prints one line after stdout
     monkeypatch.delenv("AIRYQC_CACHE", raising=False)
