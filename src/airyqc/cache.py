@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .core import rat_parse, rat_str
-from .correlators import CorrelatorTable, record_order
+from .correlators import CorrelatorTable
 
 __all__ = ["CacheFormatError", "FORMAT_NAME", "FORMAT_VERSION", "dumps_table", "save_table", "load_table", "loads_table"]
 
@@ -30,8 +30,13 @@ class CacheFormatError(Exception):
     """Raised when a cache file is malformed or non-canonical."""
 
 
+def record_order(g, a):
+    """Sort key of a record in the file: (2g - 2 + n, g, a)."""
+    return 2 * g - 2 + len(a), g, a
+
+
 def dumps_table(table: CorrelatorTable) -> str:
-    records = table.sorted_records()
+    records = sorted(table.items(), key=lambda item: record_order(*item[0]))
     lines = [
         "{",
         f'"format": {json.dumps(FORMAT_NAME)},',
@@ -40,7 +45,7 @@ def dumps_table(table: CorrelatorTable) -> str:
         '"records": [',
     ]
     body = []
-    for g, a, value in records:
+    for (g, a), value in records:
         body.append(json.dumps({"g": g, "a": list(a), "value": rat_str(value)}))
     lines.append(",\n".join(body))
     lines.append("]")

@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "cache":
             return _cmd_cache(args)
-        path = args.cache or os.environ.get(ENV_CACHE)
+        path = os.environ.get(ENV_CACHE) if args.cache is None else args.cache
         table = load_table(path) if path else CorrelatorTable()
         status = args.func(args, table)
         if args.stats:

@@ -139,25 +139,45 @@ def accumulate(d: dict, key, c) -> None:
         d.pop(key, None)
 
 
-def bounded_partitions(total: int, parts: int):
-    """Yield all descending tuples of `parts` non-negative integers summing
-    to `total` (partitions of `total` into at most `parts` parts, 0-padded).
+def partition_walk(total: int, parts: int, least: int):
+    """Yield (a, m) once for each descending tuple a of `parts` non-negative
+    integers that sums to `total` and whose nonzero entries are all
+    >= `least` >= 1, in the walk's order, not sorted.  The walk picks each
+    distinct part v >= least with its count c, from the largest down, on
+    an explicit stack whose nodes are a key's head, the sum and the number
+    of slots left for its tail, the cap v - 1 on the next part, and the
+    weight so far.  The weight m = (parts-k)! prod_v c_v! (2v+1)^c_v, over
+    the k nonzero entries and their distinct values v with counts c_v,
+    makes parts!/m = orbit_size(a) / prod (2a_i+1).
+
+    >>> list(partition_walk(4, 2, 1))
+    [((2, 2), 50), ((3, 1), 21), ((4, 0), 9)]
     """
-    if total < 0 or parts < 0:
-        return
+    stack = [((), total, parts, total, 1)]
+    while stack:
+        head, left, slots, cap, m = stack.pop()
+        if left == 0:
+            yield head + (0,) * slots, m * math.factorial(slots)
+            continue
+        for v in range(min(cap, left), least - 1, -1):
+            if v * slots < left:
+                break
+            w = 2 * v + 1
+            key, mv = head, m
+            for c in range(1, min(slots, left // v) + 1):
+                key += (v,)
+                mv *= c * w
+                stack.append((key, left - c * v, slots - c, v - 1, mv))
 
-    def rec(remaining, slots, cap):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for p in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - p, slots - 1, p):
-                yield (p,) + rest
-        if remaining == 0:
-            yield (0,) * slots
 
-    yield from rec(total, parts, total)
+def bounded_partitions(total: int, parts: int):
+    """All descending tuples of `parts` non-negative integers summing to
+    `total` (partitions of `total` into at most `parts` parts, 0-padded),
+    in descending order: the keys of ``partition_walk`` with least 1,
+    sorted."""
+    if parts < 0:
+        return []
+    return sorted((a for a, _ in partition_walk(total, parts, 1)), reverse=True)
 
 
 def multiset_permutations(items):

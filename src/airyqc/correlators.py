@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import _scale_exp, bounded_partitions, exact, odd_weight, rat_str, sub_multisets
+from .core import _scale_exp, bounded_partitions, exact, odd_weight, partition_walk, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -96,49 +96,20 @@ def cell_keys(g, n):
 
 def free_walk(g, n):
     """Yield (a, m) for each on-shell key a of the stable cell (g, n) with
-    no tau_1, each once: descending entries >= 2, then zeros.  The weight
-    m = (n-k)! prod_v c_v! (2v+1)^c_v, over the k entries >= 2 and their
-    distinct values v with counts c_v, makes n!/m = orbit_size(a) /
-    prod (2a_i+1).
+    no tau_1, each once, in the order of ``partition_walk`` with least 2:
+    entries >= 2, then zeros, and the weight m with
+    n!/m = orbit_size(a) / prod (2a_i+1).
 
     >>> list(free_walk(1, 4))
     [((2, 2, 0, 0), 100), ((4, 0, 0, 0), 54)]
     """
     require_stable(g, n)
-    return _walk(3 * g - 3 + n, n)
-
-
-def _walk(d, n):
-    """The walk of ``free_walk`` over the keys of sum d with n entries: it
-    picks each distinct part v >= 2 with its count c, from the largest
-    down, on an explicit stack whose nodes are a key's head, the sum and
-    the number of slots left for its tail, the cap v - 1 on the next part,
-    and the weight so far."""
-    stack = [((), d, n, d, 1)]
-    while stack:
-        head, total, slots, cap, m = stack.pop()
-        if total == 0:
-            yield head + (0,) * slots, m * math.factorial(slots)
-            continue
-        for v in range(min(cap, total), 1, -1):
-            if v * slots < total:
-                break
-            w = 2 * v + 1
-            key, mv = head, m
-            for c in range(1, min(slots, total // v) + 1):
-                key += (v,)
-                mv *= c * w
-                stack.append((key, total - c * v, slots - c, v - 1, mv))
+    return partition_walk(3 * g - 3 + n, n, 2)
 
 
 def free_keys(g, n):
     """The keys of ``free_walk``, without their weights."""
     return (a for a, _ in free_walk(g, n))
-
-
-def record_order(g, a):
-    """Sort key of a stored record: (2g - 2 + n, g, a)."""
-    return 2 * g - 2 + len(a), g, a
 
 
 def canonical_key(g, exponents):
@@ -173,10 +144,11 @@ class CorrelatorTable:
 
     Every key computed, reduced ones included, is stored, as the int
     S = 2^E(g) q^g ttau(g, a) of the module docstring; ``correlator``,
-    ``items``, ``sorted_records``, ``free_sum`` and ``dvv_rhs`` return
-    Fractions, and ``add_record`` takes one.  ``misses`` counts keys
-    computed; ``hits`` counts memo lookups that found a value, the
-    recursion's own lookups of lower keys included.
+    ``items``, ``free_sum`` and ``dvv_rhs`` return Fractions, and
+    ``add_record`` takes one; ``items`` yields the memo in no fixed order,
+    and the cache file's record order is the cache's own.  ``misses``
+    counts keys computed; ``hits`` counts memo lookups that found a value,
+    the recursion's own lookups of lower keys included.
 
     The seed <tau_1>_1 can be overridden (``tau1``, an int or a Fraction),
     which is used by mutation tests to confirm the downstream identities
@@ -307,7 +279,8 @@ class CorrelatorTable:
         """
         g, a = canonical_key(g, exponents)
         a0 = exponents[special]
-        rest = tuple(sorted(exponents[:special] + exponents[special + 1 :], reverse=True))
+        i = a.index(a0)
+        rest = a[:i] + a[i + 1 :]
         return self._fraction(g, a, self._rhs(g, a0, rest))
 
     def _rhs(self, g, a0, rest) -> int:
@@ -356,11 +329,6 @@ class CorrelatorTable:
             raise ValueError("max_chi must be >= 1")
         for g, a in shell_keys(max_chi):
             self._value(g, a)
-
-    def sorted_records(self):
-        """Memo contents as (g, a, value) sorted by (2g-2+n, g, a)."""
-        keys = sorted(self._memo, key=lambda k: record_order(*k))
-        return [(g, a, self._fraction(g, a, self._memo[(g, a)])) for g, a in keys]
 
 
 def shell_cells(min_chi: int, max_chi: int):

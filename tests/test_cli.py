@@ -376,6 +376,12 @@ def test_named_missing_cache_exits_3(tmp_path, capsys, monkeypatch, via):
         assert (code, out) == (3, "") and f"cannot read {missing}:" in err, argv
 
 
+def test_empty_cache_option_overrides_the_environment(tmp_path, capsys, monkeypatch):
+    # --cache takes precedence even when empty: it starts from an empty table
+    monkeypatch.setenv("AIRYQC_CACHE", str(tmp_path / "nope.json"))
+    assert run(capsys, "correlator", "1", "1", "--cache", "", "--stats") == (0, "1/24\n", "cache hits=1 misses=0\n")
+
+
 @pytest.mark.parametrize("argv", ["correlator 2 4", "table W 1 1", "sn 0", "sn 3", "verify t-rec --order 3"])
 def test_main_owns_the_table(tmp_path, capsys, monkeypatch, argv):
     # main makes the one table of a command, and --stats prints one line after stdout

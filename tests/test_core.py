@@ -78,6 +78,32 @@ def test_bounded_partitions():
     assert all(p == tuple(sorted(p, reverse=True)) for p in parts)
 
 
+def _recursive_partitions(total, parts):
+    # a recursive generator of the 0-padded partitions, largest part first,
+    # that shares no code with partition_walk: the oracle of the order
+    if total < 0 or parts < 0:
+        return
+
+    def rec(remaining, slots, cap):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for p in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - p, slots - 1, p):
+                yield (p,) + rest
+        if remaining == 0:
+            yield (0,) * slots
+
+    yield from rec(total, parts, total)
+
+
+def test_bounded_partitions_equal_the_recursive_generator_in_order():
+    for total in range(-1, 31):
+        for parts in range(-1, 13):
+            assert list(bounded_partitions(total, parts)) == list(_recursive_partitions(total, parts)), (total, parts)
+
+
 def test_multiset_permutations_and_orbit_size():
     perms = list(multiset_permutations((2, 1, 1, 0)))
     assert len(perms) == len(set(perms)) == orbit_size((2, 1, 1, 0)) == 12

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable
-from airyqc.core import bounded_partitions, orbit_size
+from airyqc.core import bounded_partitions, orbit_size, partition_walk
 from airyqc.correlators import cell_keys, free_keys, free_walk, shell_cells, shell_keys
 
 SEEDS = {(0, (0, 0, 0)), (1, (1,))}
@@ -196,14 +197,43 @@ def test_free_keys_are_the_tau1_free_cell_keys():
 
 
 def test_free_walk_yields_each_free_key_once_with_its_weight():
-    # free_sum weighs each key by n!/m, which must be orbit_size(a) / prod (2a_i+1)
-    for g, n in shell_cells(1, 12):
-        walk = list(free_walk(g, n))
-        keys = [a for a, _ in walk]
-        assert len(set(keys)) == len(keys), (g, n)
-        assert sorted(keys) == sorted(a for a in cell_keys(g, n) if 1 not in a), (g, n)
-        for a, m in walk:
-            assert Fraction(math.factorial(n), m) == Fraction(orbit_size(a), math.prod(2 * x + 1 for x in a)), (g, a)
+    # free_sum weighs each key by n!/m, which must be orbit_size(a) / prod (2a_i+1);
+    # the least-1 walk behind bounded_partitions carries the same weight on every cell key
+    walks = [
+        (free_walk, lambda a: 1 not in a),
+        (lambda g, n: partition_walk(3 * g - 3 + n, n, 1), lambda a: True),
+    ]
+    for walk_of, kept in walks:
+        for g, n in shell_cells(1, 12):
+            walk = list(walk_of(g, n))
+            keys = [a for a, _ in walk]
+            assert len(set(keys)) == len(keys), (g, n)
+            assert sorted(keys) == sorted(a for a in cell_keys(g, n) if kept(a)), (g, n)
+            for a, m in walk:
+                assert Fraction(math.factorial(n), m) == Fraction(orbit_size(a), math.prod(2 * x + 1 for x in a)), (g, a)
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_shell_keys_and_free_walk_orders_are_pinned():
+    # the benchmark's cli_cache workload samples its seeded commands from
+    # list(shell_keys(10)), and the memo traffic of free_sum follows the
+    # free_walk order, so neither order may move
+    shell = list(shell_keys(10))
+    assert len(shell) == 601
+    assert _digest(shell) == "33f3c19fa2aeeb62494f55fc6b928da017033615ca3711104a4f97fd93a23d34"
+    walks = [(g, n, list(free_walk(g, n))) for g, n in shell_cells(1, 12)]
+    assert _digest(walks) == "985f21034e5c32cb8a16ee92d60f18a1d07ae66ba2e2868c111ec24a18c1f2f6"
+
+
+def test_dvv_rhs_takes_any_index_as_special(table):
+    # negative indices included: special = -1 once dropped the wrong entry
+    for g, a in shell_keys(6):
+        if (g, a) not in SEEDS:
+            for i in range(-len(a), len(a)):
+                assert table.dvv_rhs(g, a, i) == table.correlator(g, a), (g, a, i)
 
 
 def test_shell_contents_chi_1():
