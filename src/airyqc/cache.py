@@ -2,12 +2,15 @@
 
 The saver writes one record per line, sorted by (2g - 2 + n, g, a), values
 in lowest terms.  The loader checks the file: format, version, count,
-record shape, each value string (``rat_parse``) and the record order.  The
-table checks keys and values (``CorrelatorTable.add_record``) against the
-shell, the seeds, earlier records and the dilaton equation, whose lower
-record a file from ``save_table`` always holds.  Version, count, g and
-every a_i must be JSON integers; a boolean (``true == 1`` in Python) is
-rejected.  It names the first bad record with its line in the saved
+record shape, each value string (``rat_parse``) and the record order.
+Before the table builds anything for a record, its shell 2g - 2 + n must
+not exceed the file's record count plus the two seeds: a computed table
+stores a key on every shell up to its largest, so a saved file is within.
+The table checks keys and values (``CorrelatorTable.add_record``) against
+the shell, the seeds, earlier records and the dilaton equation, whose
+lower record a file from ``save_table`` always holds.  Version, count, g
+and every a_i must be JSON integers; a boolean (``true == 1`` in Python)
+is rejected.  It names the first bad record with its line in the saved
 layout; a file with other whitespace or key order loads, and re-saving
 changes it.
 """
@@ -71,7 +74,7 @@ def _fail(index, message):
 def loads_table(text: str) -> CorrelatorTable:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise CacheFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise CacheFormatError("not valid JSON: nested too deeply") from None
@@ -89,6 +92,7 @@ def loads_table(text: str) -> CorrelatorTable:
         raise CacheFormatError(f"count {doc.get('count')!r} does not match {len(records)} records")
 
     table = CorrelatorTable()
+    reach = len(records) + 2
     previous = None
     for index, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"g", "a", "value"}:
@@ -96,6 +100,8 @@ def loads_table(text: str) -> CorrelatorTable:
         g, a = rec["g"], rec["a"]
         if not isinstance(a, list):
             _fail(index, f"bad exponent list {a!r}")
+        if type(g) is int and 2 * g - 2 + len(a) > reach:
+            _fail(index, f"2g - 2 + n = {2 * g - 2 + len(a)} exceeds {reach}, the file's records plus the two seeds")
         try:
             table.add_record(g, a, rat_parse(rec["value"]))
         except ValueError as exc:

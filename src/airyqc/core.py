@@ -139,21 +139,25 @@ def accumulate(d: dict, key, c) -> None:
         d.pop(key, None)
 
 
-def partition_walk(total: int, parts: int, least: int):
+def partition_walk(total: int, parts: int, least: int, zeros: bool = True):
     """Yield (a, m) once for each descending tuple a of `parts` non-negative
     integers that sums to `total` and whose nonzero entries are all
-    >= `least` >= 1, in the walk's order, not sorted.  The walk picks each
-    distinct part v >= least with its count c, from the largest down, on
-    an explicit stack whose nodes are a key's head, the sum and the number
-    of slots left for its tail, the cap v - 1 on the next part, and the
-    weight so far.  The weight m = (parts-k)! prod_v c_v! (2v+1)^c_v, over
-    the k nonzero entries and their distinct values v with counts c_v,
-    makes parts!/m = orbit_size(a) / prod (2a_i+1).
+    >= `least` >= 1 (with `zeros` false, every entry), in the walk's order,
+    not sorted.  The walk picks each distinct part v >= least with its
+    count c, from the largest down, on an explicit stack whose nodes are a
+    key's head, the sum and the number of slots left for its tail, the cap
+    v - 1 on the next part, and the weight so far; a head whose slots
+    cannot all take a part is not pushed.  The weight m = (parts-k)!
+    prod_v c_v! (2v+1)^c_v, over the k nonzero entries and their distinct
+    values v with counts c_v, makes parts!/m = orbit_size(a) / prod (2a_i+1).
 
     >>> list(partition_walk(4, 2, 1))
     [((2, 2), 50), ((3, 1), 21), ((4, 0), 9)]
+    >>> list(partition_walk(4, 2, 1, zeros=False))
+    [((2, 2), 50), ((3, 1), 21)]
     """
-    stack = [((), total, parts, total, 1)]
+    floor = 0 if zeros else least
+    stack = [((), total, parts, total, 1)] if total >= floor * parts else []
     while stack:
         head, left, slots, cap, m = stack.pop()
         if left == 0:
@@ -165,6 +169,8 @@ def partition_walk(total: int, parts: int, least: int):
             w = 2 * v + 1
             key, mv = head, m
             for c in range(1, min(slots, left // v) + 1):
+                if left - c * v < floor * (slots - c):
+                    break
                 key += (v,)
                 mv *= c * w
                 stack.append((key, left - c * v, slots - c, v - 1, mv))

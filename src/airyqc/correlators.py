@@ -94,24 +94,6 @@ def cell_keys(g, n):
     return bounded_partitions(3 * g - 3 + n, n)
 
 
-def free_walk(g, n):
-    """Yield (a, m) for each on-shell key a of the stable cell (g, n) with
-    no tau_1, each once, in the order of ``partition_walk`` with least 2:
-    entries >= 2, then zeros, and the weight m with
-    n!/m = orbit_size(a) / prod (2a_i+1).
-
-    >>> list(free_walk(1, 4))
-    [((2, 2, 0, 0), 100), ((4, 0, 0, 0), 54)]
-    """
-    require_stable(g, n)
-    return partition_walk(3 * g - 3 + n, n, 2)
-
-
-def free_keys(g, n):
-    """The keys of ``free_walk``, without their weights."""
-    return (a for a, _ in free_walk(g, n))
-
-
 def canonical_key(g, exponents):
     """Validate (g, exponents) and return the canonical sorted key.
 
@@ -144,11 +126,12 @@ class CorrelatorTable:
 
     Every key computed, reduced ones included, is stored, as the int
     S = 2^E(g) q^g ttau(g, a) of the module docstring; ``correlator``,
-    ``items``, ``free_sum`` and ``dvv_rhs`` return Fractions, and
+    ``items``, ``core_sum`` and ``dvv_rhs`` return Fractions, and
     ``add_record`` takes one; ``items`` yields the memo in no fixed order,
     and the cache file's record order is the cache's own.  ``misses``
     counts keys computed; ``hits`` counts memo lookups that found a value,
-    the recursion's own lookups of lower keys included.
+    the recursion's own lookups of lower keys included.  Besides
+    <tau_1>_1, the WKB terms read only ``core_sum``.
 
     The seed <tau_1>_1 can be overridden (``tau1``, an int or a Fraction),
     which is used by mutation tests to confirm the downstream identities
@@ -168,7 +151,7 @@ class CorrelatorTable:
     def __init__(self, *, tau1: Fraction = Fraction(1, 24)):
         tau1 = exact(tau1, "tau1")
         self._q = (24 * tau1).denominator
-        self._free_sums = {}
+        self._core_sums = {}
         self.hits = 0
         self.misses = 0
         # S of <tau_0^3>_0 = 1 and of <tau_1>_1 = tau1: 2^3 q 3!! tau1
@@ -221,25 +204,29 @@ class CorrelatorTable:
             raise ValueError(f"value {rat_str(value)!r} is not a multiple of 1/{unit}, as every value of this key is")
         self._memo[(g, key)] = s
 
-    def free_sum(self, g, n) -> Fraction:
-        """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the
-        ``free_walk`` keys a of the stable cell (g, n), once per table (the
-        memo is write-once, the seeds fixed).  That is n!/(2^E(g) q^g)
-        times sum S(a)/m(a), with m the walk's weight, so the walk adds
-        each S(a) (read by ``_value``) as S(a) * (den // m) over a running
-        common denominator den, the lcm of the weights so far, and the
-        cell makes one Fraction."""
-        total = self._free_sums.get((g, n))
+    def core_sum(self, g, l) -> Fraction:
+        """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the core
+        keys a of the stable cell (g, l), every a_i >= 2, once per table
+        (the memo is write-once, the seeds fixed).  That is l!/(2^E(g) q^g)
+        times sum S(a)/m(a), m the weight of ``partition_walk``, so the walk
+        adds each S(a) as S(a) * (den // m) over a running common
+        denominator den, the lcm of the weights so far.
+
+        >>> CorrelatorTable().core_sum(2, 1)
+        Fraction(35, 384)
+        """
+        require_stable(g, l)
+        total = self._core_sums.get((g, l))
         if total is None:
             num, den = 0, 1
-            for a, m in free_walk(g, n):
+            for a, m in partition_walk(3 * g - 3 + l, l, 2, zeros=False):
                 if den % m:
                     lcm = math.lcm(den, m)
                     num *= lcm // den
                     den = lcm
                 num += self._value(g, a) * (den // m)
-            total = Fraction(math.factorial(n) * num, den * self._q**g << _scale_exp(g))
-            self._free_sums[(g, n)] = total
+            total = Fraction(math.factorial(l) * num, den * self._q**g << _scale_exp(g))
+            self._core_sums[(g, l)] = total
         return total
 
     def _value(self, g, a) -> int:

@@ -8,20 +8,27 @@ all land on w^((3n-3)/2), and
 
     S_n = (branch)^(n+1) sum_{2g-1+k=n} Omega_{g,k}(w, ..., w) / k!
 
-where branch = +1 or -1 selects the root z = branch * sqrt(2u).  A tau_1
-carries the weight (2*1 - 1)!! = 1 and the dilaton equation removes it, so
-with m = k - l insertions left after removing l tau_1's,
+where branch = +1 or -1 selects the root z = branch * sqrt(2u).  The sum
+is [X^(n-1)] of the free energy F = sum_g F_g at t_a = (2a-1)!! x^(2a+1),
+X = x^3 = w^(3/2), and the string and dilaton equations fold F_g in
+closed form (Itzykson-Zuber, hep-th/9201001; Eguchi-Yamada-Yang,
+hep-th/9403191).  With u_0 = x (1 - 2 x^2 u_0)^(-1/2) the genus-0 string
+solution, v = u_0^3 (so X = v (1 + 2v)^(-3/2)) and y = v / (1 - v),
 
-    Omega_{g,k}(w, ..., w) = w^((6g-6+3k)/2) sum_{l=0..k} C(k, l)
-                             (2g-2+m)(2g-1+m)...(2g-3+m+l) F(g, m),
+    F_g = sum_l C(g, l) / l! * y^(2g-2+l)  (g >= 2),   F_1 = -<tau_1>_1 log(1 - v)
 
-F(g, m) the weighted sum over the tau_1-free orbits of the cell (g, m),
-summed once per table.  The base terms: (g, m) = (1, 0) contributes
-(l - 1)! <tau_1>_1, and every other unstable (g, m) contributes nothing.
-So S_n reads only tau_1-free keys, the seed <tau_1>_1, and what the DVV
-recursion needs to compute them.  With
-S_0 = branch * (2u)^(3/2) / 3, the logarithmic S_1 = log(w)/4 + const, and
-sigma_i = w^(5/2) d_w S_i (a monomial of w-degree 3i/2 for every i),
+where C(g, l) = ``CorrelatorTable.core_sum(g, l)`` sums the core keys of
+the cell (g, l), every a_i >= 2, and F_0 is universal.  Lagrange
+inversion, [X^m] H(v) = (1/m) [v^(m-1)] H'(v) (1 + 2v)^(3m/2), gives
+
+    c(m, chi) = [X^m] y^chi = (chi/m) sum_j C(m-j, chi) C(3m/2, j) 2^j.
+
+So S_n reads only the core keys, <tau_1>_1 and what the DVV recursion
+needs for them; the fold holds for any table that obeys the string and
+dilaton steps, one with an overridden seed included.
+
+With S_0 = branch * (2u)^(3/2) / 3, the logarithmic S_1 = log(w)/4 + const,
+and sigma_i = w^(5/2) d_w S_i (a monomial of w-degree 3i/2 for every i),
 substituting d_u = -2 w^2 d_w turns the order-hbar^n part of the equation,
 1/2 sum_{i+j=n} S_i' S_j' + 1/2 S_{n-1}'' - u [n=0], into 2 w^(-1) R_n with
 
@@ -47,9 +54,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import ZERO, rat_str
-from .correlators import CorrelatorTable, is_stable, require_stable
+from .correlators import CorrelatorTable, require_stable
 
 __all__ = [
     "WkbTerm",
@@ -92,34 +100,48 @@ def _check_branch(branch: int):
         raise ValueError("branch must be +1 or -1")
 
 
+@lru_cache(maxsize=None)
+def _lagrange_row(m: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """([X^m] (-log(1 - v)), (c(m, 0), ..., c(m, m))) for m >= 1, by Lagrange
+    inversion: [X^m] (-log(1 - v)) = (1/m) sum_{j<m} C(3m/2, j) 2^j, each
+    C(3m/2, j) 2^j = 3m (3m - 2) ... (3m - 2j + 2) / j! taken over m!.
+
+    >>> _lagrange_row(2)
+    (Fraction(7, 2), (Fraction(0, 1), Fraction(4, 1), Fraction(1, 1)))
+    """
+    terms = [math.factorial(m)]
+    for j in range(m):
+        terms.append(terms[-1] * (3 * m - 2 * j) // (j + 1))
+    den = m * terms[0]
+    sums = (chi * sum(math.comb(m - j, chi) * terms[j] for j in range(m - chi + 1)) for chi in range(m + 1))
+    return Fraction(sum(terms[:m]), den), tuple(Fraction(num, den) for num in sums)
+
+
 def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     """Coefficient and half-step exponent of Omega_{g,k}(w, ..., w).
 
     Homogeneity makes the diagonal a single monomial of half-step degree
-    6g - 6 + 3k.  Its coefficient is the sum over the orbits a of the cell
-    of orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g.  A tau_1 has weight
-    1, and the dilaton equation removes it, so grouping the orbits by their
-    number l of tau_1's gives, with m = k - l,
+    6g - 6 + 3k.  Its coefficient, the sum over the orbits a of the cell of
+    orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g, is k! [X^m] F_g with
+    m = 2g - 2 + k, folded as in the module docstring:
 
-        sum_{l=0..k} C(k, l) (2g-2+m)(2g-1+m)...(2g-3+m+l) F(g, m),
+        g = 0:   (k-3)! [x^(k-3)] (1 - 2x)^(-k/2) = k (k+2) ... (3k-8)
+        g = 1:   k! <tau_1>_1 [X^k] (-log(1 - v))
+        g >= 2:  k! sum_{l=1..min(k, 3g-3)} C(g, l) / l! * c(m, 2g-2+l)
 
-    where F(g, m) = ``table.free_sum(g, m)`` sums the tau_1-free orbits of
-    (g, m) alone.  The base terms: (g, m) = (1, 0) gives
-    (l - 1)! <tau_1>_1, read from the table so that an overridden seed
-    propagates, and the other unstable (g, m) are skipped, since their
-    genus-0 keys are off the shell.  Raises ValueError unless (g, k) is a
-    stable cell.
+    <tau_1>_1 is read from the table, so that an overridden seed
+    propagates.  Raises ValueError unless (g, k) is a stable cell.
     """
     require_stable(g, k)
-    total = ZERO
-    for l in range(k + 1):
-        m = k - l
-        if (g, m) == (1, 0):
-            total += math.factorial(l - 1) * table.correlator(1, (1,))
-        elif is_stable(g, m):
-            rising = math.prod(range(2 * g - 2 + m, 2 * g - 2 + m + l))
-            total += math.comb(k, l) * rising * table.free_sum(g, m)
-    return total, 6 * g - 6 + 3 * k
+    if g == 0:
+        return Fraction(math.prod(range(k, 3 * k - 7, 2))), 3 * k - 6
+    log, c = _lagrange_row(2 * g - 2 + k)
+    if g == 1:
+        total = log * table.correlator(1, (1,))
+    else:
+        ls = range(1, min(k, 3 * g - 3) + 1)
+        total = sum((table.core_sum(g, l) * c[2 * g - 2 + l] / math.factorial(l) for l in ls), ZERO)
+    return math.factorial(k) * total, 6 * g - 6 + 3 * k
 
 
 def s_term(n: int, branch: int, table: CorrelatorTable) -> WkbTerm:

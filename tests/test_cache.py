@@ -1,8 +1,19 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from airyqc import CacheFormatError, CorrelatorTable, correlator_shell, dumps_table, load_table, loads_table, save_table
+from airyqc import (
+    CacheFormatError,
+    CorrelatorTable,
+    correlator_shell,
+    dumps_table,
+    load_table,
+    loads_table,
+    quantum_curve_report,
+    save_table,
+)
+from airyqc.cli import main
 
 
 def test_round_trip_byte_identical(tmp_path):
@@ -69,6 +80,9 @@ def test_loader_rejects_unsorted():
 def test_loader_rejects_bad_json():
     with pytest.raises(CacheFormatError):
         loads_table("{not json")
+    # json.loads raises a plain ValueError past Python's int-to-str digit limit
+    with pytest.raises(CacheFormatError, match="not valid JSON: Exceeds the limit"):
+        loads_table('{"records": [{"g": ' + "9" * 5000 + "}]}")
 
 
 def test_loader_rejects_conflicting_value():
@@ -125,3 +139,40 @@ def test_loader_rejects_boolean_count():
     with pytest.raises(CacheFormatError) as err:
         loads_table(text)
     assert "count True" in str(err.value)
+
+
+@pytest.mark.parametrize("g", [20000, 60000])
+def test_loader_bounds_the_shell_before_building_the_record(tmp_path, capsys, g):
+    # the unit (2a+1)!! 2^E(g) q^g of this one record takes seconds to build,
+    # so its shell 2g - 2 + n must be refused first, from the file's size
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "airyqc-correlator-cache", "version": 1, "count": 1, '
+        f'"records": [{{"g": {g}, "a": [{3 * g - 2}], "value": "1"}}]}}'
+    )
+    start = time.perf_counter()
+    assert main(["cache", "load", str(path)]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cache error: record #0 (line 6): 2g - 2 + n = {2 * g - 1} exceeds 3, the file's records plus the two seeds\n"
+
+
+def _one_point_chain():
+    table = CorrelatorTable()
+    table.correlator(20, (58,))
+    return table
+
+
+def _quantum_curve():
+    table = CorrelatorTable()
+    quantum_curve_report(20, 1, table)
+    return table
+
+
+@pytest.mark.parametrize("make", [_one_point_chain, _quantum_curve, lambda: correlator_shell(8)], ids=["correlator 20 58", "qc 20", "shell 8"])
+def test_computed_tables_stay_within_the_shell_bound(make):
+    # a computed table stores a key on every shell up to its largest, so the
+    # shell bound of the loader never refuses a file that save_table wrote
+    text = dumps_table(make())
+    assert dumps_table(loads_table(text)) == text

@@ -258,10 +258,10 @@ def test_negative_suite_bounds_exit_2(tmp_path, capsys, monkeypatch, argv, messa
 @pytest.mark.parametrize(
     "argv, code, expected",
     [
-        ("sn 6", 0, "cache hits=39 misses=24\n"),
+        ("sn 6", 0, "cache hits=22 misses=11\n"),
         ("sn 1", 0, "cache hits=0 misses=0\n"),
-        ("verify quantum-curve --order 4", 0, "cache hits=15 misses=6\n"),
-        ("verify t-rec --order 3", 0, "cache hits=4 misses=1\n"),
+        ("verify quantum-curve --order 4", 0, "cache hits=11 misses=3\n"),
+        ("verify t-rec --order 3", 0, "cache hits=2 misses=0\n"),
     ],
 )
 def test_stats_on_sn_and_verify(capsys, monkeypatch, argv, code, expected):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable
 from airyqc.core import bounded_partitions, orbit_size, partition_walk
-from airyqc.correlators import cell_keys, free_keys, free_walk, shell_cells, shell_keys
+from airyqc.correlators import cell_keys, shell_cells, shell_keys
 
 SEEDS = {(0, (0, 0, 0)), (1, (1,))}
 
@@ -188,19 +188,25 @@ def test_long_dilaton_chain():
     assert CorrelatorTable().correlator(1, (1,) * 600) == Fraction(math.factorial(599), 24)
 
 
+def _free_walk(g, n):
+    return list(partition_walk(3 * g - 3 + n, n, 2))
+
+
 def test_free_keys_are_the_tau1_free_cell_keys():
+    # the least-2 walk yields the tau_1-free keys of a cell, and without
+    # zeros the core keys (every a_i >= 2) that core_sum reads, in its order
     for g, n in shell_cells(1, 12):
         expected = sorted(a for a in cell_keys(g, n) if 1 not in a)
-        assert sorted(free_keys(g, n)) == expected, (g, n)
-    with pytest.raises(ValueError, match="unstable"):
-        free_keys(0, 2)
+        assert sorted(a for a, _ in _free_walk(g, n)) == expected, (g, n)
+        core = [(a, m) for a, m in _free_walk(g, n) if 0 not in a]
+        assert list(partition_walk(3 * g - 3 + n, n, 2, zeros=False)) == core, (g, n)
 
 
 def test_free_walk_yields_each_free_key_once_with_its_weight():
-    # free_sum weighs each key by n!/m, which must be orbit_size(a) / prod (2a_i+1);
+    # core_sum weighs each key by n!/m, which must be orbit_size(a) / prod (2a_i+1);
     # the least-1 walk behind bounded_partitions carries the same weight on every cell key
     walks = [
-        (free_walk, lambda a: 1 not in a),
+        (_free_walk, lambda a: 1 not in a),
         (lambda g, n: partition_walk(3 * g - 3 + n, n, 1), lambda a: True),
     ]
     for walk_of, kept in walks:
@@ -219,12 +225,12 @@ def _digest(obj):
 
 def test_shell_keys_and_free_walk_orders_are_pinned():
     # the benchmark's cli_cache workload samples its seeded commands from
-    # list(shell_keys(10)), and the memo traffic of free_sum follows the
-    # free_walk order, so neither order may move
+    # list(shell_keys(10)), and the memo traffic of core_sum follows the
+    # order of the least-2 walk, so neither order may move
     shell = list(shell_keys(10))
     assert len(shell) == 601
     assert _digest(shell) == "33f3c19fa2aeeb62494f55fc6b928da017033615ca3711104a4f97fd93a23d34"
-    walks = [(g, n, list(free_walk(g, n))) for g, n in shell_cells(1, 12)]
+    walks = [(g, n, _free_walk(g, n)) for g, n in shell_cells(1, 12)]
     assert _digest(walks) == "985f21034e5c32cb8a16ee92d60f18a1d07ae66ba2e2868c111ec24a18c1f2f6"
 
 

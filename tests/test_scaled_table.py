@@ -19,7 +19,8 @@ import airyqc.correlators
 from airyqc import CorrelatorTable
 from airyqc.cli import main
 from airyqc.core import odd_weight, orbit_size, sub_multisets
-from airyqc.correlators import free_keys, is_stable, shell_cells, shell_keys
+from airyqc.correlators import cell_keys, is_stable, shell_cells, shell_keys
+from test_wkb import free_sum
 
 HALF = Fraction(1, 2)
 
@@ -96,10 +97,17 @@ def test_int_table_equals_fraction_table(tau1, max_chi):
 
 @pytest.mark.parametrize("tau1", [Fraction(1, 24), Fraction(1, 23)], ids=["1/24", "1/23"])
 def test_free_sum_equals_fraction_sum(tau1):
+    # the integer cell sums: core_sum over the core keys (every a_i >= 2),
+    # and the oracle's free_sum over the tau_1-free keys
     table, oracle = CorrelatorTable(tau1=tau1), _FractionTable(tau1)
+
+    def fraction_sum(g, n, kept):
+        keys = (a for a in cell_keys(g, n) if kept(a))
+        return sum((orbit_size(a) * odd_weight(a, -1) * oracle.value(g, a) for a in keys), Fraction(0))
+
     for g, n in shell_cells(1, 9):
-        expected = sum((orbit_size(a) * odd_weight(a, -1) * oracle.value(g, a) for a in free_keys(g, n)), Fraction(0))
-        assert table.free_sum(g, n) == expected, (g, n)
+        assert table.core_sum(g, n) == fraction_sum(g, n, lambda a: a[-1] >= 2), (g, n)
+        assert free_sum(table, g, n) == fraction_sum(g, n, lambda a: 1 not in a), (g, n)
 
 
 @pytest.fixture

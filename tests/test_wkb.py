@@ -14,6 +14,9 @@ from airyqc import (
     verify_low_orders,
     verify_order,
 )
+from airyqc.core import _scale_exp, partition_walk
+from airyqc.correlators import is_stable
+from airyqc.wkb import _lagrange_row
 
 
 def test_diag_Omega_values(table):
@@ -208,3 +211,123 @@ def test_t_rec_suite_builds_the_terms_once(table, monkeypatch):
     checks = suites.suite_t_rec(8, table)
     assert orders == [8]
     assert [c.name for c in checks] == [f"n={n}" for n in range(3, 9)] and all(c.ok for c in checks)
+
+
+# ---------------------------------------------------------------------------
+# the dilaton fold that diag_Omega ran before the Itzykson-Zuber fold, kept
+# as the oracle: every tau_1-free key of each cell, tau_0 keys included
+
+
+def free_sum(table, g, n):
+    """sum orbit_size(a) * prod (2a_i - 1)!! * <tau_a>_g over the tau_1-free
+    keys a of the stable cell (g, n): the least-2 walk, each S(a) read by
+    ``_value`` and weighted by n!/m over a running common denominator."""
+    num, den = 0, 1
+    for a, m in partition_walk(3 * g - 3 + n, n, 2):
+        if den % m:
+            lcm = math.lcm(den, m)
+            num *= lcm // den
+            den = lcm
+        num += table._value(g, a) * (den // m)
+    return F(math.factorial(n) * num, den * table._q**g << _scale_exp(g))
+
+
+def dilaton_fold_diag(g, k, table, free_sums):
+    """The coefficient of diag_Omega(g, k): removing the l tau_1's of each
+    orbit by the dilaton equation leaves, with m = k - l,
+    sum_l C(k, l) (2g-2+m)(2g-1+m)...(2g-3+m+l) F(g, m), F = ``free_sum``
+    (memoized in ``free_sums``), and the base term (l - 1)! <tau_1>_1 of
+    (g, m) = (1, 0)."""
+    total = F(0)
+    for l in range(k + 1):
+        m = k - l
+        if (g, m) == (1, 0):
+            total += math.factorial(l - 1) * table.correlator(1, (1,))
+        elif is_stable(g, m):
+            if (g, m) not in free_sums:
+                free_sums[(g, m)] = free_sum(table, g, m)
+            rising = math.prod(range(2 * g - 2 + m, 2 * g - 2 + m + l))
+            total += math.comb(k, l) * rising * free_sums[(g, m)]
+    return total
+
+
+@pytest.mark.parametrize("tau1", [F(1, 24), F(1, 23)], ids=["1/24", "1/23"])
+def test_s_term_equals_the_dilaton_fold(tau1):
+    # a mutated table obeys the string and dilaton steps it was built with,
+    # so both folds must agree on it too
+    table, oracle, free_sums = CorrelatorTable(tau1=tau1), CorrelatorTable(tau1=tau1), {}
+    for n in range(2, 25):
+        cells = [(g, n + 1 - 2 * g) for g in range(n // 2 + 1)]
+        expected = sum(dilaton_fold_diag(g, k, oracle, free_sums) / math.factorial(k) for g, k in cells)
+        assert s_term(n, 1, table).coeff == expected, n
+
+
+def test_quantum_curve_reads_only_core_keys():
+    # the dilaton fold stored 10189 keys here, every tau_1-free key of each cell
+    table = CorrelatorTable()
+    for branch in (1, -1):
+        assert quantum_curve_report(20, branch, table).passed
+    assert len(table) == 2404
+
+
+# power series in X, truncated after X^_M, as lists of Fractions
+_M = 13
+
+
+def _mul(p, q):
+    out = [F(0)] * (_M + 1)
+    for i, pi in enumerate(p):
+        for j in range(_M + 1 - i):
+            out[i + j] += pi * q[j]
+    return out
+
+
+def _binomial(alpha, s):
+    """(1 + s)^alpha for a series s with no constant term."""
+    out, power, coeff = [F(0)] * (_M + 1), [F(1)] + [F(0)] * _M, F(1)
+    for j in range(_M + 1):
+        out = [o + coeff * c for o, c in zip(out, power)]
+        power, coeff = _mul(power, s), coeff * (alpha - j) / (j + 1)
+    return out
+
+
+def _shift(s, j):
+    """X^j s."""
+    return ([F(0)] * j + s)[: _M + 1]
+
+
+def test_universal_coefficients_equal_the_series_reversion():
+    # v(X) from X = v (1 + 2v)^(-3/2) by the fixed point v = X (1 + 2v)^(3/2),
+    # one more exact coefficient per pass
+    v = [F(0)] * (_M + 1)
+    for _ in range(_M):
+        v = _shift(_binomial(F(3, 2), [2 * c for c in v]), 1)
+    y = _mul(v, _binomial(F(-1), [-c for c in v]))
+    y_powers, v_powers = [[F(1)] + [F(0)] * _M], [[F(1)] + [F(0)] * _M]
+    for _ in range(_M):
+        y_powers.append(_mul(y_powers[-1], y))
+        v_powers.append(_mul(v_powers[-1], v))
+    minus_log = [sum((v_powers[i][m] / i for i in range(1, _M + 1)), F(0)) for m in range(_M + 1)]
+    # F_0 = 1/2 int_0^{u_0} (u - I_0(u))^2 du with I_0(u) = x (1 - 2 x^2 u)^(-1/2);
+    # u = x s and r = u_0 / x = (1 + 2v)^(1/2) make it X/2 times
+    # r^3/3 - 2 sum_j (2j-1)!!/j! X^j r^(j+2)/(j+2) + sum_j 2^j X^j r^(j+1)/(j+1)
+    r = _binomial(F(1, 2), [2 * c for c in v])
+    r_powers = [[F(1)] + [F(0)] * _M]
+    for _ in range(_M + 2):
+        r_powers.append(_mul(r_powers[-1], r))
+    bracket = [c / 3 for c in r_powers[3]]
+    for j in range(_M + 1):
+        odd = F(math.prod(range(2 * j - 1, 0, -2)), math.factorial(j))
+        for i, c in enumerate(_shift(r_powers[j + 2], j)):
+            bracket[i] -= 2 * odd * c / (j + 2)
+        for i, c in enumerate(_shift(r_powers[j + 1], j)):
+            bracket[i] += F(2**j, j + 1) * c
+    genus0 = [c / 2 for c in _shift(bracket, 1)]
+    table = CorrelatorTable()
+    for m in range(1, _M + 1):
+        log, c = _lagrange_row(m)
+        assert log == minus_log[m], m
+        assert list(c) == [y_powers[chi][m] for chi in range(m + 1)], m
+        assert all(y_powers[chi][m] == 0 for chi in range(m + 1, _M + 1)), m
+        assert diag_Omega(1, m, table)[0] == math.factorial(m) * F(1, 24) * minus_log[m], m
+        assert diag_Omega(0, m + 2, table)[0] == math.factorial(m + 2) * genus0[m], m
