@@ -10,14 +10,22 @@ the correlator engine, and of its arithmetic only the scale exponent
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in the
-spectator variables z_0 ... z_{n-1}.  Every product goes through one
-routine, :func:`_mul_into`, which adds into a stratum dict in place only
-the strata z^k its caller keeps, and one certificate,
-:func:`exact_through`: f1 * f2 is exact through
-z^min(trunc_1 + val_2, trunc_2 + val_1).  ``ZSeries.__mul__`` keeps the
-strata the certificate covers; :func:`eo_W` keeps the even strata
-z^k, k <= 0, of each split product and then only the z^(-1) stratum of
-the kernel contraction, which it reads with ``ZSeries.residue``.
+spectator variables z_0 ... z_{n-1}.  Each spectator monomial
+z_0^e_0 ... z_{n-1}^e_{n-1} is one int key, sum_i e_i 2^(WIDTH i): one
+signed WIDTH-bit digit per position (:func:`pack`), so the monomial of a
+product is the sum of the keys, and keys are decoded (:func:`unpack`)
+only when ``ZSeries.residue`` reads the z^(-1) stratum.
+
+Every product goes through one routine, :func:`_mul_into`, which adds
+into a stratum dict in place only the strata z^k its caller keeps, and
+two certificates.  :func:`exact_through`: f1 * f2 is exact through
+z^min(trunc_1 + val_2, trunc_2 + val_1).  :func:`digit_bound`: each
+series carries a bound on its |e_i|, a product's is the sum of its
+factors', and ``_mul_into`` raises ValueError when that reaches the
+half-width 2^(WIDTH - 1), so no digit ever carries into its neighbour.
+``ZSeries.__mul__`` keeps the strata the first certificate covers;
+:func:`eo_W` keeps the even strata z^k, k <= 0, of each split product
+and then only the z^(-1) stratum of the kernel contraction.
 
 :func:`eo_W` runs on ints: each genus-g_i cell enters at the scale
 2^E(g_i) on which the DVV table is integral, each split is added together
@@ -28,15 +36,20 @@ shifts, so only the result is divided by 2^E(g).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import add
+from operator import lshift
 
-from .core import ZERO, _scale_exp, ordered_splits
+from .core import ZERO, _scale_exp, multiset_permutations, ordered_splits
 from .correlators import require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell
 
+WIDTH = 16  # bits per spectator digit
+_HALF = 1 << WIDTH - 1
+_MASK = (1 << WIDTH) - 1
+
 __all__ = [
     "ZSeries",
+    "pack",
+    "unpack",
     "kernel_series",
     "b02_series",
     "series_from_cell",
@@ -48,15 +61,17 @@ __all__ = [
 class ZSeries:
     """Truncated Laurent series in z over spectator Laurent polynomials.
 
-    ``terms`` maps a z-exponent to a {spectator exponent tuple: coefficient}
-    dict; ``trunc`` is the largest z-exponent through which the series is
-    exact (math.inf for exact Laurent polynomials).  The constructor drops
+    ``terms`` maps a z-exponent to a {packed spectator key: coefficient}
+    dict (see :func:`pack`); ``trunc`` is the largest z-exponent through
+    which the series is exact (math.inf for exact Laurent polynomials), and
+    ``bound`` bounds |e_i| over every spectator exponent of every key,
+    found by decoding the keys when it is not given.  The constructor drops
     zero coefficients, so the arithmetic below sums without checking.
     """
 
-    __slots__ = ("nspec", "trunc", "terms")
+    __slots__ = ("nspec", "trunc", "terms", "bound")
 
-    def __init__(self, nspec, trunc, terms=None):
+    def __init__(self, nspec, trunc, terms=None, bound=None):
         self.nspec = nspec
         self.trunc = trunc
         self.terms = {}
@@ -67,6 +82,9 @@ class ZSeries:
                 clean = {e: c for e, c in poly.items() if c}
                 if clean:
                     self.terms[k] = clean
+        if bound is None:
+            bound = max((abs(d) for poly in self.terms.values() for e in poly for d in unpack(e, nspec)), default=0)
+        self.bound = bound
 
     def valuation(self):
         """Lowest z-exponent the series can have; a series with no terms
@@ -84,35 +102,63 @@ class ZSeries:
                 tgt = out.setdefault(k, {})
                 for e, c in poly.items():
                     tgt[e] = tgt.get(e, ZERO) + c
-        return ZSeries(self.nspec, trunc, out)
+        return ZSeries(self.nspec, trunc, out, max(self.bound, other.bound))
 
     def __mul__(self, other):
         assert self.nspec == other.nspec
         trunc = exact_through(self, other)
-        return ZSeries(self.nspec, trunc, _mul_into({}, self, other, lambda k: k <= trunc))
+        terms = {}
+        bound = _mul_into(terms, self, other, lambda k: k <= trunc)
+        return ZSeries(self.nspec, trunc, terms, bound)
 
     def residue(self) -> dict:
-        """Coefficient of z^(-1) as a spectator Laurent polynomial.
+        """Coefficient of z^(-1) as a {spectator exponent tuple: coeff}
+        Laurent polynomial; the keys are decoded here, once.
 
         Raises if truncation cannot certify the z^(-1) stratum.
         """
         if self.trunc < -1:
             raise ValueError(f"series truncated at {self.trunc}, residue stratum not exact")
-        return dict(self.terms.get(-1, {}))
+        return {unpack(e, self.nspec): c for e, c in self.terms.get(-1, {}).items()}
+
+
+def pack(exps) -> int:
+    """The key sum_i e_i 2^(WIDTH i) of the spectator monomial prod z_i^e_i.
+
+    Digit i is the signed exponent of z_i, so the key of a product is the
+    sum of the keys while every digit stays below the half-width:
+
+    >>> pack((-2, 0, 3)) + pack((1, -4, 0)) == pack((-1, -4, 3))
+    True
+    """
+    if any(abs(e) >= _HALF for e in exps):
+        raise ValueError(f"exponent vector {tuple(exps)} does not fit {WIDTH}-bit signed digits")
+    return sum(e << WIDTH * i for i, e in enumerate(exps))
+
+
+def unpack(key: int, nspec: int) -> tuple:
+    """The exponent vector of ``nspec`` digits that :func:`pack` made ``key``."""
+    exps = []
+    for _ in range(nspec):
+        d = (key + _HALF & _MASK) - _HALF
+        exps.append(d)
+        key = (key - d) >> WIDTH
+    if key:
+        raise ValueError(f"key has digits beyond its {nspec} spectator positions")
+    return tuple(exps)
+
+
+def _check_positions(positions, nspec):
+    if len(set(positions)) != len(positions) or not all(0 <= p < nspec for p in positions):
+        raise ValueError(f"spectator positions {tuple(positions)} are not distinct positions in range({nspec})")
 
 
 def kernel_series(M, nspec: int) -> ZSeries:
     """1/(z (z_0^2 - z^2)) = sum_{j>=0} z^(2j-1) z_0^(-2j-2), through z^M."""
     if M < -1:
         raise ValueError("truncation must be >= -1")
-    terms = {}
-    j = 0
-    while 2 * j - 1 <= M:
-        exps = [0] * nspec
-        exps[0] = -2 * j - 2
-        terms[2 * j - 1] = {tuple(exps): 1}
-        j += 1
-    return ZSeries(nspec, M, terms)
+    top = (M + 1) // 2
+    return ZSeries(nspec, M, {2 * j - 1: {-2 * j - 2: 1} for j in range(top + 1)}, 2 * top + 2)
 
 
 def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
@@ -125,40 +171,56 @@ def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
         raise ValueError("sign must be +1 or -1")
     if M < 0:
         raise ValueError("truncation must be >= 0")
-    terms = {}
-    for m in range(M + 1):
-        exps = [0] * nspec
-        exps[i] = -m - 2
-        terms[m] = {tuple(exps): (m + 1) * sign**m}
-    return ZSeries(nspec, M, terms)
+    _check_positions((i,), nspec)
+    terms = {m: {-m - 2 << WIDTH * i: (m + 1) * sign**m} for m in range(M + 1)}
+    return ZSeries(nspec, M, terms, M + 2)
 
 
 def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0) -> ZSeries:
     """2^scale times a stable cell W(z, z_{spectators}), or W(z, -z,
     z_{spectators}) when the cell has two variables more than
-    ``spectators``, as an exact ZSeries with int coefficients; any other
-    count of active legs raises ValueError, and so does a cell coefficient
-    that 2^scale does not make an integer.  Each coefficient of the cell's
-    cached expansion is scaled and checked as it is read.  Cells are even
-    in every variable, so the sign of an active leg never matters.
+    ``spectators``, as an exact ZSeries with int coefficients.  Other
+    counts of active legs, spectator positions that are not distinct and
+    in range(nspec), and a coefficient that 2^scale does not make an
+    integer raise ValueError.  Cells are even in every variable, so the
+    sign of an active leg never matters.
     """
     spectators = tuple(spectators)
+    _check_positions(spectators, nspec)
     active = cell.nvars - len(spectators)
     if active not in (1, 2):
         raise ValueError(f"{active} active legs, expected 1 or 2")
-    terms = {}
-    for vec, coeff in cell.expand().items():
+    return _place(_flatten(cell, active, scale), spectators, nspec)
+
+
+def _flatten(cell: SparseSymPoly, active: int, scale: int):
+    """(strata, bound): 2^scale times the cell with its first ``active``
+    legs on z, as {z-exponent: {exponent tuple of the other legs: int}},
+    and a bound on |2a + 2| over every exponent a of the cell.  Each orbit
+    coefficient is scaled and checked for integrality once."""
+    strata = {}
+    for orbit, coeff in cell.orbits.items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
         if r:
             raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
-        k = -2 * (sum(vec[:active]) + active)
-        exps = [0] * nspec
-        for pos, a in zip(spectators, vec[active:]):
-            exps[pos] = -2 * a - 2
-        tgt = terms.setdefault(k, {})
-        e = tuple(exps)
-        tgt[e] = tgt.get(e, 0) + c
-    return ZSeries(nspec, math.inf, terms)
+        for vec in multiset_permutations(orbit):
+            tgt = strata.setdefault(-2 * (sum(vec[:active]) + active), {})
+            tail = vec[active:]
+            tgt[tail] = tgt.get(tail, 0) + c
+    return strata, 2 * max((orbit[0] for orbit in cell.orbits), default=-1) + 2
+
+
+def _place(flat, spectators, nspec: int) -> ZSeries:
+    """The :func:`_flatten` expansion ``flat`` with its other legs on the
+    spectator positions: the leg exponent a at position p is the digit
+    -2a - 2 of z_p."""
+    strata, bound = flat
+    shifts = [WIDTH * p for p in spectators]
+    base = -2 * sum(1 << s for s in shifts)
+    terms = {}
+    for k, poly in strata.items():
+        terms[k] = {base - 2 * sum(map(lshift, tail, shifts)): c for tail, c in poly.items()}
+    return ZSeries(nspec, math.inf, terms, bound)
 
 
 def exact_through(f1: ZSeries, f2: ZSeries):
@@ -174,27 +236,44 @@ def exact_through(f1: ZSeries, f2: ZSeries):
     return min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
 
 
-def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> dict:
+def digit_bound(f1: ZSeries, f2: ZSeries) -> int:
+    """The packing certificate: every spectator exponent of f1 * f2 is at
+    most this in absolute value, so adding keys never carries a digit into
+    its neighbour.  Raises ValueError when the bound reaches the half-width.
+
+    >>> digit_bound(kernel_series(4, 2), b02_series(1, 1, 4, 2))
+    12
+    """
+    bound = f1.bound + f2.bound
+    if bound >= _HALF:
+        raise ValueError(f"spectator exponents up to {bound} overflow the {WIDTH}-bit digits")
+    return bound
+
+
+def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> int:
     """Add the strata z^k of f1 * f2 with ``keep(k)`` true, times 2^shift,
-    into the stratum dict ``out`` in place and return it; no other stratum
-    is formed.  A nonzero ``shift`` needs int coefficients in f1.
-    Exactness is the caller's, by :func:`exact_through`."""
+    into the stratum dict ``out`` in place and return their
+    :func:`digit_bound`; no other stratum is formed.  A nonzero ``shift``
+    needs int coefficients in f1.  Exactness is the caller's, by
+    :func:`exact_through`."""
+    bound = digit_bound(f1, f2)
     for k1, p1 in f1.terms.items():
         for k2, p2 in f2.terms.items():
             k = k1 + k2
             if not keep(k):
                 continue
             tgt = out.setdefault(k, {})
+            get = tgt.get
             for e1, c1 in p1.items():
                 if shift:
                     c1 <<= shift
                 for e2, c2 in p2.items():
-                    e = tuple(map(add, e1, e2))
-                    tgt[e] = tgt.get(e, 0) + c1 * c2
-    return out
+                    e = e1 + e2
+                    tgt[e] = get(e, 0) + c1 * c2
+    return bound
 
 
-def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
+def eo_W(g: int, n: int, lower: dict, flat: dict | None = None) -> SparseSymPoly:
     """W_{g,n}(z_0, ..., z_{n-1}) by one step of the residue recursion.
 
         W_{g,n} = 1/2 res_{z=0} 1/(z (z_0^2 - z^2)) (
@@ -219,10 +298,10 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     Scale: ``inner`` holds 2^(E(g) - 1) times the even part of the
     bracket, in ints, with E = :func:`~airyqc.core._scale_exp`, so the
-    residue r is 2^E(g) W_{g,n} and each output coefficient is r / 2^E(g).
-    Each cell enters at its own scale through :func:`series_from_cell`,
-    the kernel and the W_(0,2) legs as they are, and each term is shifted
-    left by
+    residue r is 2^E(g) W_{g,n}; the symmetry check runs on these ints,
+    and each orbit's coefficient is divided by 2^E(g) once.
+    Each cell enters at its own scale, the kernel and the W_(0,2) legs as
+    they are, and each term is shifted left by
 
         E(g) - E(g-1) - 1 >= 2           the genus term,
         E(g) - E(g_1) - E(g_2) >= 0      an unordered split pair,
@@ -232,31 +311,46 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
     popcount(g/2) - 1 by E(g) = 4g - popcount(g); the base term 1/4 of
     (1, 1) is the int 2^(3 - 1) / 4 = 1.
 
+    Legs: :func:`_flatten` scales each lower cell once into ``flat``, by
+    (g_i, n_i, active legs), and :func:`_place` puts it on each leg's
+    spectator positions.  :func:`eo_shell` shares one ``flat`` between its
+    calls, which is valid only with the ``lower`` it was built from.
+
     Checks, each raising ValueError: every lower cell is integral at its
-    scale (:func:`series_from_cell`), every split product is exact through
-    z^0 and the contraction through z^(-1) (:func:`exact_through`; the
-    latter says the kernel's truncation reaches every stratum of
-    ``inner``), every exponent of the result is even and negative, and the
-    result is symmetric (``SparseSymPoly.from_expanded``).  The output has
-    the exponent-table form of ``tW_from_correlators``.
+    scale (:func:`_flatten`), every split product is exact through z^0
+    and the contraction through z^(-1) (:func:`exact_through`; the latter
+    says the kernel's truncation reaches every stratum of ``inner``), no
+    product's spectator exponents reach the digits' half-width
+    (:func:`digit_bound`), every exponent of the result is even and
+    negative, and the result is symmetric
+    (``SparseSymPoly.from_expanded``).  The output has the exponent-table
+    form of ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
     rest = list(range(1, n))
     E = _scale_exp(g)
+    flat = {} if flat is None else flat
+
+    def cell_series(gi, spectators, active):
+        key = (gi, len(spectators) + active, active)
+        if key not in flat:
+            flat[key] = _flatten(_lower_cell(lower, gi, key[1]), active, _scale_exp(gi))
+        return _place(flat[key], spectators, n)
 
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
             return b02_series(sign, A[0], M, n)
-        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, n, scale=_scale_exp(gi))
+        return cell_series(gi, A, 1)
 
-    inner = {}
+    inner, bound = {}, 0
     if (g, n) == (1, 1):
-        inner[-2] = {(0,): 1}
+        inner[-2] = {0: 1}
     elif g >= 1:
-        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, n, scale=_scale_exp(g - 1))
+        genus = cell_series(g - 1, rest, 2)
         shift = E - _scale_exp(g - 1) - 1
         inner = {k: {e: c << shift for e, c in poly.items()} for k, poly in genus.terms.items()}
+        bound = genus.bound
 
     for g1, A1, g2, A2 in ordered_splits(g, rest):
         if (g1, A1) > (g2, A2) or (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
@@ -269,29 +363,32 @@ def eo_W(g: int, n: int, lower: dict) -> SparseSymPoly:
         exact = exact_through(f1, f2)
         if exact < 0:
             raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
-        _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2, shift)
+        bound = max(bound, _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2, shift))
 
-    inner = ZSeries(n, 0, inner)
+    inner = ZSeries(n, 0, inner, bound)
     kernel = kernel_series(M, n)
     exact = exact_through(kernel, inner)
     if exact < -1:
         raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{inner.valuation()} of W_({g},{n})")
-    residue = ZSeries(n, exact, _mul_into({}, kernel, inner, lambda k: k == -1)).residue()
+    strata = {}
+    bound = _mul_into(strata, kernel, inner, lambda k: k == -1)
+    residue = ZSeries(n, exact, strata, bound).residue()
 
     terms = {}
     for exps, coeff in residue.items():
         if any(e >= 0 or e % 2 for e in exps):
             raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
-        terms[tuple((-e - 2) // 2 for e in exps)] = Fraction(coeff, 1 << E)
+        terms[tuple([(-e - 2) // 2 for e in exps])] = coeff
     try:
-        return SparseSymPoly.from_expanded(n, terms)
+        scaled = SparseSymPoly.from_expanded(n, terms)
     except ValueError as exc:
         raise ValueError(f"W_({g},{n}) failed its symmetry check: {exc}") from None
+    return SparseSymPoly(n, {a: c / (1 << E) for a, c in scaled.orbits.items()})
 
 
 def eo_shell(max_chi: int) -> dict:
     """All stable cells with 2g - 2 + n <= max_chi, computed in shell order."""
-    table = {}
+    table, flat = {}, {}
     for g, n in shell_cells(1, max_chi):
-        table[(g, n)] = eo_W(g, n, table)
+        table[(g, n)] = eo_W(g, n, table, flat)
     return table

@@ -4,6 +4,8 @@ fail here, not first in a traced benchmark run."""
 
 from pathlib import Path
 
+import pytest
+
 from airyqc import polynomials, residues, suites, wkb
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,3 +32,20 @@ def test_layer_trace_wraps_and_restores_entry_points(monkeypatch):
     for (owner, name), original in originals.items():
         assert getattr(owner, name) is original, name
     assert suites.SUITES == suite_fns
+
+
+@pytest.mark.parametrize("max_chi, cells, residue_terms", [(6, 18, 1880), (8, 28, 27325)])
+def test_layer_trace_counts_the_eo_series(monkeypatch, max_chi, cells, residue_terms):
+    # the tracer sizes each residue by the length of its stratum dicts, so
+    # the counts of the tuple-keyed series must hold for the packed ones
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layertrace import LayerTrace
+
+    trace = LayerTrace()
+    try:
+        trace.install()
+        residues.eo_shell(max_chi)
+    finally:
+        trace.uninstall()
+    counts = trace.summary()
+    assert (counts["residues.cells"], counts["residues.residue_terms"]) == (cells, residue_terms)

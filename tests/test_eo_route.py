@@ -35,7 +35,12 @@ def _patched_b02(monkeypatch, change):
 
     def patched(sign, i, M, nspec):
         s = original(sign, i, M, nspec)
-        terms = {k: dict(change(i, e, c) for e, c in p.items()) for k, p in s.terms.items()}
+
+        def term(key, c):
+            exps, c = change(i, residues.unpack(key, nspec), c)
+            return residues.pack(exps), c
+
+        terms = {k: dict(term(e, c) for e, c in p.items()) for k, p in s.terms.items()}
         return residues.ZSeries(nspec, s.trunc, terms)
 
     monkeypatch.setattr(residues, "b02_series", patched)
@@ -66,6 +71,16 @@ def test_kernel_coverage_fires(wtable6):
         residues.eo_W(1, 2, lower)
 
 
+def test_digit_certificate_fires(monkeypatch, wtable6):
+    # with a half-width of 8, the first split of W_(0,4), a W_(0,2) leg
+    # with exponents down to z_1^-10 times a W_(0,3) leg with z_i^-2, could
+    # carry a digit into its neighbour
+    monkeypatch.setattr(residues, "_HALF", 8)
+    with pytest.raises(ValueError) as err:
+        residues.eo_W(0, 4, wtable6)
+    assert str(err.value) == "spectator exponents up to 12 overflow the 16-bit digits"
+
+
 def test_series_from_cell_needs_one_or_two_active_legs():
     with pytest.raises(ValueError, match="3 active legs, expected 1 or 2"):
         residues.series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), (), 4)
@@ -73,19 +88,45 @@ def test_series_from_cell_needs_one_or_two_active_legs():
 
 def test_each_leg_is_built_once(monkeypatch, wtable6):
     # a leg (g_i, A) other than W_(0,2) does not depend on its sign, so a
-    # split and its mirror share one series
-    built = []
-    original = residues.series_from_cell
+    # split and its mirror share one series; and one eo_shell flattens each
+    # lower cell once for each count of active legs
+    placed, flattened = [], []
+    place, flatten = residues._place, residues._flatten
 
-    def counting(cell, spectators, nspec, **kw):
-        built.append((id(cell), tuple(spectators), kw["scale"]))
-        return original(cell, spectators, nspec, **kw)
+    def counting_place(flat, spectators, nspec):
+        placed.append((id(flat), tuple(spectators)))
+        return place(flat, spectators, nspec)
 
-    monkeypatch.setattr(residues, "series_from_cell", counting)
+    def counting_flatten(cell, active, scale):
+        flattened.append((id(cell), active, scale))
+        return flatten(cell, active, scale)
+
+    monkeypatch.setattr(residues, "_place", counting_place)
+    monkeypatch.setattr(residues, "_flatten", counting_flatten)
+    legs = 0
     for g, n in shell_cells(1, 6):
-        built.clear()
+        placed.clear()
         assert residues.eo_W(g, n, wtable6) == wtable6[(g, n)]
-        assert len(built) == len(set(built)), (g, n)
+        assert len(placed) == len(set(placed)), (g, n)
+        legs += len(placed)
+    assert legs
+    flattened.clear()
+    assert residues.eo_shell(6) == wtable6
+    assert flattened and len(flattened) == len(set(flattened))
+
+
+def test_spectator_positions_are_validated():
+    # a repeated or out-of-range position would pack into a wrong key
+    w03 = SparseSymPoly(3, {(0, 0, 0): 1})
+    for build in (
+        lambda: residues.b02_series(1, -1, 2, 3),
+        lambda: residues.b02_series(1, 3, 2, 3),
+        lambda: residues.series_from_cell(w03, (1, 1), 3),
+        lambda: residues.series_from_cell(w03, (1, 3), 3),
+        lambda: residues.series_from_cell(w03, (-1, 1), 3),
+    ):
+        with pytest.raises(ValueError, match="not distinct positions in range"):
+            build()
 
 
 @pytest.mark.parametrize(
@@ -117,7 +158,7 @@ def _fraction_series(cell, spectators, nspec):
         for pos, a in zip(spectators, vec[active:]):
             exps[pos] = -2 * a - 2
         tgt = terms.setdefault(k, {})
-        e = tuple(exps)
+        e = residues.pack(exps)
         tgt[e] = tgt[e] + coeff if e in tgt else coeff
     return residues.ZSeries(nspec, math.inf, terms)
 
@@ -136,7 +177,7 @@ def _fraction_eo_W(g, n, lower):
 
     inner = {}
     if (g, n) == (1, 1):
-        inner[-2] = {(0,): Fraction(1, 4)}
+        inner[-2] = {residues.pack((0,)): Fraction(1, 4)}
     elif g >= 1:
         inner = _fraction_series(lower[(g - 1, n + 1)], rest, n).terms
     for g1, A1, g2, A2 in ordered_splits(g, rest):
@@ -183,13 +224,21 @@ def _eo_s_n(n, cells):
     return total
 
 
-def _s_n_mismatches(cells, table):
-    return [n for n in range(2, 9) if _eo_s_n(n, cells) != s_term(n, 1, table).coeff]
+def _s_n_mismatches(cells, table, last=8):
+    return [n for n in range(2, last + 1) if _eo_s_n(n, cells) != s_term(n, 1, table).coeff]
 
 
 def test_quantum_curve_from_eo_cells(wtable6, table):
     # S_2 ... S_8, the quantum curve's WKB terms through hbar^7, from EO cells alone
     assert _s_n_mismatches(_eo_cells(7, wtable6), table) == []
+
+
+def test_quantum_curve_through_hbar9_from_eo_cells(wtable6, table):
+    # S_2 ... S_9, the WKB terms the order hbar^9 identity reads past S_0
+    # and S_1, from the chi 7 and 8 cells that eo_W builds on chi <= 6
+    cells = _eo_cells(8, wtable6)
+    assert sorted(set(cells) - set(wtable6)) == sorted(shell_cells(7, 8))
+    assert _s_n_mismatches(cells, table, 9) == []
 
 
 def test_quantum_curve_from_eo_cells_catches_a_doubled_base(wtable6, table):
