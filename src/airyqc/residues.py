@@ -48,8 +48,6 @@ _MASK = (1 << WIDTH) - 1
 
 __all__ = [
     "ZSeries",
-    "pack",
-    "unpack",
     "kernel_series",
     "b02_series",
     "series_from_cell",
@@ -64,26 +62,23 @@ class ZSeries:
     ``terms`` maps a z-exponent to a {packed spectator key: coefficient}
     dict (see :func:`pack`); ``trunc`` is the largest z-exponent through
     which the series is exact (math.inf for exact Laurent polynomials), and
-    ``bound`` bounds |e_i| over every spectator exponent of every key,
-    found by decoding the keys when it is not given.  The constructor drops
-    zero coefficients, so the arithmetic below sums without checking.
+    ``bound`` bounds |e_i| over every spectator exponent of every key, the
+    input of :func:`digit_bound`.  The constructor drops zero coefficients,
+    so the arithmetic below sums without checking.
     """
 
     __slots__ = ("nspec", "trunc", "terms", "bound")
 
-    def __init__(self, nspec, trunc, terms=None, bound=None):
+    def __init__(self, nspec, trunc, terms, bound):
         self.nspec = nspec
         self.trunc = trunc
         self.terms = {}
-        if terms:
-            for k, poly in terms.items():
-                if k > trunc:
-                    continue
-                clean = {e: c for e, c in poly.items() if c}
-                if clean:
-                    self.terms[k] = clean
-        if bound is None:
-            bound = max((abs(d) for poly in self.terms.values() for e in poly for d in unpack(e, nspec)), default=0)
+        for k, poly in terms.items():
+            if k > trunc:
+                continue
+            clean = {e: c for e, c in poly.items() if c}
+            if clean:
+                self.terms[k] = clean
         self.bound = bound
 
     def valuation(self):
@@ -132,7 +127,7 @@ def pack(exps) -> int:
     True
     """
     if any(abs(e) >= _HALF for e in exps):
-        raise ValueError(f"exponent vector {tuple(exps)} does not fit {WIDTH}-bit signed digits")
+        raise ValueError(f"exponent vector {tuple(exps)} does not fit the digit half-width {_HALF}")
     return sum(e << WIDTH * i for i, e in enumerate(exps))
 
 
@@ -176,7 +171,7 @@ def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
     return ZSeries(nspec, M, terms, M + 2)
 
 
-def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0) -> ZSeries:
+def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0, flats: dict | None = None) -> ZSeries:
     """2^scale times a stable cell W(z, z_{spectators}), or W(z, -z,
     z_{spectators}) when the cell has two variables more than
     ``spectators``, as an exact ZSeries with int coefficients.  Other
@@ -184,13 +179,29 @@ def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int 
     in range(nspec), and a coefficient that 2^scale does not make an
     integer raise ValueError.  Cells are even in every variable, so the
     sign of an active leg never matters.
+
+    ``flats``, a dict the caller keeps, lets one cell be placed on several
+    spectator sets but scaled and expanded (:func:`_flatten`) once: it
+    holds the expansion by (id(cell), active legs, scale) next to the cell
+    itself, whose reference keeps that id from naming another cell.  The
+    leg exponent a at spectator position p is the digit -2a - 2 of z_p.
     """
     spectators = tuple(spectators)
     _check_positions(spectators, nspec)
     active = cell.nvars - len(spectators)
     if active not in (1, 2):
         raise ValueError(f"{active} active legs, expected 1 or 2")
-    return _place(_flatten(cell, active, scale), spectators, nspec)
+    flats = {} if flats is None else flats
+    key = (id(cell), active, scale)
+    if key not in flats:
+        flats[key] = cell, _flatten(cell, active, scale)
+    strata, bound = flats[key][1]
+    shifts = [WIDTH * p for p in spectators]
+    base = -2 * sum(1 << s for s in shifts)
+    terms = {}
+    for k, poly in strata.items():
+        terms[k] = {base - 2 * sum(map(lshift, tail, shifts)): c for tail, c in poly.items()}
+    return ZSeries(nspec, math.inf, terms, bound)
 
 
 def _flatten(cell: SparseSymPoly, active: int, scale: int):
@@ -208,19 +219,6 @@ def _flatten(cell: SparseSymPoly, active: int, scale: int):
             tail = vec[active:]
             tgt[tail] = tgt.get(tail, 0) + c
     return strata, 2 * max((orbit[0] for orbit in cell.orbits), default=-1) + 2
-
-
-def _place(flat, spectators, nspec: int) -> ZSeries:
-    """The :func:`_flatten` expansion ``flat`` with its other legs on the
-    spectator positions: the leg exponent a at position p is the digit
-    -2a - 2 of z_p."""
-    strata, bound = flat
-    shifts = [WIDTH * p for p in spectators]
-    base = -2 * sum(1 << s for s in shifts)
-    terms = {}
-    for k, poly in strata.items():
-        terms[k] = {base - 2 * sum(map(lshift, tail, shifts)): c for tail, c in poly.items()}
-    return ZSeries(nspec, math.inf, terms, bound)
 
 
 def exact_through(f1: ZSeries, f2: ZSeries):
@@ -246,7 +244,7 @@ def digit_bound(f1: ZSeries, f2: ZSeries) -> int:
     """
     bound = f1.bound + f2.bound
     if bound >= _HALF:
-        raise ValueError(f"spectator exponents up to {bound} overflow the {WIDTH}-bit digits")
+        raise ValueError(f"spectator exponents up to {bound} reach the digit half-width {_HALF}")
     return bound
 
 
@@ -273,7 +271,7 @@ def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> int:
     return bound
 
 
-def eo_W(g: int, n: int, lower: dict, flat: dict | None = None) -> SparseSymPoly:
+def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSymPoly:
     """W_{g,n}(z_0, ..., z_{n-1}) by one step of the residue recursion.
 
         W_{g,n} = 1/2 res_{z=0} 1/(z (z_0^2 - z^2)) (
@@ -311,10 +309,11 @@ def eo_W(g: int, n: int, lower: dict, flat: dict | None = None) -> SparseSymPoly
     popcount(g/2) - 1 by E(g) = 4g - popcount(g); the base term 1/4 of
     (1, 1) is the int 2^(3 - 1) / 4 = 1.
 
-    Legs: :func:`_flatten` scales each lower cell once into ``flat``, by
-    (g_i, n_i, active legs), and :func:`_place` puts it on each leg's
-    spectator positions.  :func:`eo_shell` shares one ``flat`` between its
-    calls, which is valid only with the ``lower`` it was built from.
+    Legs: :func:`series_from_cell` builds each lower cell's leg with one
+    ``flats`` dict, so that each cell is scaled and expanded once however
+    many spectator sets it is placed on; :func:`eo_shell` passes one dict
+    to all its calls.  An entry names its cell by identity and holds it,
+    so a dict filled from other lower cells is never misread.
 
     Checks, each raising ValueError: every lower cell is integral at its
     scale (:func:`_flatten`), every split product is exact through z^0
@@ -330,24 +329,18 @@ def eo_W(g: int, n: int, lower: dict, flat: dict | None = None) -> SparseSymPoly
     M = 6 * g + 2 * n
     rest = list(range(1, n))
     E = _scale_exp(g)
-    flat = {} if flat is None else flat
-
-    def cell_series(gi, spectators, active):
-        key = (gi, len(spectators) + active, active)
-        if key not in flat:
-            flat[key] = _flatten(_lower_cell(lower, gi, key[1]), active, _scale_exp(gi))
-        return _place(flat[key], spectators, n)
+    flats = {} if flats is None else flats
 
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
             return b02_series(sign, A[0], M, n)
-        return cell_series(gi, A, 1)
+        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, n, scale=_scale_exp(gi), flats=flats)
 
     inner, bound = {}, 0
     if (g, n) == (1, 1):
         inner[-2] = {0: 1}
     elif g >= 1:
-        genus = cell_series(g - 1, rest, 2)
+        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, n, scale=_scale_exp(g - 1))
         shift = E - _scale_exp(g - 1) - 1
         inner = {k: {e: c << shift for e, c in poly.items()} for k, poly in genus.terms.items()}
         bound = genus.bound
@@ -388,7 +381,7 @@ def eo_W(g: int, n: int, lower: dict, flat: dict | None = None) -> SparseSymPoly
 
 def eo_shell(max_chi: int) -> dict:
     """All stable cells with 2g - 2 + n <= max_chi, computed in shell order."""
-    table, flat = {}, {}
+    table, flats = {}, {}
     for g, n in shell_cells(1, max_chi):
-        table[(g, n)] = eo_W(g, n, table, flat)
+        table[(g, n)] = eo_W(g, n, table, flats=flats)
     return table

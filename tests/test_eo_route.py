@@ -41,7 +41,8 @@ def _patched_b02(monkeypatch, change):
             return residues.pack(exps), c
 
         terms = {k: dict(term(e, c) for e, c in p.items()) for k, p in s.terms.items()}
-        return residues.ZSeries(nspec, s.trunc, terms)
+        bound = max(abs(d) for p in terms.values() for e in p for d in residues.unpack(e, nspec))
+        return residues.ZSeries(nspec, s.trunc, terms, bound)
 
     monkeypatch.setattr(residues, "b02_series", patched)
 
@@ -78,7 +79,7 @@ def test_digit_certificate_fires(monkeypatch, wtable6):
     monkeypatch.setattr(residues, "_HALF", 8)
     with pytest.raises(ValueError) as err:
         residues.eo_W(0, 4, wtable6)
-    assert str(err.value) == "spectator exponents up to 12 overflow the 16-bit digits"
+    assert str(err.value) == "spectator exponents up to 12 reach the digit half-width 8"
 
 
 def test_series_from_cell_needs_one_or_two_active_legs():
@@ -90,26 +91,23 @@ def test_each_leg_is_built_once(monkeypatch, wtable6):
     # a leg (g_i, A) other than W_(0,2) does not depend on its sign, so a
     # split and its mirror share one series; and one eo_shell flattens each
     # lower cell once for each count of active legs
-    placed, flattened = [], []
-    place, flatten = residues._place, residues._flatten
+    built, flattened = [], []
+    original, flatten = residues.series_from_cell, residues._flatten
 
-    def counting_place(flat, spectators, nspec):
-        placed.append((id(flat), tuple(spectators)))
-        return place(flat, spectators, nspec)
+    def counting(cell, spectators, nspec, **kw):
+        built.append((id(cell), tuple(spectators), kw["scale"]))
+        return original(cell, spectators, nspec, **kw)
 
     def counting_flatten(cell, active, scale):
         flattened.append((id(cell), active, scale))
         return flatten(cell, active, scale)
 
-    monkeypatch.setattr(residues, "_place", counting_place)
+    monkeypatch.setattr(residues, "series_from_cell", counting)
     monkeypatch.setattr(residues, "_flatten", counting_flatten)
-    legs = 0
     for g, n in shell_cells(1, 6):
-        placed.clear()
+        built.clear()
         assert residues.eo_W(g, n, wtable6) == wtable6[(g, n)]
-        assert len(placed) == len(set(placed)), (g, n)
-        legs += len(placed)
-    assert legs
+        assert len(built) == len(set(built)), (g, n)
     flattened.clear()
     assert residues.eo_shell(6) == wtable6
     assert flattened and len(flattened) == len(set(flattened))
@@ -127,6 +125,24 @@ def test_spectator_positions_are_validated():
     ):
         with pytest.raises(ValueError, match="not distinct positions in range"):
             build()
+
+
+def test_flats_never_serve_a_replaced_cell(wtable6):
+    # an entry names its cell by identity: a dict filled from other cells
+    # of the same shape is never read for a new one
+    flats = {}
+    one, two = SparseSymPoly(3, {(0, 0, 0): 1}), SparseSymPoly(3, {(0, 0, 0): 2})
+    first = residues.series_from_cell(one, (1, 2), 3, flats=flats)
+    second = residues.series_from_cell(two, (1, 2), 3, flats=flats)
+    assert second.terms == residues.series_from_cell(two, (1, 2), 3).terms != first.terms
+    # filled over the shell, then W_(1,1) replaced: its scale check fires
+    flats.clear()
+    for g, n in shell_cells(1, 6):
+        residues.eo_W(g, n, wtable6, flats=flats)
+    lower = dict(wtable6)
+    lower[(1, 1)] = SparseSymPoly(1, {(1,): Fraction(1, 16)})
+    with pytest.raises(ValueError, match=re.escape("coefficient 1/16 is not an integer at scale 2^3")):
+        residues.eo_W(1, 2, lower, flats=flats)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +167,7 @@ def _fraction_series(cell, spectators, nspec):
     """``series_from_cell`` with the cell's Fraction coefficients."""
     spectators = tuple(spectators)
     active = cell.nvars - len(spectators)
-    terms = {}
+    terms, bound = {}, 0
     for vec, coeff in cell.expand().items():
         k = sum(-2 * a - 2 for a in vec[:active])
         exps = [0] * nspec
@@ -160,7 +176,8 @@ def _fraction_series(cell, spectators, nspec):
         tgt = terms.setdefault(k, {})
         e = residues.pack(exps)
         tgt[e] = tgt[e] + coeff if e in tgt else coeff
-    return residues.ZSeries(nspec, math.inf, terms)
+        bound = max(bound, *map(abs, exps))
+    return residues.ZSeries(nspec, math.inf, terms, bound)
 
 
 def _fraction_eo_W(g, n, lower):
@@ -175,18 +192,19 @@ def _fraction_eo_W(g, n, lower):
             return residues.b02_series(sign, A[0], M, n)
         return _fraction_series(lower[(gi, len(A) + 1)], A, n)
 
-    inner = {}
+    inner, bound = {}, 0
     if (g, n) == (1, 1):
         inner[-2] = {residues.pack((0,)): Fraction(1, 4)}
     elif g >= 1:
-        inner = _fraction_series(lower[(g - 1, n + 1)], rest, n).terms
+        genus = _fraction_series(lower[(g - 1, n + 1)], rest, n)
+        inner, bound = genus.terms, genus.bound
     for g1, A1, g2, A2 in ordered_splits(g, rest):
         if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
             continue
         f1, f2 = leg(g1, A1, 1), leg(g2, A2, -1)
         assert residues.exact_through(f1, f2) >= 0
-        residues._mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2)
-    inner = residues.ZSeries(n, 0, inner)
+        bound = max(bound, residues._mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2))
+    inner = residues.ZSeries(n, 0, inner, bound)
     kernel = residues.kernel_series(M, n)
     assert residues.exact_through(kernel, inner) >= -1
     residue = (kernel * inner).residue()

@@ -12,7 +12,8 @@ from airyqc.residues import _HALF, pack, unpack
 
 def series(nspec, trunc, strata):
     """A ZSeries from {z-exponent: {exponent tuple: coeff}}."""
-    return ZSeries(nspec, trunc, {k: {pack(e): c for e, c in poly.items()} for k, poly in strata.items()})
+    bound = max((abs(d) for poly in strata.values() for e in poly for d in e), default=0)
+    return ZSeries(nspec, trunc, {k: {pack(e): c for e, c in poly.items()} for k, poly in strata.items()}, bound)
 
 
 def decoded(s):
@@ -219,5 +220,5 @@ def test_digit_overflow_raises(nspec, data):
     e1[data.draw(st.integers(min_value=0, max_value=nspec - 1))] = sign * d1
     e2[data.draw(st.integers(min_value=0, max_value=nspec - 1))] = sign * d2
     f1, f2 = one(nspec, 0, e1), one(nspec, 0, e2)
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match="reach the digit half-width"):
         f1 * f2
