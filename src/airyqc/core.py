@@ -2,8 +2,9 @@
 
 Every coefficient in this package is a ``fractions.Fraction``, except in the
 correlator table's memo and the EO route's series, which hold ints at the
-per-genus scale 2^E(g) of :func:`_scale_exp`; no floating point enters any
-computation anywhere.
+per-genus scale 2^E(g) of :func:`_scale_exp`, and in the sums of a
+polynomial recursion step, which are ints over one denominator per step; no
+floating point enters any computation anywhere.
 """
 
 from __future__ import annotations

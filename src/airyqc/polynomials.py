@@ -10,8 +10,9 @@ generating functions into honest polynomials):
 Both are symmetric, so they are stored one representative per exponent
 orbit: a map from the descending-sorted exponent tuple to the coefficient
 carried by *each* monomial in that orbit.  Half-integer exponents are
-stored as integer half-steps (w^(5/2) <-> 5), keeping all arithmetic in
-the rational domain.
+stored as integer half-steps (w^(5/2) <-> 5).  Cells hold Fractions; a
+recursion step reads its lower cells as ints over one common denominator
+and makes one Fraction per target coefficient.
 
 The module also implements, as executable identities, the one-step
 recursions that rebuild omega_{g,n+1} and Omega_{g,n+1} from lower cells,
@@ -40,10 +41,10 @@ would need the excluded two-point cell.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
-    ZERO,
     accumulate,
     exact,
     multiset_permutations,
@@ -157,7 +158,7 @@ class SparseSymPoly(_OrbitPoly):
 
     @staticmethod
     def _check_exponent_lattice(orbit):
-        if any(not isinstance(e, int) or e < 0 for e in orbit):
+        if any(type(e) is not int or e < 0 for e in orbit):
             raise ValueError(f"exponents must be non-negative integers, got {orbit}")
 
 
@@ -167,7 +168,7 @@ class HalfPowerPoly(_OrbitPoly):
 
     @staticmethod
     def _check_exponent_lattice(orbit):
-        if any(not isinstance(e, int) or e < 1 or e % 2 == 0 for e in orbit):
+        if any(type(e) is not int or e < 1 or e % 2 == 0 for e in orbit):
             raise ValueError(f"half-steps must be odd positive integers, got {orbit}")
 
 
@@ -351,10 +352,17 @@ def _lower_cell(lower, g, n):
 def _lower_cells(g, n, lower, s, op):
     """The lower cells of the step to (g, n+1) on the lattice s a + 1,
     fetched up front: the genus cell (g-1, n+2), the stable split pairs
-    (g_1, m+1), (g-g_1, n-m+1) as (degree, cell) pairs by m, and the
-    transfer cell (g, n) as its ``_transfer`` image under `op` (empty for
-    n = 0).  Each must be homogeneous of its ``_degree`` with every
-    exponent >= 1, so that every term of the step lands on a target orbit."""
+    (g_1, m+1), (g-g_1, n-m+1), and the transfer cell (g, n) as its
+    ``_transfer`` image under `op` (empty for n = 0).  Each must be
+    homogeneous of its ``_degree`` with every exponent >= 1, so that every
+    term of the step lands on a target orbit.
+
+    Returns (L, genus, splits, T, transfer), every value an int.  The genus
+    and split cells are read over L, the lcm of all their coefficient
+    denominators: each split cell as {(x, rest): weight(x) c L} over its
+    ``_readings``, listed as (degree, cell) pairs by m, and the genus cell
+    as {(x, y, rest): weight(x) weight(y) c L} over the readings of two
+    slots.  The transfer image is read over its own lcm T."""
 
     def fetch(h, k):
         cell = _lower_cell(lower, h, k)
@@ -365,15 +373,34 @@ def _lower_cells(g, n, lower, s, op):
             raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
         return cell
 
-    genus = fetch(g - 1, n + 2) if g >= 1 else None
-    splits = {}
+    cells = {(g - 1, n + 2): fetch(g - 1, n + 2)} if g >= 1 else {}
+    pairs = {}
     for m in range(n + 1):
         for g1 in range(g + 1):
             pair = ((g1, m + 1), (g - g1, n - m + 1))
             if all(is_stable(*cell) for cell in pair):
-                splits.setdefault(m, []).append(tuple((_degree(*cell, s), fetch(*cell)) for cell in pair))
-    transfer = _transfer(fetch(g, n), op) if n >= 1 else {}
-    return genus, splits, transfer
+                pairs.setdefault(m, []).append(pair)
+                cells.update((cell, fetch(*cell)) for cell in pair)
+    image = _transfer(fetch(g, n), op) if n >= 1 else {}
+    L = math.lcm(*(c.denominator for cell in cells.values() for c in cell.orbits.values()))
+    T = math.lcm(*(c.denominator for c in image.values()))
+    weight = _WEIGHTS[s]
+    read = {
+        key: {(x, rest): weight(x) * _over(cell.orbits[orbit], L) for orbit, x, rest in _readings(cell.orbits)}
+        for key, cell in cells.items()
+    }
+    genus = {
+        (x, y, rest): c * weight(y)
+        for (x, rest1), c in read.get((g - 1, n + 2), {}).items()
+        for _, y, rest in _readings((rest1,))
+    }
+    splits = {m: [tuple((_degree(*cell, s), read[cell]) for cell in pair) for pair in ps] for m, ps in pairs.items()}
+    return L, genus, splits, T, {key: _over(c, T) for key, c in image.items()}
+
+
+def _over(c, den):
+    """The Fraction `c` times `den`, a multiple of its denominator, as an int."""
+    return c.numerator * (den // c.denominator)
 
 
 def _targets(g, nvars, s):
@@ -382,30 +409,27 @@ def _targets(g, nvars, s):
     return _readings(tuple(s * a + 1 for a in key) for key in cell_keys(g, nvars))
 
 
-def _at(cell, exps):
-    """Coefficient of the monomial with exponents `exps`, in any order."""
-    return cell.orbits.get(tuple(sorted(exps, reverse=True)), ZERO)
-
-
 def _transfer_term(image, u, tail):
     """Sum over i of the coefficient of w_0^u w^tail in the transfer image,
     w_i carrying v: one read per distinct tail entry v, times its count."""
     return sum(tail.count(v) * c for _, v, rest in _readings((tail,)) if (c := image.get((u, v, rest))))
 
 
-def _split_term(tail, splits, weight):
-    """Sum of weight(p) weight(q) c_1(p, mu) c_2(q, nu) over the ordered
-    stable splits of the tail: each (mu, nu) from ``sub_multisets`` once
-    per position set that realizes it, and p, q fixed by the cells'
-    degrees."""
-    total = ZERO
+def _split_term(tail, splits):
+    """Sum of c_1(p, mu) c_2(q, nu) over the ordered stable splits of the
+    tail, on the reading-keyed cells of ``_lower_cells`` (weights folded
+    in): each (mu, nu) from ``sub_multisets`` once per position set that
+    realizes it, and p, q fixed by the cells' degrees."""
+    total = 0
     for mu, nu, mult in sub_multisets(tail):
-        for (deg1, cell1), (deg2, cell2) in splits.get(len(mu), ()):
-            p, q = deg1 - sum(mu), deg2 - sum(nu)
-            c1 = _at(cell1, (p,) + mu)
-            c2 = c1 and _at(cell2, (q,) + nu)
-            if c2:
-                total += mult * weight(p) * weight(q) * c1 * c2
+        pairs = splits.get(len(mu))
+        if pairs:
+            smu, snu = sum(mu), sum(nu)
+            for (deg1, cell1), (deg2, cell2) in pairs:
+                c1 = cell1.get((deg1 - smu, mu))
+                c2 = c1 and cell2.get((deg2 - snu, nu))
+                if c2:
+                    total += mult * c1 * c2
     return total
 
 
@@ -427,29 +451,31 @@ _WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
 
 def _step_values(g, n, lower, s, op):
     """The one recursion step on the lattice s a + 1: yield (orbit, e_0,
-    tail, c) for each reading (e_0, tail) of each target orbit of (g, n+1),
-    c the coefficient at (e_0, tail) of omega_{g,n+1} (s = 1), or at
-    half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1} (s = 2).
+    tail, num, den) for each reading (e_0, tail) of each target orbit of
+    (g, n+1), num/den the coefficient at (e_0, tail) of omega_{g,n+1}
+    (s = 1), or at half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1}
+    (s = 2); den = 2s L^2 T is the same for every reading.
 
-    c is 1/(2s) times the genus and split terms plus the transfer term.
-    The genus term sums weight(p) weight(q) times the genus cell at
-    (p, q, tail) over p + q = e_0 - 2s + 1, p stepping by s; the split
-    term is ``_split_term`` with the same weight; the transfer term is read
-    on w_0's exponent e_0 + s - 1 from the `op` image (``d_op`` or
-    ``_calD_dx``) of the cell (g, n).
+    The coefficient is 1/(2s) times the genus and split terms plus the
+    transfer term.  The genus term sums weight(p) weight(q) times the
+    genus cell at (p, q, tail) over p + q = e_0 - 2s + 1, p stepping by s;
+    the split term is ``_split_term``; the transfer term is read on w_0's
+    exponent e_0 + s - 1 from the `op` image (``d_op`` or ``_calD_dx``) of
+    the cell (g, n).  All three are int sums over the scales L^2, L and T
+    of ``_lower_cells``.
     """
     nvars = n + 1
     require_stable(g, nvars)
     if (g, nvars) in ((0, 3), (1, 1)):
         raise ValueError(f"({g}, {nvars}) is a seeded base cell, not a recursion target")
-    genus, splits, transfer = _lower_cells(g, n, lower, s, op)
-    weight = _WEIGHTS[s]
+    L, genus, splits, T, transfer = _lower_cells(g, n, lower, s, op)
+    scale = 2 * s * L * L
     for orbit, e0, tail in _targets(g, nvars, s):
-        total = _split_term(tail, splits, weight)
-        if genus is not None:
+        total = _split_term(tail, splits)
+        if genus:
             pq = e0 - 2 * s + 1
-            total += sum(weight(p) * weight(pq - p) * _at(genus, (p, pq - p) + tail) for p in range(1, pq, s))
-        yield orbit, e0, tail, total / (2 * s) + _transfer_term(transfer, e0 + s - 1, tail)
+            total += L * sum(genus.get((p, pq - p, tail), 0) for p in range(1, pq, s))
+        yield orbit, e0, tail, T * total + scale * _transfer_term(transfer, e0 + s - 1, tail), scale * T
 
 
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -465,7 +491,7 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     ``d_op``.  Symmetry in w_1..w_n is manifest; symmetry of w_0 against
     w_i is checked on every full target orbit.
     """
-    values = ((orbit, c) for orbit, _, _, c in _step_values(g, n, lower, 1, d_op))
+    values = ((orbit, Fraction(num, den)) for orbit, _, _, num, den in _step_values(g, n, lower, 1, d_op))
     return _symmetric(SparseSymPoly, n + 1, values)
 
 
@@ -482,8 +508,9 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
     ``_calD_dx``, spread over the permutations of w_1..w_n.
     """
     out = {}
-    for _, k, tail, c in _step_values(g, n, lower, 2, _calD_dx):
-        if c:
+    for _, k, tail, num, den in _step_values(g, n, lower, 2, _calD_dx):
+        if num:
+            c = Fraction(num, den)
             for perm in multiset_permutations(tail):
                 out[(k - 2,) + perm] = c
     return out
@@ -494,7 +521,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     term, orbit-wise: w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each (k, tail)
     reading of a full orbit, and all readings of an orbit must agree (the
     symmetry of w_0 against w_i)."""
-    values = ((orbit, c * Fraction(2, k)) for orbit, k, _, c in _step_values(g, n, lower, 2, _calD_dx))
+    values = ((orbit, Fraction(2 * num, k * den)) for orbit, k, _, num, den in _step_values(g, n, lower, 2, _calD_dx))
     return _symmetric(HalfPowerPoly, n + 1, values)
 
 

@@ -8,7 +8,7 @@ the acceptance tests drive these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import rat_str
 from .correlators import CorrelatorTable, shell_cells
@@ -39,12 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class Check:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "suite name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         if self.ok:

@@ -52,7 +52,7 @@ plus branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,22 +72,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WkbTerm:
-    """One S_n: a single w-monomial, or the logarithmic n = 1 slot.
+class WkbTerm(namedtuple("WkbTerm", "n branch kind coeff halfsteps", defaults=(None,))):
+    """One S_n: a single w-monomial (``kind`` "monomial"), or the
+    logarithmic n = 1 slot (``kind`` "log").
 
-    For monomials ``coeff`` already carries the branch dressing and
-    ``halfsteps`` is the w-exponent in half-steps (S_2 on the plus branch
+    For monomials ``coeff`` (a Fraction) already carries the branch dressing
+    and ``halfsteps`` is the w-exponent in half-steps (S_2 on the plus branch
     is coeff 5/24, halfsteps 3, i.e. (5/24) w^(3/2) = 5/(24 z^3)).  For the
-    log term ``coeff`` is the coefficient of log(w); the additive constant
-    never enters any checked identity.
+    log term ``coeff`` is the coefficient of log(w), ``halfsteps`` is None,
+    and the additive constant never enters any checked identity.
     """
 
-    n: int
-    branch: int
-    kind: str  # "monomial" | "log"
-    coeff: Fraction
-    halfsteps: int | None = None
+    __slots__ = ()
 
     def text(self) -> str:
         if self.kind == "log":
@@ -240,13 +236,11 @@ def t_recursion_check(n: int, terms: dict) -> bool:
 # ---------------------------------------------------------------------------
 # the aggregated report
 
-@dataclass
-class QuantumCurveReport:
-    """Per-order residuals of the quantum curve equation through hbar^N."""
+class QuantumCurveReport(namedtuple("QuantumCurveReport", "max_order branch residuals")):
+    """Per-order residuals of the quantum curve equation through hbar^N:
+    ``residuals`` lists (order, rendered residual string) pairs."""
 
-    max_order: int
-    branch: int
-    residuals: list  # [(order, rendered residual string)]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

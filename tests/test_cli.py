@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +448,14 @@ def test_deterministic_output(capsys):
     first = run(capsys, "table", "W", "2", "2")
     second = run(capsys, "table", "W", "2", "2")
     assert first == second
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI process pays for what ``import airyqc.cli`` loads
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, airyqc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

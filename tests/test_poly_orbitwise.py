@@ -140,6 +140,20 @@ def test_expanded_oracle_sees_the_recursion(table):
         assert Omega[(g, n1)] == Omega_from_correlators(g, n1, table), (g, n1)
 
 
+def test_step_denominators_are_a_true_lcm(lower_cells):
+    # each lower cell over its own prime denominator >= 5: a step that reads
+    # its cells over anything short of the lcm of all their denominators, or
+    # the transfer image without its own, drops a term.  Omega_step_dw0 does
+    # not symmetrize, so the rescaled cells need not give a symmetric target.
+    primes = (p for p in range(5, 1000) if all(p % d for d in range(2, p)))
+    Omega = {
+        cell: HalfPowerPoly(cell[1], {o: c * F(3, p) for o, c in poly.orbits.items()})
+        for (cell, poly), p in zip(lower_cells[1].items(), primes)
+    }
+    for g, n1 in STEP_CELLS:
+        assert Omega_step_dw0(g, n1 - 1, Omega) == _expanded_Omega_step_dw0(g, n1 - 1, Omega), (g, n1)
+
+
 # --- the w_0 against w_i symmetry check inside the steps -------------------------
 
 

@@ -99,6 +99,14 @@ def test_halfpower_lattice_enforced():
         HalfPowerPoly(1, {(-1,): F(1)})
 
 
+def test_orbit_polys_reject_boolean_exponents():
+    # bool is an int subclass: True would render as w1^(True/2)
+    with pytest.raises(ValueError, match="half-steps must be odd positive integers"):
+        HalfPowerPoly(1, {(True,): F(1, 3)})
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        SparseSymPoly(2, {(True, False): F(1)})
+
+
 # --- transfer operators ---------------------------------------------------
 
 def test_d_op_monomials():
