@@ -349,6 +349,11 @@ def _lower_cell(lower, g, n):
         raise ValueError(f"missing lower cell ({g}, {n})") from None
 
 
+# weight(p) of a lower-cell slot w^(p/s) in the step on the lattice s a + 1:
+# 1 for omega, and p for Omega, from d_w w^(p/2) = (p/2) w^((p-2)/2)
+_WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
+
+
 def _lower_cells(g, n, lower, s, op):
     """The lower cells of the step to (g, n+1) on the lattice s a + 1,
     fetched up front: the genus cell (g-1, n+2), the stable split pairs
@@ -442,11 +447,6 @@ def _symmetric(cls, nvars, values):
         if orbits.setdefault(orbit, c) != c:
             raise ValueError(f"terms are not symmetric on orbit {orbit}")
     return cls(nvars, orbits)
-
-
-# weight(p) of a lower-cell slot w^(p/s) in the step on the lattice s a + 1:
-# 1 for omega, and p for Omega, from d_w w^(p/2) = (p/2) w^((p-2)/2)
-_WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
 
 
 def _step_values(g, n, lower, s, op):
