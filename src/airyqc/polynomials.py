@@ -30,10 +30,11 @@ step on the exponent lattice s a + 1, s = 1 for omega and s = 2 half-steps
 for Omega; the degree, the pair weight, the 1/(2s) scale and where the
 transfer term is read all follow from s.  The step computes one
 coefficient per target w_0 exponent and descending tail on w_1..w_n,
-reading the lower cells by orbit.  Symmetry in w_1..w_n is then manifest;
-the steps check symmetry of w_0 against w_i by comparing every reading of
-each full target orbit.  One slot map 2 w^(3/2) d_w takes Omega to omega
-monomials, orbit to orbit.
+reading the lower cells by orbit and its split term from one forward
+product per step over the readings of each split pair.  Symmetry in
+w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i
+by comparing every reading of each full target orbit.  One slot map
+2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -44,15 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import (
-    accumulate,
-    exact,
-    multiset_permutations,
-    odd_weight,
-    orbit_size,
-    rat_str,
-    sub_multisets,
-)
+from .core import accumulate, exact, multiset_permutations, odd_weight, orbit_size, rat_str
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -365,7 +358,7 @@ def _lower_cells(g, n, lower, s, op):
     Returns (L, genus, splits, T, transfer), every value an int.  The genus
     and split cells are read over L, the lcm of all their coefficient
     denominators: each split cell as {(x, rest): weight(x) c L} over its
-    ``_readings``, listed as (degree, cell) pairs by m, and the genus cell
+    ``_readings``, listed as (cell_1, cell_2) pairs, and the genus cell
     as {(x, y, rest): weight(x) weight(y) c L} over the readings of two
     slots.  The transfer image is read over its own lcm T."""
 
@@ -379,12 +372,12 @@ def _lower_cells(g, n, lower, s, op):
         return cell
 
     cells = {(g - 1, n + 2): fetch(g - 1, n + 2)} if g >= 1 else {}
-    pairs = {}
+    pairs = []
     for m in range(n + 1):
         for g1 in range(g + 1):
             pair = ((g1, m + 1), (g - g1, n - m + 1))
             if all(is_stable(*cell) for cell in pair):
-                pairs.setdefault(m, []).append(pair)
+                pairs.append(pair)
                 cells.update((cell, fetch(*cell)) for cell in pair)
     image = _transfer(fetch(g, n), op) if n >= 1 else {}
     L = math.lcm(*(c.denominator for cell in cells.values() for c in cell.orbits.values()))
@@ -399,7 +392,7 @@ def _lower_cells(g, n, lower, s, op):
         for (x, rest1), c in read.get((g - 1, n + 2), {}).items()
         for _, y, rest in _readings((rest1,))
     }
-    splits = {m: [tuple((_degree(*cell, s), read[cell]) for cell in pair) for pair in ps] for m, ps in pairs.items()}
+    splits = [(read[cell1], read[cell2]) for cell1, cell2 in pairs]
     return L, genus, splits, T, {key: _over(c, T) for key, c in image.items()}
 
 
@@ -420,22 +413,28 @@ def _transfer_term(image, u, tail):
     return sum(tail.count(v) * c for _, v, rest in _readings((tail,)) if (c := image.get((u, v, rest))))
 
 
-def _split_term(tail, splits):
-    """Sum of c_1(p, mu) c_2(q, nu) over the ordered stable splits of the
-    tail, on the reading-keyed cells of ``_lower_cells`` (weights folded
-    in): each (mu, nu) from ``sub_multisets`` once per position set that
-    realizes it, and p, q fixed by the cells' degrees."""
-    total = 0
-    for mu, nu, mult in sub_multisets(tail):
-        pairs = splits.get(len(mu))
-        if pairs:
-            smu, snu = sum(mu), sum(nu)
-            for (deg1, cell1), (deg2, cell2) in pairs:
-                c1 = cell1.get((deg1 - smu, mu))
-                c2 = c1 and cell2.get((deg2 - snu, nu))
-                if c2:
-                    total += mult * c1 * c2
-    return total
+def _split_table(splits):
+    """The split term of every tail, {tail: sum of mult c_1 c_2}, as one
+    forward product of the split pairs of ``_lower_cells``: each reading
+    (p, mu) of the first cell times each (q, nu) of the second, on the
+    tail mu + nu with mult = prod_v C(count of v in it, count of v in mu),
+    the position sets realizing mu.  The cells are homogeneous, so p and
+    q follow from mu and nu, and no product read is zero.
+
+    >>> _split_table([({(1, (1,)): 2}, {(3, (1,)): 5, (1, (3,)): 7})])
+    {(1, 1): 20, (3, 1): 14}
+    """
+    table = {}
+    for cell1, cell2 in splits:
+        for (_, mu), c1 in cell1.items():
+            shared = set(mu).intersection
+            for (_, nu), c2 in cell2.items():
+                tail = tuple(sorted(mu + nu, reverse=True))
+                mult = 1
+                for v in shared(nu):
+                    mult *= math.comb(tail.count(v), mu.count(v))
+                table[tail] = table.get(tail, 0) + mult * c1 * c2
+    return table
 
 
 def _symmetric(cls, nvars, values):
@@ -459,19 +458,20 @@ def _step_values(g, n, lower, s, op):
     The coefficient is 1/(2s) times the genus and split terms plus the
     transfer term.  The genus term sums weight(p) weight(q) times the
     genus cell at (p, q, tail) over p + q = e_0 - 2s + 1, p stepping by s;
-    the split term is ``_split_term``; the transfer term is read on w_0's
-    exponent e_0 + s - 1 from the `op` image (``d_op`` or ``_calD_dx``) of
-    the cell (g, n).  All three are int sums over the scales L^2, L and T
-    of ``_lower_cells``.
+    the split term is the tail's entry in the forward product
+    ``_split_table``; the transfer term is read on w_0's exponent e_0 + s - 1
+    from the `op` image (``d_op`` or ``_calD_dx``) of the cell (g, n).  All
+    three are int sums over the scales L^2, L and T of ``_lower_cells``.
     """
     nvars = n + 1
     require_stable(g, nvars)
     if (g, nvars) in ((0, 3), (1, 1)):
         raise ValueError(f"({g}, {nvars}) is a seeded base cell, not a recursion target")
     L, genus, splits, T, transfer = _lower_cells(g, n, lower, s, op)
+    split = _split_table(splits)
     scale = 2 * s * L * L
     for orbit, e0, tail in _targets(g, nvars, s):
-        total = _split_term(tail, splits)
+        total = split.get(tail, 0)
         if genus:
             pq = e0 - 2 * s + 1
             total += L * sum(genus.get((p, pq - p, tail), 0) for p in range(1, pq, s))

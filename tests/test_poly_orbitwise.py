@@ -27,8 +27,9 @@ from airyqc import (
     omega_from_correlators,
     omega_step,
 )
-from airyqc.core import HALF, accumulate, ordered_splits
+from airyqc.core import HALF, accumulate, ordered_splits, sub_multisets
 from airyqc.correlators import is_stable, shell_cells
+from airyqc.polynomials import _calD_dx, _degree, _lower_cells, _split_table, _targets
 from airyqc.suites import suite_Omega_rec, suite_omega_rec
 
 # --- the expanded steps ------------------------------------------------------
@@ -154,6 +155,49 @@ def test_step_denominators_are_a_true_lcm(lower_cells):
         assert Omega_step_dw0(g, n1 - 1, Omega) == _expanded_Omega_step_dw0(g, n1 - 1, Omega), (g, n1)
 
 
+# --- the split table against the per-tail walk it replaced ----------------------
+
+
+def _walk_split_term(tail, splits):
+    # the split term of one tail read the way the steps once read it: each
+    # (mu, nu) from sub_multisets with its count, then both cells of every
+    # pair of len(mu) at the readings (deg_1 - |mu|, mu) and (deg_2 - |nu|, nu)
+    total = 0
+    for mu, nu, mult in sub_multisets(tail):
+        for (deg1, cell1), (deg2, cell2) in splits.get(len(mu), ()):
+            c1 = cell1.get((deg1 - sum(mu), mu))
+            c2 = c1 and cell2.get((deg2 - sum(nu), nu))
+            if c2:
+                total += mult * c1 * c2
+    return total
+
+
+def test_split_table_equals_the_sub_multiset_walk(table):
+    for s, op, build in ((1, d_op, omega_from_correlators), (2, _calD_dx, Omega_from_correlators)):
+        lower = {cell: build(*cell, table) for cell in shell_cells(1, 9)}
+        for g, n1 in shell_cells(1, 10):
+            if (g, n1) in ((0, 3), (1, 1)):
+                continue
+            n = n1 - 1
+            splits = _lower_cells(g, n, lower, s, op)[2]
+            # _lower_cells lists its stable pairs by m, then by g_1
+            pairs = [
+                ((g1, m + 1), (g - g1, n - m + 1))
+                for m in range(n + 1)
+                for g1 in range(g + 1)
+                if is_stable(g1, m + 1) and is_stable(g - g1, n - m + 1)
+            ]
+            assert len(pairs) == len(splits)
+            by_m = {}
+            for (cell1, cell2), (read1, read2) in zip(pairs, splits):
+                by_m.setdefault(cell1[1] - 1, []).append(((_degree(*cell1, s), read1), (_degree(*cell2, s), read2)))
+            split = _split_table(splits)
+            tails = {tail for _, _, tail in _targets(g, n1, s)}
+            assert set(split) <= tails, (s, g, n1)
+            for tail in tails:
+                assert split.get(tail, 0) == _walk_split_term(tail, by_m), (s, g, n1, tail)
+
+
 # --- the w_0 against w_i symmetry check inside the steps -------------------------
 
 
@@ -196,6 +240,14 @@ def test_recursion_suites_reach_chi_9():
     for suite in (suite_omega_rec, suite_Omega_rec):
         checks = suite(9, table)
         assert len(checks) == len(list(shell_cells(1, 9)))
+        assert all(c.ok for c in checks), [c.line() for c in checks if not c.ok]
+
+
+def test_recursion_suites_reach_chi_11():
+    table = CorrelatorTable()
+    for suite in (suite_omega_rec, suite_Omega_rec):
+        checks = suite(11, table)
+        assert len(checks) == len(list(shell_cells(1, 11)))
         assert all(c.ok for c in checks), [c.line() for c in checks if not c.ok]
 
 
