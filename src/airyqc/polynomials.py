@@ -11,8 +11,8 @@ Both are symmetric, so they are stored one representative per exponent
 orbit: a map from the descending-sorted exponent tuple to the coefficient
 carried by *each* monomial in that orbit.  Half-integer exponents are
 stored as integer half-steps (w^(5/2) <-> 5).  Cells hold Fractions; a
-recursion step reads its lower cells as ints over one common denominator
-and makes one Fraction per target coefficient.
+recursion step reads all its lower cells as ints over one common
+denominator L and makes one Fraction per target coefficient.
 
 The module also implements, as executable identities, the one-step
 recursions that rebuild omega_{g,n+1} and Omega_{g,n+1} from lower cells,
@@ -25,13 +25,13 @@ that encode the contribution of the two-point function to the recursion.
 ``d_op`` is the only code that knows D's weights and ``calD_op`` the only
 code that knows calD's range: the steps, ``d_bridge_holds`` and
 ``verify_d_lemma`` all apply them, the first two through one orbit-wise
-image (``_transfer``) of the transfer cell.  Both recursions are one
-step on the exponent lattice s a + 1, s = 1 for omega and s = 2 half-steps
-for Omega; the degree, the pair weight, the 1/(2s) scale and where the
-transfer term is read all follow from s.  The step computes one
-coefficient per target w_0 exponent and descending tail on w_1..w_n,
-reading the lower cells by orbit and its split term from one forward
-product per step over the readings of each split pair.  Symmetry in
+image (``_transfer``) of the int-read transfer cell.  Both recursions
+are one step on the exponent lattice s a + 1, s = 1 for omega and s = 2
+half-steps for Omega; the degree, the pair weight and the 1/(2s) scale
+follow from s.  Every lower cell is homogeneous, so each descending tail
+on w_1..w_n fixes w_0's exponent, and the step adds its genus readings,
+its split products and its transfer image forward into one {tail: int}
+table over L^2, read once per target orbit.  Symmetry in
 w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i
 by comparing every reading of each full target orbit.  One slot map
 2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
@@ -292,8 +292,8 @@ def verify_d_lemma(m: int) -> bool:
 
 
 def _calD_dx(f):
-    """calD_{u,v} d_x on a half-step dict, d_x x^(h/2) = (h/2) x^((h-2)/2)."""
-    return calD_op({h - 2: c * h / 2 for h, c in f.items()})
+    """calD_{u,v} 2 d_x on a half-step dict, 2 d_x x^(h/2) = h x^((h-2)/2)."""
+    return calD_op({h - 2: h * c for h, c in f.items()})
 
 
 def _readings(orbits):
@@ -305,14 +305,15 @@ def _readings(orbits):
                 yield orbit, e0, orbit[:i] + orbit[i + 1 :]
 
 
-def _transfer(cell, op):
+def _transfer(cell, op, L):
     """op_{w_0, w_i} (``d_op`` or ``_calD_dx``) on slot 0 of the orbit-stored
-    cell, run once per spectator tail: {(u, v, rest): c}, c the coefficient
-    of w_0^u w_i^v w^rest, rest descending on the spectators in any order.
-    The cell is symmetric, so the image does not depend on i."""
+    cell read as ints over L, run once per spectator tail: {(u, v, rest): c},
+    c/L the coefficient of w_0^u w_i^v w^rest, rest descending on the
+    spectators in any order.  The cell is symmetric, so the image does not
+    depend on i."""
     tails = {}
     for orbit, x, tail in _readings(cell.orbits):
-        tails.setdefault(tail, {})[x] = cell.orbits[orbit]
+        tails.setdefault(tail, {})[x] = _over(cell.orbits[orbit], L)
     return {(u, v, tail): c for tail, f in tails.items() for (u, v), c in op(f).items()}
 
 
@@ -350,17 +351,16 @@ _WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
 def _lower_cells(g, n, lower, s, op):
     """The lower cells of the step to (g, n+1) on the lattice s a + 1,
     fetched up front: the genus cell (g-1, n+2), the stable split pairs
-    (g_1, m+1), (g-g_1, n-m+1), and the transfer cell (g, n) as its
-    ``_transfer`` image under `op` (empty for n = 0).  Each must be
-    homogeneous of its ``_degree`` with every exponent >= 1, so that every
-    term of the step lands on a target orbit.
+    (g_1, m+1), (g-g_1, n-m+1), and the transfer cell (g, n) (none for
+    n = 0).  Each must be homogeneous of its ``_degree`` with every
+    exponent >= 1, so that every term of the step lands on a target orbit.
 
-    Returns (L, genus, splits, T, transfer), every value an int.  The genus
-    and split cells are read over L, the lcm of all their coefficient
-    denominators: each split cell as {(x, rest): weight(x) c L} over its
-    ``_readings``, listed as (cell_1, cell_2) pairs, and the genus cell
-    as {(x, y, rest): weight(x) weight(y) c L} over the readings of two
-    slots.  The transfer image is read over its own lcm T."""
+    Returns (L, genus, splits, image), L the lcm of the coefficient
+    denominators of all these cells and every value an int over L: each
+    split cell as {(x, rest): weight(x) c L} over its ``_readings``, listed
+    as (cell_1, cell_2) pairs, the genus cell as (rest, weight(x) weight(y)
+    c L) over the readings (x, y, rest) of two slots, and the transfer cell
+    as its ``_transfer`` image under `op`."""
 
     def fetch(h, k):
         cell = _lower_cell(lower, h, k)
@@ -379,21 +379,17 @@ def _lower_cells(g, n, lower, s, op):
             if all(is_stable(*cell) for cell in pair):
                 pairs.append(pair)
                 cells.update((cell, fetch(*cell)) for cell in pair)
-    image = _transfer(fetch(g, n), op) if n >= 1 else {}
-    L = math.lcm(*(c.denominator for cell in cells.values() for c in cell.orbits.values()))
-    T = math.lcm(*(c.denominator for c in image.values()))
+    transfer = [fetch(g, n)] if n >= 1 else []
+    L = math.lcm(*(c.denominator for cell in [*cells.values(), *transfer] for c in cell.orbits.values()))
     weight = _WEIGHTS[s]
     read = {
         key: {(x, rest): weight(x) * _over(cell.orbits[orbit], L) for orbit, x, rest in _readings(cell.orbits)}
         for key, cell in cells.items()
     }
-    genus = {
-        (x, y, rest): c * weight(y)
-        for (x, rest1), c in read.get((g - 1, n + 2), {}).items()
-        for _, y, rest in _readings((rest1,))
-    }
+    genus_read = read.get((g - 1, n + 2), {}).items()
+    genus = [(rest, c * weight(y)) for (_, tail), c in genus_read for _, y, rest in _readings((tail,))]
     splits = [(read[cell1], read[cell2]) for cell1, cell2 in pairs]
-    return L, genus, splits, T, {key: _over(c, T) for key, c in image.items()}
+    return L, genus, splits, _transfer(transfer[0], op, L) if transfer else {}
 
 
 def _over(c, den):
@@ -405,12 +401,6 @@ def _targets(g, nvars, s):
     """The ``_readings`` of the target orbits of (g, nvars): each ``cell_keys``
     a as (s a_i + 1), the builders' map for omega (1) and Omega (2)."""
     return _readings(tuple(s * a + 1 for a in key) for key in cell_keys(g, nvars))
-
-
-def _transfer_term(image, u, tail):
-    """Sum over i of the coefficient of w_0^u w^tail in the transfer image,
-    w_i carrying v: one read per distinct tail entry v, times its count."""
-    return sum(tail.count(v) * c for _, v, rest in _readings((tail,)) if (c := image.get((u, v, rest))))
 
 
 def _split_table(splits):
@@ -453,29 +443,31 @@ def _step_values(g, n, lower, s, op):
     tail, num, den) for each reading (e_0, tail) of each target orbit of
     (g, n+1), num/den the coefficient at (e_0, tail) of omega_{g,n+1}
     (s = 1), or at half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1}
-    (s = 2); den = 2s L^2 T is the same for every reading.
+    (s = 2); den = 2s L^2 is the same for every reading.
 
     The coefficient is 1/(2s) times the genus and split terms plus the
-    transfer term.  The genus term sums weight(p) weight(q) times the
-    genus cell at (p, q, tail) over p + q = e_0 - 2s + 1, p stepping by s;
-    the split term is the tail's entry in the forward product
-    ``_split_table``; the transfer term is read on w_0's exponent e_0 + s - 1
-    from the `op` image (``d_op`` or ``_calD_dx``) of the cell (g, n).  All
-    three are int sums over the scales L^2, L and T of ``_lower_cells``.
+    transfer term, all added into the one {tail: int} table of
+    ``_split_table``, which holds 2s L^2 times each coefficient: each genus
+    reading (p, q, tail) times L, and each entry (u, v, rest) of the `op`
+    image of the cell (g, n), over L for ``d_op`` and over 2L for the 2 d_x
+    of ``_calD_dx``, times 2L on the tail rest + v, once per w_i carrying v.
+    The lower cells are homogeneous, so each tail fixes e_0 = p + q + 2s - 1
+    = u - s + 1 and no term reads it.
     """
     nvars = n + 1
     require_stable(g, nvars)
     if (g, nvars) in ((0, 3), (1, 1)):
         raise ValueError(f"({g}, {nvars}) is a seeded base cell, not a recursion target")
-    L, genus, splits, T, transfer = _lower_cells(g, n, lower, s, op)
-    split = _split_table(splits)
-    scale = 2 * s * L * L
+    L, genus, splits, image = _lower_cells(g, n, lower, s, op)
+    table = _split_table(splits)
+    for tail, c in genus:
+        table[tail] = table.get(tail, 0) + L * c
+    for (_, v, rest), c in image.items():
+        tail = tuple(sorted(rest + (v,), reverse=True))
+        table[tail] = table.get(tail, 0) + 2 * L * tail.count(v) * c
+    den = 2 * s * L * L
     for orbit, e0, tail in _targets(g, nvars, s):
-        total = split.get(tail, 0)
-        if genus:
-            pq = e0 - 2 * s + 1
-            total += L * sum(genus.get((p, pq - p, tail), 0) for p in range(1, pq, s))
-        yield orbit, e0, tail, T * total + scale * _transfer_term(transfer, e0 + s - 1, tail), scale * T
+        yield orbit, e0, tail, table.get(tail, 0), den
 
 
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -536,16 +528,19 @@ def d_bridge_holds(g: int, n: int, table: CorrelatorTable) -> bool:
             d_x Omega_{g,n}(x, w)
 
     as exact polynomials in w_0, ..., w_n (variable i of the cell is the
-    one routed through the operator).  Both sides are ``_transfer`` images;
-    the right one is mapped by ``_to_omega`` on (v, rest), w_0's even
-    half-step u becomes the exponent u/2, and 2 is the 2^(n+1) left over.
-    As both cells are symmetric, equal images give the identity for every i.
+    one routed through the operator).  Both sides are ``_transfer`` images
+    over one L; the right one is mapped by ``_to_omega`` on (v, rest), w_0's
+    even half-step u becomes u/2, and ``_calD_dx``'s 2 d_x is the 2 left of
+    2^(n+1).  As both cells are symmetric, equal images give the identity
+    for every i.
     """
-    lhs = _transfer(omega_from_correlators(g, n, table), d_op)
+    cells = omega_from_correlators(g, n, table), Omega_from_correlators(g, n, table)
+    L = math.lcm(*(c.denominator for cell in cells for c in cell.orbits.values()))
+    lhs = _transfer(cells[0], d_op, L)
     rhs = {}
-    for (u, v, rest), c in _transfer(Omega_from_correlators(g, n, table), _calD_dx).items():
+    for (u, v, rest), c in _transfer(cells[1], _calD_dx, L).items():
         assert u % 2 == 0
-        exps, c = _to_omega((v,) + rest, 2 * c)
+        exps, c = _to_omega((v,) + rest, c)
         rhs[(u // 2, exps[0], exps[1:])] = c
     return lhs == rhs
 

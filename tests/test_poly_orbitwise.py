@@ -10,6 +10,7 @@ with the steps in ``airyqc.polynomials``.
 """
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -29,7 +30,7 @@ from airyqc import (
 )
 from airyqc.core import HALF, accumulate, ordered_splits, sub_multisets
 from airyqc.correlators import is_stable, shell_cells
-from airyqc.polynomials import _calD_dx, _degree, _lower_cells, _split_table, _targets
+from airyqc.polynomials import _calD_dx, _degree, _lower_cells, _split_table, _step_values, _targets
 from airyqc.suites import suite_Omega_rec, suite_omega_rec
 
 # --- the expanded steps ------------------------------------------------------
@@ -143,9 +144,9 @@ def test_expanded_oracle_sees_the_recursion(table):
 
 def test_step_denominators_are_a_true_lcm(lower_cells):
     # each lower cell over its own prime denominator >= 5: a step that reads
-    # its cells over anything short of the lcm of all their denominators, or
-    # the transfer image without its own, drops a term.  Omega_step_dw0 does
-    # not symmetrize, so the rescaled cells need not give a symmetric target.
+    # its cells over anything short of the lcm of all their denominators, the
+    # transfer cell's included, drops a term.  Omega_step_dw0 does not
+    # symmetrize, so the rescaled cells need not give a symmetric target.
     primes = (p for p in range(5, 1000) if all(p % d for d in range(2, p)))
     Omega = {
         cell: HalfPowerPoly(cell[1], {o: c * F(3, p) for o, c in poly.orbits.items()})
@@ -179,7 +180,7 @@ def test_split_table_equals_the_sub_multiset_walk(table):
             if (g, n1) in ((0, 3), (1, 1)):
                 continue
             n = n1 - 1
-            splits = _lower_cells(g, n, lower, s, op)[2]
+            _, _, splits, _ = _lower_cells(g, n, lower, s, op)
             # _lower_cells lists its stable pairs by m, then by g_1
             pairs = [
                 ((g1, m + 1), (g - g1, n - m + 1))
@@ -196,6 +197,69 @@ def test_split_table_equals_the_sub_multiset_walk(table):
             assert set(split) <= tails, (s, g, n1)
             for tail in tails:
                 assert split.get(tail, 0) == _walk_split_term(tail, by_m), (s, g, n1, tail)
+
+
+# --- the forward genus and transfer passes against the per-target pulls ------
+
+
+def _slots(orbit, k):
+    # every ordered choice of k distinct positions of the orbit: their
+    # entries, and the rest of the orbit, still descending
+    for pos in permutations(range(len(orbit)), k):
+        yield tuple(orbit[i] for i in pos), tuple(e for i, e in enumerate(orbit) if i not in pos)
+
+
+def _pull_genus_term(genus, e0, tail, s):
+    # the genus term of one target reading as the steps once read it: the
+    # two-slot readings (p, q, tail) summed over p + q = e_0 - 2s + 1
+    pq = e0 - 2 * s + 1
+    return sum(genus.get((p, pq - p, tail), 0) for p in range(1, pq, s))
+
+
+def _transfer_term(image, u, tail):
+    # the transfer term of one target reading as the steps once read it: w_0
+    # at u and w_i at v, one read per distinct tail entry v, times its count
+    total = 0
+    for v in set(tail):
+        rest = list(tail)
+        rest.remove(v)
+        total += tail.count(v) * image.get((u, v, tuple(rest)), 0)
+    return total
+
+
+def test_forward_passes_equal_the_per_target_pulls(table):
+    # the genus and transfer terms that each step adds forward into its one
+    # table, against the per-target range sum over p and the per-target
+    # transfer read they replaced.  The two-slot genus readings and the
+    # transfer image are rebuilt here from the orbits, slot by slot.
+    for s, op, build in ((1, d_op, omega_from_correlators), (2, _calD_dx, Omega_from_correlators)):
+        weight = (lambda p: 1) if s == 1 else (lambda p: p)
+        lower = {cell: build(*cell, table) for cell in shell_cells(1, 9)}
+        for g, n1 in shell_cells(1, 10):
+            if (g, n1) in ((0, 3), (1, 1)):
+                continue
+            n = n1 - 1
+            L, genus, splits, image = _lower_cells(g, n, lower, s, op)
+            two_slot = {}
+            if g >= 1:
+                for orbit, c in lower[(g - 1, n + 2)].orbits.items():
+                    for (p, q), rest in _slots(orbit, 2):
+                        two_slot[(p, q, rest)] = weight(p) * weight(q) * c * L
+            assert sorted(genus) == sorted((tail, c) for (_, _, tail), c in two_slot.items())
+            by_tail = {}
+            for orbit, c in lower[(g, n)].orbits.items() if n >= 1 else ():
+                for (x,), rest in _slots(orbit, 1):
+                    by_tail.setdefault(rest, {})[x] = c * L
+            assert image == {(u, v, rest): c for rest, f in by_tail.items() for (u, v), c in op(f).items()}
+            split = _split_table(splits)
+            keys = set(split) | {tail for tail, _ in genus}
+            keys |= {tuple(sorted(rest + (v,), reverse=True)) for _, v, rest in image}
+            assert keys <= {tail for _, _, tail in _targets(g, n1, s)}, (s, g, n1)
+            for _, e0, tail, num, den in _step_values(g, n, lower, s, op):
+                assert den == 2 * s * L * L
+                genus_term = L * _pull_genus_term(two_slot, e0, tail, s)
+                transfer_term = 2 * L * _transfer_term(image, e0 + s - 1, tail)
+                assert num == split.get(tail, 0) + genus_term + transfer_term, (s, g, n1, tail)
 
 
 # --- the w_0 against w_i symmetry check inside the steps -------------------------
