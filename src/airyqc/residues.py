@@ -27,18 +27,29 @@ half-width 2^(WIDTH - 1), so no digit ever carries into its neighbour.
 :func:`eo_W` keeps the even strata z^k, k <= 0, of each split product
 and then only the z^(-1) stratum of the kernel contraction.
 
-:func:`eo_W` runs on ints: each genus-g_i cell enters at the scale
-2^E(g_i) on which the DVV table is integral, each split is added together
-with its mirror, and the recursion's 1/2 folds into non-negative left
-shifts, so only the result is divided by 2^E(g).
+:func:`eo_W` works orbit-wise.  A lower cell enters as its terms whose
+spectator exponents descend (:func:`series_from_cell`), so one product
+stands for every split with the same (g_1, |A_1|), and a size pair and
+its mirror are multiplied once, at twice the weight.  The residue of each
+|A_1| is decoded once and read once per target orbit, summing over the
+sub-multisets of the orbit; each distinct z_0 exponent of the orbit must
+give the same sum, which checks the symmetry of z_0 against the
+spectators.
+
+It runs on ints: each genus-g_i cell enters at the scale 2^E(g_i) on
+which the DVV table is integral, and the weights and the recursion's 1/2
+fold into non-negative left shifts by keeping the bracket at 2^E(g), one
+bit more than W_{g,n} needs, so only the result is divided, by
+2^(E(g)+1).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import lshift
 
-from .core import ZERO, _scale_exp, multiset_permutations, ordered_splits
+from .core import ZERO, _scale_exp, bounded_partitions, sub_multisets
 from .correlators import require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell
 
@@ -172,17 +183,20 @@ def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
 
 
 def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0, flats: dict | None = None) -> ZSeries:
-    """2^scale times a stable cell W(z, z_{spectators}), or W(z, -z,
-    z_{spectators}) when the cell has two variables more than
-    ``spectators``, as an exact ZSeries with int coefficients.  Other
-    counts of active legs, spectator positions that are not distinct and
-    in range(nspec), and a coefficient that 2^scale does not make an
-    integer raise ValueError.  Cells are even in every variable, so the
-    sign of an active leg never matters.
+    """2^scale times the terms of a stable cell W(z, z_{spectators}), or
+    W(z, -z, z_{spectators}) when the cell has two variables more than
+    ``spectators``, whose spectator exponents descend along
+    ``spectators``, as an exact ZSeries with int coefficients.  These are
+    not the whole cell: by its symmetry every other term is one of them
+    with the spectators permuted, which :func:`eo_W` accounts for when it
+    reads the residue.  Other counts of active legs, spectator positions
+    that are not distinct and in range(nspec), and a coefficient that
+    2^scale does not make an integer raise ValueError.  Cells are even in
+    every variable, so the sign of an active leg never matters.
 
     ``flats``, a dict the caller keeps, lets one cell be placed on several
-    spectator sets but scaled and expanded (:func:`_flatten`) once: it
-    holds the expansion by (id(cell), active legs, scale) next to the cell
+    spectator sets but scaled and flattened (:func:`_flatten`) once: it
+    holds the flattening by (id(cell), active legs, scale) next to the cell
     itself, whose reference keeps that id from naming another cell.  The
     leg exponent a at spectator position p is the digit -2a - 2 of z_p.
     """
@@ -205,20 +219,39 @@ def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int 
 
 
 def _flatten(cell: SparseSymPoly, active: int, scale: int):
-    """(strata, bound): 2^scale times the cell with its first ``active``
-    legs on z, as {z-exponent: {exponent tuple of the other legs: int}},
-    and a bound on |2a + 2| over every exponent a of the cell.  Each orbit
-    coefficient is scaled and checked for integrality once."""
+    """(strata, bound): 2^scale times the cell with ``active`` legs on z
+    and the rest of each orbit, descending, as its tail, as {z-exponent:
+    {tail: int}}, and a bound on |2a + 2| over every exponent a of the
+    cell.  An orbit adds one entry for each distinct ordered choice of its
+    active values (:func:`_active_choices`), and its coefficient is scaled
+    and checked for integrality once."""
     strata = {}
     for orbit, coeff in cell.orbits.items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
         if r:
             raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
-        for vec in multiset_permutations(orbit):
-            tgt = strata.setdefault(-2 * (sum(vec[:active]) + active), {})
-            tail = vec[active:]
+        for chosen, tail in _active_choices(orbit, active):
+            tgt = strata.setdefault(-2 * (sum(chosen) + active), {})
             tgt[tail] = tgt.get(tail, 0) + c
     return strata, 2 * max((orbit[0] for orbit in cell.orbits), default=-1) + 2
+
+
+def _active_choices(orbit: tuple, active: int):
+    """Yield (chosen, tail) once for each distinct ordered choice of
+    ``active`` values of the descending tuple ``orbit``, the tail being
+    the rest of it, still descending:
+
+    >>> list(_active_choices((2, 1, 1), 2))
+    [((2, 1), (1,)), ((1, 2), (1,)), ((1, 1), (2,))]
+    """
+    if not active:
+        yield (), orbit
+        return
+    for i, v in enumerate(orbit):
+        if i and orbit[i - 1] == v:
+            continue
+        for chosen, tail in _active_choices(orbit[:i] + orbit[i + 1 :], active - 1):
+            yield (v,) + chosen, tail
 
 
 def exact_through(f1: ZSeries, f2: ZSeries):
@@ -276,107 +309,138 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
 
         W_{g,n} = 1/2 res_{z=0} 1/(z (z_0^2 - z^2)) (
                       W_{g-1,n+1}(z, -z, z_rest)
-                    + sum over ordered splits W_{g_1}(z, ...) W_{g_2}(-z, ...))
+                    + sum over ordered splits W_{g_1}(z, z_A1) W_{g_2}(-z, z_A2))
 
     with W_{0,1} = 0 (terms dropped), W_{0,2} legs expanded by
     :func:`b02_series` through z^M, M = 6g + 2n, and W_{0,2}(z, -z) =
     1/(4 z^2) in the first term.  The kernel is odd in z, so the residue
     reads only the even strata of the bracket: each split product adds its
-    strata z^k, k even and k <= 0, into one stratum dict by
+    strata z^j, j even and j <= 0, into a stratum dict by
     :func:`_mul_into`, and this even part, the ``ZSeries`` ``inner``, is
-    exact through z^0.  Then ``kernel_series(M, n)`` is contracted with
+    exact through z^0.
+
+    Size pairs: the cells are symmetric, so the splits with one (g_1,
+    |A_1| = k) differ only by which spectators the legs sit on.  One
+    product stands for all of them: leg 1 on positions 1..k, leg 2 on
+    positions k+1..n-1, each holding only its terms whose spectator
+    exponents descend along its positions (:func:`series_from_cell`).  It
+    goes into the stratum dict of its k, the genus term into that of
+    k = n - 1.  A split and its mirror (g_2, A_2, g_1, A_1) give the
+    products P(z) and P(-z), whose even strata are equal, so each
+    unordered pair {(g_1, k), (g_2, n-1-k)} is multiplied once, at twice
+    the weight, and its truncation certificate, which the mirror shares,
+    is checked once; a pair with (g_1, k) = (g_2, n-1-k) is its own mirror
+    and has weight 1.
+
+    Read per orbit: ``kernel_series(M, n)`` is contracted with each k's
     ``inner`` by the same routine, forming only the z^(-1) stratum, which
-    ``ZSeries.residue`` reads.
+    ``ZSeries.residue`` decodes once.  The coefficient of W_{g,n} on the
+    orbit a with z_0 exponent v is the sum of mult * residue_k[(v; mu;
+    nu)] over (mu, nu, mult) in ``sub_multisets(a - v)``, k = |mu|: the
+    mult subsets A_1 whose spectator exponents form mu.  Each distinct v
+    of a gives this sum, and they must agree: the symmetry of z_0 against
+    the spectators, which the construction does not give.  Every residue
+    term is read exactly once, by the one orbit it lies on.
 
-    Mirror fold: a split (g_1, A_1, g_2, A_2) and its mirror (g_2, A_2,
-    g_1, A_1) give the products P(z) and P(-z), whose even strata are
-    equal, so each unordered split is multiplied once, at twice the weight,
-    and its truncation certificate, which the mirror shares, is checked
-    once.  Only the split g_1 = g_2 = g/2 of n = 1 is its own mirror.
+    Scale: ``inner`` holds 2^E(g) times the even part of the bracket, in
+    ints, with E = :func:`~airyqc.core._scale_exp`, so the residue r is
+    2^(E(g)+1) W_{g,n}; the symmetry check runs on these ints, and each
+    orbit's coefficient is divided by 2^(E(g)+1) once.  Each cell enters
+    at its own scale, the kernel and the W_(0,2) legs as they are, and
+    each term is shifted left by
 
-    Scale: ``inner`` holds 2^(E(g) - 1) times the even part of the
-    bracket, in ints, with E = :func:`~airyqc.core._scale_exp`, so the
-    residue r is 2^E(g) W_{g,n}; the symmetry check runs on these ints,
-    and each orbit's coefficient is divided by 2^E(g) once.
-    Each cell enters at its own scale, the kernel and the W_(0,2) legs as
-    they are, and each term is shifted left by
+        E(g) - E(g-1) >= 3               the genus term,
+        E(g) + 1 - E(g_1) - E(g_2) >= 1  a pair with its mirror,
+        E(g) - 2 E(g/2) >= 0             a pair that is its own mirror,
 
-        E(g) - E(g-1) - 1 >= 2           the genus term,
-        E(g) - E(g_1) - E(g_2) >= 0      an unordered split pair,
-        E(g) - 2 E(g/2) - 1 >= 0         the self-mirrored split,
-
-    the last two being popcount(g_1) + popcount(g_2) - popcount(g) and
-    popcount(g/2) - 1 by E(g) = 4g - popcount(g); the base term 1/4 of
-    (1, 1) is the int 2^(3 - 1) / 4 = 1.
+    the last two being popcount(g_1) + popcount(g_2) - popcount(g) + 1 and
+    popcount(g/2) by E(g) = 4g - popcount(g); the base term 1/4 of (1, 1)
+    is the int 2^3 / 4 = 2.
 
     Legs: :func:`series_from_cell` builds each lower cell's leg with one
-    ``flats`` dict, so that each cell is scaled and expanded once however
-    many spectator sets it is placed on; :func:`eo_shell` passes one dict
-    to all its calls.  An entry names its cell by identity and holds it,
-    so a dict filled from other lower cells is never misread.
+    ``flats`` dict, so that each cell is scaled and flattened once however
+    many positions it is placed on; :func:`eo_shell` passes one dict to
+    all its calls.  An entry names its cell by identity and holds it, so a
+    dict filled from other lower cells is never misread.
 
     Checks, each raising ValueError: every lower cell is integral at its
     scale (:func:`_flatten`), every split product is exact through z^0
-    and the contraction through z^(-1) (:func:`exact_through`; the latter
+    and each contraction through z^(-1) (:func:`exact_through`; the latter
     says the kernel's truncation reaches every stratum of ``inner``), no
     product's spectator exponents reach the digits' half-width
-    (:func:`digit_bound`), every exponent of the result is even and
-    negative, and the result is symmetric
-    (``SparseSymPoly.from_expanded``).  The output has the exponent-table
-    form of ``tW_from_correlators``.
+    (:func:`digit_bound`), every exponent of every residue term is even
+    and negative, the sums of each orbit agree, and every residue term is
+    read.  The output has the exponent-table form of
+    ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
-    rest = list(range(1, n))
     E = _scale_exp(g)
     flats = {} if flats is None else flats
 
-    def leg(gi, A, sign):
-        if (gi, len(A)) == (0, 1):
-            return b02_series(sign, A[0], M, n)
-        return series_from_cell(_lower_cell(lower, gi, len(A) + 1), A, n, scale=_scale_exp(gi), flats=flats)
+    def leg(gi, positions, sign):
+        if (gi, len(positions)) == (0, 1):
+            return b02_series(sign, positions[0], M, n)
+        return series_from_cell(_lower_cell(lower, gi, len(positions) + 1), positions, n, scale=_scale_exp(gi), flats=flats)
 
-    inner, bound = {}, 0
+    inner, bounds = {}, {}  # by k = |A_1|: a stratum dict and its digit bound
     if (g, n) == (1, 1):
-        inner[-2] = {0: 1}
+        inner[0], bounds[0] = {-2: {0: 2}}, 0
     elif g >= 1:
-        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), rest, n, scale=_scale_exp(g - 1))
-        shift = E - _scale_exp(g - 1) - 1
-        inner = {k: {e: c << shift for e, c in poly.items()} for k, poly in genus.terms.items()}
-        bound = genus.bound
+        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), range(1, n), n, scale=_scale_exp(g - 1))
+        shift = E - _scale_exp(g - 1)
+        inner[n - 1] = {j: {e: c << shift for e, c in poly.items()} for j, poly in genus.terms.items()}
+        bounds[n - 1] = genus.bound
 
-    for g1, A1, g2, A2 in ordered_splits(g, rest):
-        if (g1, A1) > (g2, A2) or (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
-            continue  # the mirror is taken instead, or W_(0,1) = 0
-        f1 = leg(g1, A1, 1)
-        if (g1, A1) == (g2, A2):  # n = 1 and g_1 = g/2: its own mirror
-            f2, shift = f1, E - 2 * _scale_exp(g1) - 1
-        else:
-            f2, shift = leg(g2, A2, -1), E - _scale_exp(g1) - _scale_exp(g2)
-        exact = exact_through(f1, f2)
-        if exact < 0:
-            raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
-        bound = max(bound, _mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2, shift))
+    for g1 in range(g + 1):
+        for k in range(n):
+            g2, k2 = g - g1, n - 1 - k
+            if (g1, k) > (g2, k2) or (g1, k) == (0, 0) or (g2, k2) == (0, 0):
+                continue  # the mirror is taken instead, or W_(0,1) = 0
+            f1 = leg(g1, range(1, k + 1), 1)
+            if (g1, k) == (g2, k2):  # its own mirror
+                f2 = f1 if n == 1 else leg(g2, range(k + 1, n), -1)
+                shift = E - 2 * _scale_exp(g1)
+            else:
+                f2, shift = leg(g2, range(k + 1, n), -1), E + 1 - _scale_exp(g1) - _scale_exp(g2)
+            exact = exact_through(f1, f2)
+            if exact < 0:
+                raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
+            bound = _mul_into(inner.setdefault(k, {}), f1, f2, lambda j: j <= 0 and not j % 2, shift)
+            bounds[k] = max(bounds.get(k, 0), bound)
 
-    inner = ZSeries(n, 0, inner, bound)
     kernel = kernel_series(M, n)
-    exact = exact_through(kernel, inner)
-    if exact < -1:
-        raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{inner.valuation()} of W_({g},{n})")
-    strata = {}
-    bound = _mul_into(strata, kernel, inner, lambda k: k == -1)
-    residue = ZSeries(n, exact, strata, bound).residue()
+    residue = {}  # by k: {exponent tuple a: int}
+    for k, strata in inner.items():
+        even = ZSeries(n, 0, strata, bounds[k])
+        exact = exact_through(kernel, even)
+        if exact < -1:
+            raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{even.valuation()} of W_({g},{n})")
+        out = {}
+        bound = _mul_into(out, kernel, even, lambda j: j == -1)
+        read = residue[k] = {}
+        for exps, c in ZSeries(n, exact, out, bound).residue().items():
+            if any(e >= 0 or e % 2 for e in exps):
+                raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
+            read[tuple([(-e - 2) // 2 for e in exps])] = c
 
-    terms = {}
-    for exps, coeff in residue.items():
-        if any(e >= 0 or e % 2 for e in exps):
-            raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
-        terms[tuple([(-e - 2) // 2 for e in exps])] = coeff
-    try:
-        scaled = SparseSymPoly.from_expanded(n, terms)
-    except ValueError as exc:
-        raise ValueError(f"W_({g},{n}) failed its symmetry check: {exc}") from None
-    return SparseSymPoly(n, {a: c / (1 << E) for a, c in scaled.orbits.items()})
+    orbits = {}
+    for a in bounded_partitions(3 * g - 3 + n, n):
+        sums = set()
+        for i, v in enumerate(a):
+            if i and a[i - 1] == v:
+                continue
+            total = 0
+            for mu, nu, mult in sub_multisets(a[:i] + a[i + 1 :]):
+                total += mult * residue.get(len(mu), {}).pop((v,) + mu + nu, 0)
+            sums.add(total)
+        if len(sums) > 1:
+            raise ValueError(f"W_({g},{n}) failed its symmetry check on orbit {a}")
+        orbits[a] = Fraction(sums.pop(), 1 << E + 1)
+    unread = next(((k, a) for k, read in residue.items() for a in read), None)
+    if unread:
+        raise ValueError(f"residue term {unread[1]} of W_({g},{n}), k = {unread[0]}, lies on no orbit of degree {3 * g - 3 + n}")
+    return SparseSymPoly(n, orbits)
 
 
 def eo_shell(max_chi: int) -> dict:

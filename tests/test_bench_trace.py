@@ -34,10 +34,11 @@ def test_layer_trace_wraps_and_restores_entry_points(monkeypatch):
     assert suites.SUITES == suite_fns
 
 
-@pytest.mark.parametrize("max_chi, cells, residue_terms", [(6, 18, 1880), (8, 28, 27325)])
+@pytest.mark.parametrize("max_chi, cells, residue_terms", [(6, 18, 476), (8, 28, 2380)])
 def test_layer_trace_counts_the_eo_series(monkeypatch, max_chi, cells, residue_terms):
-    # the tracer sizes each residue by the length of its stratum dicts, so
-    # the counts of the tuple-keyed series must hold for the packed ones
+    # the tracer sizes each residue by the length of its stratum dicts: one
+    # per size |A_1| of a cell's splits, each holding only the terms whose
+    # spectator exponents descend within each leg
     monkeypatch.syspath_prepend(str(BENCH))
     from layertrace import LayerTrace
 

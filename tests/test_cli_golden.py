@@ -27,6 +27,8 @@ GOLDEN = {
     "sn 12 --format json": "74095b0f9b3aa708e11a19c8204f728a3c0c832028e104c66c0503f990412101",
     "verify quantum-curve --order 14": "6563dedbc3fe7e8a6e13292743d65d9c4602a5716964a2c91fc43f85213b891d",
     "verify dvv-eo --max-chi 5": "e946e26bfaf0c5564b99324d4e458e6642fc95e68833771e3092188cf75ca9d1",
+    "verify dvv-eo --max-chi 8": "c16038f586c95c4626f2d56a370766a26b04e1057388f2c336bf18439c7fb694",
+    "verify dvv-eo --max-chi 9": "1bcf7cea3ca1ebb3020edec4497199f71fe579827966cd856d4c177f309c731d",
     "verify omega-rec --max-chi 5": "f418c1ebda75008c1c60c57467a44d372f6e3f2fc6cd1782598899c502b7289b",
     "verify Omega-rec --max-chi 5": "053adb2382060fd24e9f48e3d69e12638bc99cb4a7c970ba45004016bc244232",
     "verify d-lemma --max-m 20": "a8e2cd09c057bd1627e52827e2fa35b8af9805e46b94947ebb68895ecf532215",

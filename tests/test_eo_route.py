@@ -10,6 +10,7 @@ import pytest
 from airyqc import SparseSymPoly, residues, s_term, tW_from_correlators
 from airyqc.core import HALF, ordered_splits, orbit_size
 from airyqc.correlators import require_stable, shell_cells
+from airyqc.suites import suite_dvv_eo
 
 
 def test_eo_equals_dvv_at_chi_7(table, wtable6):
@@ -17,6 +18,14 @@ def test_eo_equals_dvv_at_chi_7(table, wtable6):
     for g, n in shell_cells(7, 7):
         lower[(g, n)] = residues.eo_W(g, n, lower)
         assert lower[(g, n)] == tW_from_correlators(g, n, table), (g, n)
+
+
+def test_eo_equals_dvv_at_chi_8_and_9(table, wtable6):
+    lower = dict(wtable6)
+    for g, n in shell_cells(7, 9):
+        lower[(g, n)] = residues.eo_W(g, n, lower)
+        if 2 * g - 2 + n >= 8:
+            assert lower[(g, n)] == tW_from_correlators(g, n, table), (g, n)
 
 
 def test_truncation_certificate_fires(monkeypatch, wtable6):
@@ -47,12 +56,39 @@ def _patched_b02(monkeypatch, change):
     monkeypatch.setattr(residues, "b02_series", patched)
 
 
-def test_symmetry_check_fires(monkeypatch, wtable6):
-    # a W_(0,2) leg doubled on spectator 1 only breaks the S_4 symmetry
-    _patched_b02(monkeypatch, lambda i, e, c: (e, 2 * c if i == 1 else c))
+def test_symmetry_check_fires(monkeypatch, wtable6, table):
+    # the kernel's term z^1 z_0^-4 doubled breaks z_0 against the spectators
+    original = residues.kernel_series
+
+    def doubled(M, nspec):
+        s = original(M, nspec)
+        s.terms[1] = {e: 2 * c for e, c in s.terms[1].items()}
+        return s
+
+    monkeypatch.setattr(residues, "kernel_series", doubled)
     with pytest.raises(ValueError) as err:
         residues.eo_W(0, 4, wtable6)
-    assert str(err.value) == "W_(0,4) failed its symmetry check: terms are not symmetric on orbit (1, 0, 0, 0)"
+    assert str(err.value) == "W_(0,4) failed its symmetry check on orbit (1, 0, 0, 0)"
+    # a W_(0,2) leg doubled on spectator 1 only: that leg sits on position
+    # 1 alone, so the cells it feeds are doubled whole and stay symmetric,
+    # and the comparison with DVV is what catches it
+    monkeypatch.setattr(residues, "kernel_series", original)
+    _patched_b02(monkeypatch, lambda i, e, c: (e, 2 * c if i == 1 else c))
+    assert [c.line() for c in suite_dvv_eo(2, table) if not c.ok] == [
+        "FAIL dvv-eo W_(0,3): first differing orbit (0, 0, 0): eo=2, dvv=1",
+        "FAIL dvv-eo W_(0,4): first differing orbit (1, 0, 0, 0): eo=12, dvv=3",
+        "FAIL dvv-eo W_(1,2): first differing orbit (2, 0): eo=5/4, dvv=5/8",
+    ]
+
+
+def test_every_residue_term_is_read(wtable6):
+    # an extra orbit of W_(0,3) off its degree 0 puts terms into W_(1,2)'s
+    # residue, within the kernel's truncation, that no orbit of degree 2 reads
+    lower = dict(wtable6)
+    lower[(0, 3)] = SparseSymPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1})
+    with pytest.raises(ValueError) as err:
+        residues.eo_W(1, 2, lower)
+    assert str(err.value) == "residue term (2, 1) of W_(1,2), k = 1, lies on no orbit of degree 2"
 
 
 def test_exponent_parity_check_fires(monkeypatch, wtable6):
@@ -257,6 +293,14 @@ def test_quantum_curve_through_hbar9_from_eo_cells(wtable6, table):
     cells = _eo_cells(8, wtable6)
     assert sorted(set(cells) - set(wtable6)) == sorted(shell_cells(7, 8))
     assert _s_n_mismatches(cells, table, 9) == []
+
+
+def test_quantum_curve_through_hbar11_from_eo_cells(wtable6, table):
+    # S_2 ... S_11, the WKB terms the order hbar^11 identity reads past S_0
+    # and S_1, from the EO cells with chi <= 10
+    cells = _eo_cells(10, wtable6)
+    assert sorted(set(cells) - set(wtable6)) == sorted(shell_cells(7, 10))
+    assert _s_n_mismatches(cells, table, 11) == []
 
 
 def test_quantum_curve_from_eo_cells_catches_a_doubled_base(wtable6, table):
