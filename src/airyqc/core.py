@@ -217,14 +217,39 @@ def orbit_size(orbit) -> int:
     return n
 
 
-def ordered_splits(g: int, positions):
-    """Yield each ordered split (g_1, A_1, g_2, A_2): g_1 + g_2 = g, and A_1,
-    A_2 complementary sub-lists of `positions`.  Stability is the caller's."""
-    for g1 in range(g + 1):
-        for mask in range(1 << len(positions)):
-            A1 = [p for i, p in enumerate(positions) if mask >> i & 1]
-            A2 = [p for i, p in enumerate(positions) if not mask >> i & 1]
-            yield g1, A1, g - g1, A2
+def readings(orbit: tuple, k: int) -> list:
+    """(chosen, tail) once for each distinct ordered choice of `k` entries
+    of the descending tuple `orbit`, the tail being the rest of it, still
+    descending: the readings of a symmetric cell's orbit with `k`
+    variables singled out, in the order of their chosen entries.
+
+    >>> readings((2, 1, 1), 2)
+    [((2, 1), (1,)), ((1, 2), (1,)), ((1, 1), (2,))]
+    """
+    if not k:
+        return [((), orbit)]
+    return [
+        (chosen + (v,), rest[:i] + rest[i + 1 :])
+        for chosen, rest in readings(orbit, k - 1)
+        for i, v in enumerate(rest)
+        if not i or rest[i - 1] != v
+    ]
+
+
+def merge(mu, nu):
+    """(tail, mult): the descending merge of the descending tuples `mu`
+    and `nu`, and the number of position sets of the tail that realize
+    `mu`, prod_v C(count of v in the tail, count of v in mu); the inverse
+    of :func:`sub_multisets`.
+
+    >>> merge((2, 1), (1, 0))
+    ((2, 1, 1, 0), 2)
+    """
+    tail = tuple(sorted(mu + nu, reverse=True))
+    mult = 1
+    for v in set(mu).intersection(nu):
+        mult *= math.comb(tail.count(v), mu.count(v))
+    return tail, mult
 
 
 def sub_multisets(items):

@@ -33,8 +33,10 @@ on w_1..w_n fixes w_0's exponent, and the step adds its genus readings,
 its split products and its transfer image forward into one {tail: int}
 table over L^2, read once per target orbit.  Symmetry in
 w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i
-by comparing every reading of each full target orbit.  One slot map
-2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
+by comparing every reading of each full target orbit (``_symmetric``).
+The reading walk ``core.readings``, the merge rule ``core.merge`` and
+``_symmetric`` also serve the EO residue read (``residues.eo_W``).  One
+slot map 2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import accumulate, exact, multiset_permutations, odd_weight, orbit_size, rat_str
+from .core import accumulate, exact, merge, multiset_permutations, odd_weight, rat_str, readings
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -94,24 +96,6 @@ class _OrbitPoly:
         self.nvars = nvars
         self.orbits = clean
         self._expanded = None
-
-    @classmethod
-    def from_expanded(cls, nvars, terms):
-        """Group a {full exponent tuple: coeff} dict into orbits, checking
-        that the data really is symmetric (orbit complete, coefficients
-        constant on each orbit).
-        """
-        grouped = {}
-        for exps, coeff in terms.items():
-            if not coeff:
-                continue
-            grouped.setdefault(tuple(sorted(exps, reverse=True)), []).append(coeff)
-        orbits = {}
-        for orbit, coeffs in grouped.items():
-            if len(coeffs) != orbit_size(orbit) or any(c != coeffs[0] for c in coeffs):
-                raise ValueError(f"terms are not symmetric on orbit {orbit}")
-            orbits[orbit] = coeffs[0]
-        return cls(nvars, orbits)
 
     def expand(self):
         """Full {exponent tuple: coeff} dict (cached; treat as read-only)."""
@@ -298,11 +282,9 @@ def _calD_dx(f):
 
 def _readings(orbits):
     """(orbit, e_0, tail) for each orbit and each distinct entry e_0 of it
-    read on w_0; tail is the rest, descending."""
-    for orbit in orbits:
-        for i, e0 in enumerate(orbit):
-            if i == 0 or orbit[i - 1] != e0:
-                yield orbit, e0, orbit[:i] + orbit[i + 1 :]
+    read on w_0 (``core.readings`` with one slot); tail is the rest,
+    descending."""
+    return [(orbit, e0, tail) for orbit in orbits for (e0,), tail in readings(orbit, 1)]
 
 
 def _transfer(cell, op, L):
@@ -312,8 +294,9 @@ def _transfer(cell, op, L):
     spectators in any order.  The cell is symmetric, so the image does not
     depend on i."""
     tails = {}
-    for orbit, x, tail in _readings(cell.orbits):
-        tails.setdefault(tail, {})[x] = _over(cell.orbits[orbit], L)
+    for orbit, c in cell.orbits.items():
+        for (x,), tail in readings(orbit, 1):
+            tails.setdefault(tail, {})[x] = _over(c, L)
     return {(u, v, tail): c for tail, f in tails.items() for (u, v), c in op(f).items()}
 
 
@@ -357,10 +340,10 @@ def _lower_cells(g, n, lower, s, op):
 
     Returns (L, genus, splits, image), L the lcm of the coefficient
     denominators of all these cells and every value an int over L: each
-    split cell as {(x, rest): weight(x) c L} over its ``_readings``, listed
-    as (cell_1, cell_2) pairs, the genus cell as (rest, weight(x) weight(y)
-    c L) over the readings (x, y, rest) of two slots, and the transfer cell
-    as its ``_transfer`` image under `op`."""
+    split cell as {(x, rest): weight(x) c L} over its one-slot readings,
+    listed as (cell_1, cell_2) pairs, the genus cell as (rest, weight(x)
+    weight(y) c L) over its ``core.readings`` ((x, y), rest) of two slots,
+    and the transfer cell as its ``_transfer`` image under `op`."""
 
     def fetch(h, k):
         cell = _lower_cell(lower, h, k)
@@ -371,8 +354,8 @@ def _lower_cells(g, n, lower, s, op):
             raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
         return cell
 
-    cells = {(g - 1, n + 2): fetch(g - 1, n + 2)} if g >= 1 else {}
-    pairs = []
+    genus_cell = [fetch(g - 1, n + 2)] if g >= 1 else []
+    cells, pairs = {}, []
     for m in range(n + 1):
         for g1 in range(g + 1):
             pair = ((g1, m + 1), (g - g1, n - m + 1))
@@ -380,14 +363,18 @@ def _lower_cells(g, n, lower, s, op):
                 pairs.append(pair)
                 cells.update((cell, fetch(*cell)) for cell in pair)
     transfer = [fetch(g, n)] if n >= 1 else []
-    L = math.lcm(*(c.denominator for cell in [*cells.values(), *transfer] for c in cell.orbits.values()))
+    L = math.lcm(*(c.denominator for cell in [*genus_cell, *cells.values(), *transfer] for c in cell.orbits.values()))
     weight = _WEIGHTS[s]
     read = {
-        key: {(x, rest): weight(x) * _over(cell.orbits[orbit], L) for orbit, x, rest in _readings(cell.orbits)}
+        key: {(x, rest): weight(x) * _over(c, L) for orbit, c in cell.orbits.items() for (x,), rest in readings(orbit, 1)}
         for key, cell in cells.items()
     }
-    genus_read = read.get((g - 1, n + 2), {}).items()
-    genus = [(rest, c * weight(y)) for (_, tail), c in genus_read for _, y, rest in _readings((tail,))]
+    genus = [
+        (rest, weight(x) * weight(y) * _over(c, L))
+        for cell in genus_cell
+        for orbit, c in cell.orbits.items()
+        for (x, y), rest in readings(orbit, 2)
+    ]
     splits = [(read[cell1], read[cell2]) for cell1, cell2 in pairs]
     return L, genus, splits, _transfer(transfer[0], op, L) if transfer else {}
 
@@ -407,9 +394,9 @@ def _split_table(splits):
     """The split term of every tail, {tail: sum of mult c_1 c_2}, as one
     forward product of the split pairs of ``_lower_cells``: each reading
     (p, mu) of the first cell times each (q, nu) of the second, on the
-    tail mu + nu with mult = prod_v C(count of v in it, count of v in mu),
-    the position sets realizing mu.  The cells are homogeneous, so p and
-    q follow from mu and nu, and no product read is zero.
+    tail and with the mult of ``core.merge(mu, nu)``, the position sets
+    realizing mu.  The cells are homogeneous, so p and q follow from mu
+    and nu, and no product read is zero.
 
     >>> _split_table([({(1, (1,)): 2}, {(3, (1,)): 5, (1, (3,)): 7})])
     {(1, 1): 20, (3, 1): 14}
@@ -417,24 +404,20 @@ def _split_table(splits):
     table = {}
     for cell1, cell2 in splits:
         for (_, mu), c1 in cell1.items():
-            shared = set(mu).intersection
             for (_, nu), c2 in cell2.items():
-                tail = tuple(sorted(mu + nu, reverse=True))
-                mult = 1
-                for v in shared(nu):
-                    mult *= math.comb(tail.count(v), mu.count(v))
+                tail, mult = merge(mu, nu)
                 table[tail] = table.get(tail, 0) + mult * c1 * c2
     return table
 
 
-def _symmetric(cls, nvars, values):
-    """The polynomial from (orbit, coefficient) pairs, one per reading of
-    the orbit with a different entry on w_0.  All readings of an orbit must
-    agree: this is the check of w_0 against w_i."""
+def _symmetric(cls, g, nvars, values):
+    """The cell (g, nvars) from (orbit, coefficient) pairs, one per reading
+    of the orbit with a different entry on w_0.  All readings of an orbit
+    must agree: this is the check of w_0 against w_i, on either route."""
     orbits = {}
     for orbit, c in values:
         if orbits.setdefault(orbit, c) != c:
-            raise ValueError(f"terms are not symmetric on orbit {orbit}")
+            raise ValueError(f"cell ({g}, {nvars}): terms are not symmetric on orbit {orbit}")
     return cls(nvars, orbits)
 
 
@@ -484,7 +467,7 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     w_i is checked on every full target orbit.
     """
     values = ((orbit, Fraction(num, den)) for orbit, _, _, num, den in _step_values(g, n, lower, 1, d_op))
-    return _symmetric(SparseSymPoly, n + 1, values)
+    return _symmetric(SparseSymPoly, g, n + 1, values)
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -514,7 +497,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     reading of a full orbit, and all readings of an orbit must agree (the
     symmetry of w_0 against w_i)."""
     values = ((orbit, Fraction(2 * num, k * den)) for orbit, k, _, num, den in _step_values(g, n, lower, 2, _calD_dx))
-    return _symmetric(HalfPowerPoly, n + 1, values)
+    return _symmetric(HalfPowerPoly, g, n + 1, values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ conjugation z -> -z, Bergman kernel dz1 dz2/(z1 - z2)^2, and recursion
 kernel factor 1/(z (z_0^2 - z^2)).  The recursion is evaluated with formal
 Laurent series: the residue at z = 0 is read off as the coefficient of
 z^(-1), never via numerical contours, so this route shares no values with
-the correlator engine, and of its arithmetic only the scale exponent
-:func:`~airyqc.core._scale_exp`.
+the correlator engine.  With the DVV table it shares only the scale
+exponent :func:`~airyqc.core._scale_exp` and the stability tests, and
+with the omega/Omega step the reading walk ``core.readings``, the merge
+rule ``core.merge``, the target orbits ``cell_keys`` and the symmetry
+check ``polynomials._symmetric``; the split counts of the DVV table come
+from ``core.sub_multisets``, which this route does not call.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in the
@@ -31,10 +35,10 @@ and then only the z^(-1) stratum of the kernel contraction.
 spectator exponents descend (:func:`series_from_cell`), so one product
 stands for every split with the same (g_1, |A_1|), and a size pair and
 its mirror are multiplied once, at twice the weight.  The residue of each
-|A_1| is decoded once and read once per target orbit, summing over the
-sub-multisets of the orbit; each distinct z_0 exponent of the orbit must
-give the same sum, which checks the symmetry of z_0 against the
-spectators.
+|A_1| is decoded once and read forward: each term adds into one table
+keyed by its z_0 exponent and its merged spectator tail, and each target
+orbit reads that table once per distinct z_0 exponent; all of them must
+agree, which checks the symmetry of z_0 against the spectators.
 
 It runs on ints: each genus-g_i cell enters at the scale 2^E(g_i) on
 which the DVV table is integral, and the weights and the recursion's 1/2
@@ -49,9 +53,9 @@ import math
 from fractions import Fraction
 from operator import lshift
 
-from .core import ZERO, _scale_exp, bounded_partitions, sub_multisets
-from .correlators import require_stable, shell_cells
-from .polynomials import SparseSymPoly, _lower_cell
+from .core import ZERO, _scale_exp, merge, readings
+from .correlators import cell_keys, require_stable, shell_cells
+from .polynomials import SparseSymPoly, _lower_cell, _readings, _symmetric
 
 WIDTH = 16  # bits per spectator digit
 _HALF = 1 << WIDTH - 1
@@ -223,35 +227,17 @@ def _flatten(cell: SparseSymPoly, active: int, scale: int):
     and the rest of each orbit, descending, as its tail, as {z-exponent:
     {tail: int}}, and a bound on |2a + 2| over every exponent a of the
     cell.  An orbit adds one entry for each distinct ordered choice of its
-    active values (:func:`_active_choices`), and its coefficient is scaled
-    and checked for integrality once."""
+    active values (``core.readings``), and its coefficient is scaled and
+    checked for integrality once."""
     strata = {}
     for orbit, coeff in cell.orbits.items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
         if r:
             raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
-        for chosen, tail in _active_choices(orbit, active):
+        for chosen, tail in readings(orbit, active):
             tgt = strata.setdefault(-2 * (sum(chosen) + active), {})
             tgt[tail] = tgt.get(tail, 0) + c
     return strata, 2 * max((orbit[0] for orbit in cell.orbits), default=-1) + 2
-
-
-def _active_choices(orbit: tuple, active: int):
-    """Yield (chosen, tail) once for each distinct ordered choice of
-    ``active`` values of the descending tuple ``orbit``, the tail being
-    the rest of it, still descending:
-
-    >>> list(_active_choices((2, 1, 1), 2))
-    [((2, 1), (1,)), ((1, 2), (1,)), ((1, 1), (2,))]
-    """
-    if not active:
-        yield (), orbit
-        return
-    for i, v in enumerate(orbit):
-        if i and orbit[i - 1] == v:
-            continue
-        for chosen, tail in _active_choices(orbit[:i] + orbit[i + 1 :], active - 1):
-            yield (v,) + chosen, tail
 
 
 def exact_through(f1: ZSeries, f2: ZSeries):
@@ -332,22 +318,25 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     is checked once; a pair with (g_1, k) = (g_2, n-1-k) is its own mirror
     and has weight 1.
 
-    Read per orbit: ``kernel_series(M, n)`` is contracted with each k's
+    Read forward: ``kernel_series(M, n)`` is contracted with each k's
     ``inner`` by the same routine, forming only the z^(-1) stratum, which
-    ``ZSeries.residue`` decodes once.  The coefficient of W_{g,n} on the
-    orbit a with z_0 exponent v is the sum of mult * residue_k[(v; mu;
-    nu)] over (mu, nu, mult) in ``sub_multisets(a - v)``, k = |mu|: the
-    mult subsets A_1 whose spectator exponents form mu.  Each distinct v
-    of a gives this sum, and they must agree: the symmetry of z_0 against
-    the spectators, which the construction does not give.  Every residue
-    term is read exactly once, by the one orbit it lies on.
+    ``ZSeries.residue`` decodes once.  A residue term a = (v; mu; nu),
+    mu = a[1:k+1] on leg 1's positions and nu on leg 2's, must have degree
+    3g - 3 + n and descending mu and nu, as every product term does; it
+    stands for the mult subsets A_1 of the merged tail whose spectator
+    exponents form mu, so ``core.merge(mu, nu)`` gives (tail, mult) and
+    mult times the term is added into one table at (v, tail).  Each
+    target orbit of ``cell_keys(g, n)`` then reads that table once for
+    each of its ``_readings`` (v, tail), and ``polynomials._symmetric``
+    requires the readings of an orbit to agree: the symmetry of z_0
+    against the spectators, which the construction does not give.
 
     Scale: ``inner`` holds 2^E(g) times the even part of the bracket, in
     ints, with E = :func:`~airyqc.core._scale_exp`, so the residue r is
-    2^(E(g)+1) W_{g,n}; the symmetry check runs on these ints, and each
-    orbit's coefficient is divided by 2^(E(g)+1) once.  Each cell enters
-    at its own scale, the kernel and the W_(0,2) legs as they are, and
-    each term is shifted left by
+    2^(E(g)+1) W_{g,n}, and each reading of the table is divided by
+    2^(E(g)+1) once, so the symmetry check compares Fractions over one
+    denominator.  Each cell enters at its own scale, the kernel and the
+    W_(0,2) legs as they are, and each term is shifted left by
 
         E(g) - E(g-1) >= 3               the genus term,
         E(g) + 1 - E(g_1) - E(g_2) >= 1  a pair with its mirror,
@@ -369,9 +358,9 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     says the kernel's truncation reaches every stratum of ``inner``), no
     product's spectator exponents reach the digits' half-width
     (:func:`digit_bound`), every exponent of every residue term is even
-    and negative, the sums of each orbit agree, and every residue term is
-    read.  The output has the exponent-table form of
-    ``tW_from_correlators``.
+    and negative, every residue term lies on a target orbit (its degree
+    and the descent of its legs), and the readings of each orbit agree.
+    The output has the exponent-table form of ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
@@ -410,7 +399,8 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
             bounds[k] = max(bounds.get(k, 0), bound)
 
     kernel = kernel_series(M, n)
-    residue = {}  # by k: {exponent tuple a: int}
+    degree = 3 * g - 3 + n
+    table = {}  # {(z_0 exponent, descending tail): sum of mult c}
     for k, strata in inner.items():
         even = ZSeries(n, 0, strata, bounds[k])
         exact = exact_through(kernel, even)
@@ -418,29 +408,18 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
             raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{even.valuation()} of W_({g},{n})")
         out = {}
         bound = _mul_into(out, kernel, even, lambda j: j == -1)
-        read = residue[k] = {}
         for exps, c in ZSeries(n, exact, out, bound).residue().items():
             if any(e >= 0 or e % 2 for e in exps):
                 raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
-            read[tuple([(-e - 2) // 2 for e in exps])] = c
-
-    orbits = {}
-    for a in bounded_partitions(3 * g - 3 + n, n):
-        sums = set()
-        for i, v in enumerate(a):
-            if i and a[i - 1] == v:
-                continue
-            total = 0
-            for mu, nu, mult in sub_multisets(a[:i] + a[i + 1 :]):
-                total += mult * residue.get(len(mu), {}).pop((v,) + mu + nu, 0)
-            sums.add(total)
-        if len(sums) > 1:
-            raise ValueError(f"W_({g},{n}) failed its symmetry check on orbit {a}")
-        orbits[a] = Fraction(sums.pop(), 1 << E + 1)
-    unread = next(((k, a) for k, read in residue.items() for a in read), None)
-    if unread:
-        raise ValueError(f"residue term {unread[1]} of W_({g},{n}), k = {unread[0]}, lies on no orbit of degree {3 * g - 3 + n}")
-    return SparseSymPoly(n, orbits)
+            a = tuple([(-e - 2) // 2 for e in exps])
+            mu, nu = a[1 : k + 1], a[k + 1 :]
+            if sum(a) != degree or any(x < y for legs in (mu, nu) for x, y in zip(legs, legs[1:])):
+                raise ValueError(f"residue term {a} of W_({g},{n}), k = {k}, lies on no orbit of degree {degree}")
+            tail, mult = merge(mu, nu)
+            key = a[0], tail
+            table[key] = table.get(key, 0) + mult * c
+    values = ((orbit, Fraction(table.get((v, tail), 0), 1 << E + 1)) for orbit, v, tail in _readings(cell_keys(g, n)))
+    return _symmetric(SparseSymPoly, g, n, values)
 
 
 def eo_shell(max_chi: int) -> dict:

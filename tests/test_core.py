@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from airyqc.core import (
     bounded_partitions,
     double_factorial,
+    merge,
     multiset_permutations,
     orbit_size,
     rat_parse,
     rat_str,
+    readings,
     sub_multisets,
 )
 
@@ -124,3 +126,21 @@ def test_sub_multisets_count_subsets():
         assert len(triples) == len(brute)
         for mu, nu, _ in triples:
             assert tuple(sorted(mu + nu, reverse=True)) == items
+
+
+# every descending tuple of length <= 6 over the values 0..3
+DESCENDING = [t for size in range(7) for t in combinations_with_replacement((3, 2, 1, 0), size)]
+
+
+def test_merge_inverts_sub_multisets():
+    for tail in DESCENDING:
+        for mu, nu, mult in sub_multisets(tail):
+            assert merge(mu, nu) == (tail, mult), (mu, nu)
+
+
+def test_readings_are_the_distinct_orderings():
+    for orbit in DESCENDING:
+        for k in range(min(3, len(orbit)) + 1):
+            found = list(readings(orbit, k))
+            distinct = {(p[:k], tuple(sorted(p[k:], reverse=True))) for p in multiset_permutations(orbit)}
+            assert len(found) == len(set(found)) and set(found) == distinct, (orbit, k)

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from airyqc import SparseSymPoly, residues, s_term, tW_from_correlators
-from airyqc.core import HALF, ordered_splits, orbit_size
+from airyqc.core import HALF, multiset_permutations, orbit_size
 from airyqc.correlators import require_stable, shell_cells
 from airyqc.suites import suite_dvv_eo
+
+from _oracles import from_expanded, ordered_splits
 
 
 def test_eo_equals_dvv_at_chi_7(table, wtable6):
@@ -68,7 +70,7 @@ def test_symmetry_check_fires(monkeypatch, wtable6, table):
     monkeypatch.setattr(residues, "kernel_series", doubled)
     with pytest.raises(ValueError) as err:
         residues.eo_W(0, 4, wtable6)
-    assert str(err.value) == "W_(0,4) failed its symmetry check on orbit (1, 0, 0, 0)"
+    assert str(err.value) == "cell (0, 4): terms are not symmetric on orbit (1, 0, 0, 0)"
     # a W_(0,2) leg doubled on spectator 1 only: that leg sits on position
     # 1 alone, so the cells it feeds are doubled whole and stay symmetric,
     # and the comparison with DVV is what catches it
@@ -81,7 +83,7 @@ def test_symmetry_check_fires(monkeypatch, wtable6, table):
     ]
 
 
-def test_every_residue_term_is_read(wtable6):
+def test_every_residue_term_is_read(monkeypatch, wtable6):
     # an extra orbit of W_(0,3) off its degree 0 puts terms into W_(1,2)'s
     # residue, within the kernel's truncation, that no orbit of degree 2 reads
     lower = dict(wtable6)
@@ -89,6 +91,19 @@ def test_every_residue_term_is_read(wtable6):
     with pytest.raises(ValueError) as err:
         residues.eo_W(1, 2, lower)
     assert str(err.value) == "residue term (2, 1) of W_(1,2), k = 1, lies on no orbit of degree 2"
+    # every lower cell entering with each tail in every order, not only
+    # descending, puts terms into the residue whose legs do not descend
+    flatten = residues._flatten
+
+    def every_order(cell, active, scale):
+        strata, bound = flatten(cell, active, scale)
+        spread = {k: {p: c for tail, c in poly.items() for p in multiset_permutations(tail)} for k, poly in strata.items()}
+        return spread, bound
+
+    monkeypatch.setattr(residues, "_flatten", every_order)
+    with pytest.raises(ValueError) as err:
+        residues.eo_W(0, 5, wtable6)
+    assert str(err.value) == "residue term (0, 1, 0, 1, 0) of W_(0,5), k = 1, lies on no orbit of degree 2"
 
 
 def test_exponent_parity_check_fires(monkeypatch, wtable6):
@@ -245,7 +260,7 @@ def _fraction_eo_W(g, n, lower):
     assert residues.exact_through(kernel, inner) >= -1
     residue = (kernel * inner).residue()
     terms = {tuple((-e - 2) // 2 for e in exps): HALF * c for exps, c in residue.items()}
-    return SparseSymPoly.from_expanded(n, terms)
+    return from_expanded(SparseSymPoly, n, terms)
 
 
 def test_integer_route_equals_fraction_route(wtable6):
@@ -309,5 +324,5 @@ def test_quantum_curve_from_eo_cells_catches_a_doubled_base(wtable6, table):
     doubled = SparseSymPoly(1, {a: 2 * c for a, c in wtable6[(1, 1)].orbits.items()})
     assert _s_n_mismatches({**_eo_cells(7, wtable6), (1, 1): doubled}, table) == [2]
     genus0 = {(g, n): cell for (g, n), cell in wtable6.items() if g == 0}
-    with pytest.raises(ValueError, match=re.escape("W_(1,2) failed its symmetry check")):
+    with pytest.raises(ValueError, match=re.escape("cell (1, 2): terms are not symmetric on orbit (2, 0)")):
         _eo_cells(7, {**genus0, (1, 1): doubled})

@@ -2,11 +2,12 @@
 
 ``_expanded_omega_step``, ``_expanded_Omega_step_dw0`` and
 ``_expanded_Omega_step`` build the target over every permutation of every
-lower cell, and the first and last regroup it with ``from_expanded``, which
-checks symmetry in all n+1 variables.  They use only the public operators
-``d_op`` and ``calD_op``, which the steps apply too (``tests/test_transfer.py``
-checks those against the defining series), and share no other code path
-with the steps in ``airyqc.polynomials``.
+lower cell, and the first and last regroup it with ``from_expanded``
+(``tests/_oracles.py``), which checks symmetry in all n+1 variables.
+They use only the public operators ``d_op`` and ``calD_op``, which the
+steps apply too (``tests/test_transfer.py`` checks those against the
+defining series), and share no other code path with the steps in
+``airyqc.polynomials``.
 """
 
 from fractions import Fraction as F
@@ -28,10 +29,12 @@ from airyqc import (
     omega_from_correlators,
     omega_step,
 )
-from airyqc.core import HALF, accumulate, ordered_splits, sub_multisets
+from airyqc.core import HALF, accumulate, sub_multisets
 from airyqc.correlators import is_stable, shell_cells
 from airyqc.polynomials import _calD_dx, _degree, _lower_cells, _split_table, _step_values, _targets
 from airyqc.suites import suite_Omega_rec, suite_omega_rec
+
+from _oracles import from_expanded, ordered_splits
 
 # --- the expanded steps ------------------------------------------------------
 
@@ -84,7 +87,7 @@ def _expanded_omega_step(g, n, lower):
         accumulate(acc, exps, HALF * coeff)
     if n >= 1:
         _transfer(acc, lower[(g, n)].expand(), d_op, nvars)
-    return SparseSymPoly.from_expanded(nvars, acc)
+    return from_expanded(SparseSymPoly, nvars, acc)
 
 
 def _expanded_Omega_step_dw0(g, n, lower):
@@ -106,7 +109,7 @@ def _expanded_Omega_step(g, n, lower):
         k = exps[0]
         assert k != -2
         accumulate(terms, (k + 2,) + exps[1:], coeff * F(2, k + 2))
-    return HalfPowerPoly.from_expanded(n + 1, terms)
+    return from_expanded(HalfPowerPoly, n + 1, terms)
 
 
 # --- orbit-wise steps == expanded steps ----------------------------------------
