@@ -122,6 +122,21 @@ def exact(value, what: str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def add_over(num: int, den: int, x: int, d: int) -> tuple[int, int]:
+    """num/den + x/d as ints over the running common denominator, which
+    grows to lcm(den, d) only when d does not divide it; no gcd is taken,
+    so a sum of many terms builds one Fraction at its end.
+
+    >>> add_over(1, 6, 1, 4)
+    (5, 12)
+    """
+    if den % d:
+        lcm = math.lcm(den, d)
+        num *= lcm // den
+        den = lcm
+    return num + x * (den // d), den
+
+
 def accumulate(d: dict, key, c) -> None:
     """Add `c` to ``d[key]`` in a sparse dict, dropping the key when the
     sum is zero, so that ``d`` never stores a zero coefficient.

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import _scale_exp, bounded_partitions, exact, odd_weight, partition_walk, rat_str, sub_multisets
+from .core import _scale_exp, add_over, bounded_partitions, exact, odd_weight, partition_walk, rat_str, sub_multisets
 
 __all__ = [
     "CorrelatorTable",
@@ -209,8 +209,8 @@ class CorrelatorTable:
         keys a of the stable cell (g, l), every a_i >= 2, once per table
         (the memo is write-once, the seeds fixed).  That is l!/(2^E(g) q^g)
         times sum S(a)/m(a), m the weight of ``partition_walk``, so the walk
-        adds each S(a) as S(a) * (den // m) over a running common
-        denominator den, the lcm of the weights so far.
+        adds each S(a) over a running common denominator, the lcm of the
+        weights so far (``core.add_over``).
 
         >>> CorrelatorTable().core_sum(2, 1)
         Fraction(35, 384)
@@ -220,11 +220,7 @@ class CorrelatorTable:
         if total is None:
             num, den = 0, 1
             for a, m in partition_walk(3 * g - 3 + l, l, 2, zeros=False):
-                if den % m:
-                    lcm = math.lcm(den, m)
-                    num *= lcm // den
-                    den = lcm
-                num += self._value(g, a) * (den // m)
+                num, den = add_over(num, den, self._value(g, a), m)
             total = Fraction(math.factorial(l) * num, den * self._q**g << _scale_exp(g))
             self._core_sums[(g, l)] = total
         return total
@@ -293,16 +289,16 @@ class CorrelatorTable:
                 genus += self._value(g - 1, tuple(sorted(rest + (b1, b2), reverse=True)))
             total += (self._q * genus) << (e - _scale_exp(g - 1))
 
-        # splittings, ordered pairs; only the on-shell b_1 can contribute
+        # splittings, ordered pairs; only the on-shell b_1 = 3 g_1 + d can
+        # contribute, so g_1 runs over the range that gives 0 <= b_1 <= a0 - 2
         if a0 >= 2:
             for mu, nu, mult in sub_multisets(rest):
-                for g1 in range(g + 1):
-                    b1 = 3 * g1 - 2 + len(mu) - sum(mu)
-                    b2 = a0 - 2 - b1
-                    if b1 >= 0 and b2 >= 0:
-                        f1 = self._value(g1, tuple(sorted(mu + (b1,), reverse=True)))
-                        f2 = self._value(g - g1, tuple(sorted(nu + (b2,), reverse=True)))
-                        total += (mult * f1 * f2) << (e - _scale_exp(g1) - _scale_exp(g - g1))
+                d = len(mu) - 2 - sum(mu)
+                for g1 in range(max(0, -(d // 3)), min(g, (a0 - 2 - d) // 3) + 1):
+                    b1 = 3 * g1 + d
+                    f1 = self._value(g1, tuple(sorted(mu + (b1,), reverse=True)))
+                    f2 = self._value(g - g1, tuple(sorted(nu + (a0 - 2 - b1,), reverse=True)))
+                    total += (mult * f1 * f2) << (e - _scale_exp(g1) - _scale_exp(g - g1))
 
         if total & 1:
             key = tuple(sorted((a0,) + rest, reverse=True))

@@ -25,7 +25,9 @@ inversion, [X^m] H(v) = (1/m) [v^(m-1)] H'(v) (1 + 2v)^(3m/2), gives
 
 So S_n reads only the core keys, <tau_1>_1 and what the DVV recursion
 needs for them; the fold holds for any table that obeys the string and
-dilaton steps, one with an overridden seed included.
+dilaton steps, one with an overridden seed included.  Every cell of S_n
+has m = n - 1, so its terms are int numerators over one running common
+denominator, read as one Fraction per S_n.
 
 With S_0 = branch * (2u)^(3/2) / 3, the logarithmic S_1 = log(w)/4 + const,
 and sigma_i = w^(5/2) d_w S_i (a monomial of w-degree 3i/2 for every i),
@@ -35,11 +37,11 @@ substituting d_u = -2 w^2 d_w turns the order-hbar^n part of the equation,
     R_n = sum_{i+j=n} sigma_i sigma_j + w^(5/2) d_w sigma_{n-1}
           - 1/2 w^(3/2) sigma_{n-1} - [n=0]/4,
 
-a single monomial w^(3n/2).  Every order 0..N is checked by R_n = 0.  The
-checks read only the terms, which ``s_terms`` builds once per table; a
-wrong S_i is tested by replacing its entry.  For
-n >= 3, sigma_0 = -branch/2 and sigma_1 = w^(3/2)/4 cancel the other S_0
-and S_1 terms, leaving
+a single monomial w^(3n/2), summed as ints over one denominator per
+order.  Every order 0..N is checked by R_n = 0.  The checks read only
+the terms, which ``s_terms`` builds once per table; a wrong S_i is
+tested by replacing its entry.  For n >= 3, sigma_0 = -branch/2 and
+sigma_1 = w^(3/2)/4 cancel the other S_0 and S_1 terms, leaving
 
     w^(5/2) d_w S_n = branch * ( (w^(5/2) d_w)^2 S_{n-1}
                       + sum_{i+j=n, i,j>=2} w^(5/2) d_w S_i * w^(5/2) d_w S_j )
@@ -56,7 +58,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import ZERO, rat_str
+from .core import add_over, rat_str
 from .correlators import CorrelatorTable, require_stable
 
 __all__ = [
@@ -96,21 +98,47 @@ def _check_branch(branch: int):
         raise ValueError("branch must be +1 or -1")
 
 
+def _check_order(n, name: str):
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 @lru_cache(maxsize=None)
-def _lagrange_row(m: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """([X^m] (-log(1 - v)), (c(m, 0), ..., c(m, m))) for m >= 1, by Lagrange
+def _lagrange_row(m: int) -> tuple[int, int, tuple[int, ...]]:
+    """(den, L, (C_0, ..., C_m)) for m >= 1, ints over den = m * m! with
+    [X^m] (-log(1 - v)) = L/den and c(m, chi) = C_chi/den, by Lagrange
     inversion: [X^m] (-log(1 - v)) = (1/m) sum_{j<m} C(3m/2, j) 2^j, each
     C(3m/2, j) 2^j = 3m (3m - 2) ... (3m - 2j + 2) / j! taken over m!.
 
     >>> _lagrange_row(2)
-    (Fraction(7, 2), (Fraction(0, 1), Fraction(4, 1), Fraction(1, 1)))
+    (4, 14, (0, 16, 4))
     """
     terms = [math.factorial(m)]
     for j in range(m):
         terms.append(terms[-1] * (3 * m - 2 * j) // (j + 1))
-    den = m * terms[0]
     sums = (chi * sum(math.comb(m - j, chi) * terms[j] for j in range(m - chi + 1)) for chi in range(m + 1))
-    return Fraction(sum(terms[:m]), den), tuple(Fraction(num, den) for num in sums)
+    return m * terms[0], sum(terms[:m]), tuple(sums)
+
+
+def _diag_over(g: int, k: int, table: CorrelatorTable, num: int = 0, den: int = 1) -> tuple[int, int]:
+    """num/den + Omega_{g,k}(w, ..., w)/k! as ints over a running common
+    denominator (``core.add_over``), each term of the fold in
+    :func:`diag_Omega` added as an int numerator.  Every cell with
+    2g - 2 + k = m shares the Lagrange row c(m, .) and its denominator.
+    Raises ValueError unless (g, k) is a stable cell."""
+    require_stable(g, k)
+    if g == 0:
+        return add_over(num, den, math.prod(range(k, 3 * k - 7, 2)), math.factorial(k))
+    row, log, c = _lagrange_row(2 * g - 2 + k)
+    if g == 1:
+        tau1 = table.correlator(1, (1,))
+        return add_over(num, den, log * tau1.numerator, row * tau1.denominator)
+    for l in range(1, min(k, 3 * g - 3) + 1):
+        core = table.core_sum(g, l)
+        num, den = add_over(num, den, core.numerator * c[2 * g - 2 + l], core.denominator * math.factorial(l) * row)
+    return num, den
 
 
 def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
@@ -128,61 +156,63 @@ def diag_Omega(g: int, k: int, table: CorrelatorTable) -> tuple[Fraction, int]:
     <tau_1>_1 is read from the table, so that an overridden seed
     propagates.  Raises ValueError unless (g, k) is a stable cell.
     """
-    require_stable(g, k)
-    if g == 0:
-        return Fraction(math.prod(range(k, 3 * k - 7, 2))), 3 * k - 6
-    log, c = _lagrange_row(2 * g - 2 + k)
-    if g == 1:
-        total = log * table.correlator(1, (1,))
-    else:
-        ls = range(1, min(k, 3 * g - 3) + 1)
-        total = sum((table.core_sum(g, l) * c[2 * g - 2 + l] / math.factorial(l) for l in ls), ZERO)
-    return math.factorial(k) * total, 6 * g - 6 + 3 * k
+    num, den = _diag_over(g, k, table)
+    return Fraction(math.factorial(k) * num, den), 6 * g - 6 + 3 * k
 
 
 def s_term(n: int, branch: int, table: CorrelatorTable) -> WkbTerm:
     """Assemble S_n from diagonal Omega evaluations (n >= 2), or return the
-    fixed S_0, S_1 forms (``table`` is read only for n >= 2)."""
+    fixed S_0, S_1 forms (``table`` is read only for n >= 2).  Every cell
+    of S_n has 2g - 2 + k = n - 1, so one Lagrange row serves all of them,
+    and their terms are summed as ints into one Fraction.  Raises
+    ValueError unless ``n`` is an int >= 0."""
     _check_branch(branch)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order(n, "n")
     if n == 0:
         return WkbTerm(0, branch, "monomial", Fraction(branch, 3), -3)
     if n == 1:
         return WkbTerm(1, branch, "log", Fraction(1, 4))
-    coeff = ZERO
+    num, den = 0, 1
     for g in range(n // 2 + 1):
-        k = n + 1 - 2 * g
-        coeff += diag_Omega(g, k, table)[0] / math.factorial(k)
-    return WkbTerm(n, branch, "monomial", Fraction(branch) ** (n + 1) * coeff, 3 * n - 3)
+        num, den = _diag_over(g, n + 1 - 2 * g, table, num, den)
+    return WkbTerm(n, branch, "monomial", Fraction(branch ** (n + 1) * num, den), 3 * n - 3)
 
 
 def s_terms(N: int, branch: int, table: CorrelatorTable) -> dict[int, WkbTerm]:
+    _check_order(N, "N")
     return {n: s_term(n, branch, table) for n in range(N + 1)}
 
 
 # ---------------------------------------------------------------------------
 # the order-hbar^n residual R_n in the w monomial calculus
 
-def _w52d(coeff, halfsteps):
-    """w^(5/2) d_w on a single monomial: exponent +3 half-steps."""
-    return coeff * Fraction(halfsteps, 2), halfsteps + 3
-
-
 def _residual(n: int, terms: dict) -> Fraction:
     """Coefficient of the monomial R_n (w-degree 3n/2); zero iff the
-    order-hbar^n identity holds."""
-    sigma = []
+    order-hbar^n identity holds.
+
+    sigma_i = w^(5/2) d_w S_i is f_i/2 times the coefficient c_i of S_i,
+    f_i its half-step exponent (2 for the log term), and lands on
+    w^(3i/2), else ValueError.  Over D = 2 lcm(denominators of the c_i),
+    s_i = D sigma_i is an int, and the w^(5/2) d_w sigma_(n-1) and
+    -1/2 w^(3/2) sigma_(n-1) terms add up to (3n - 4)/2 sigma_(n-1), so
+
+        D^2 R_n = sum_i s_i s_(n-i) + D s_(n-1) (3n - 4)/2 - [n=0] D^2/4
+
+    is an int sum, read as one Fraction.
+    """
+    coeffs = []
     for i in range(n + 1):
         t = terms[i]
-        # w^(5/2) d_w (c log w) = c w^(3/2)
-        c, h = (t.coeff, 3) if t.kind == "log" else _w52d(t.coeff, t.halfsteps)
-        assert h == 3 * i, f"sigma_{i} off its monomial w^({3 * i}/2)"
-        sigma.append(c)
-    total = sum(sigma[i] * sigma[n - i] for i in range(n + 1))
-    if n == 0:
-        return total - Fraction(1, 4)
-    return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2
+        # w^(5/2) d_w (c log w) = c w^(3/2);  w^(5/2) d_w (c w^(f/2)) = c f/2 w^((f+3)/2)
+        f, h = (2, 3) if t.kind == "log" else (t.halfsteps, t.halfsteps + 3)
+        if h != 3 * i:
+            raise ValueError(f"sigma_{i} off its monomial w^({3 * i}/2)")
+        coeffs.append((t.coeff, f))
+    half = math.lcm(*(c.denominator for c, _ in coeffs))  # D/2
+    s = [c.numerator * f * (half // c.denominator) for c, f in coeffs]
+    total = sum(s[i] * s[n - i] for i in range(n + 1))
+    total += -half * half if n == 0 else half * (3 * n - 4) * s[n - 1]
+    return Fraction(total, 4 * half * half)
 
 
 def verify_low_orders(terms: dict) -> bool:
@@ -221,7 +251,8 @@ def t_recursion_check(n: int, terms: dict) -> bool:
 
     def d(i):
         t = terms[i]
-        assert t.kind == "monomial"
+        if t.kind != "monomial":
+            raise ValueError(f"S_{i} is not a monomial")
         # w^((3i-3)/2) = (-3t/2)^(1-i)
         return t.coeff * Fraction(-3, 2) ** (1 - i)
 
@@ -260,9 +291,9 @@ class QuantumCurveReport(namedtuple("QuantumCurveReport", "max_order branch resi
 
 
 def quantum_curve_report(N: int, branch: int, table: CorrelatorTable) -> QuantumCurveReport:
-    """Check every order 0..N on the given branch and collect residuals."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    """Check every order 0..N on the given branch and collect residuals.
+    Raises ValueError unless ``N`` is an int >= 0."""
+    _check_order(N, "N")
     _check_branch(branch)
     terms = s_terms(N, branch, table)
     residuals = []

@@ -1,5 +1,9 @@
 """Helpers of the test oracles that expand every split and every
-permutation, which the package itself no longer does."""
+permutation, which the package itself no longer does, and the Fraction
+forms of the WKB sums, which it now runs on ints."""
+
+import math
+from fractions import Fraction
 
 from airyqc.core import orbit_size
 
@@ -29,3 +33,63 @@ def ordered_splits(g, positions):
             A1 = [p for i, p in enumerate(positions) if mask >> i & 1]
             A2 = [p for i, p in enumerate(positions) if not mask >> i & 1]
             yield g1, A1, g - g1, A2
+
+
+# ---------------------------------------------------------------------------
+# the WKB assembly and the order-hbar^n residual in Fractions, as ``wkb`` ran
+# them before they summed ints over one denominator
+
+
+def fraction_lagrange_row(m):
+    """([X^m] (-log(1 - v)), (c(m, 0), ..., c(m, m))) as Fractions, each
+    reduced on its own."""
+    terms = [math.factorial(m)]
+    for j in range(m):
+        terms.append(terms[-1] * (3 * m - 2 * j) // (j + 1))
+    den = m * terms[0]
+    sums = (chi * sum(math.comb(m - j, chi) * terms[j] for j in range(m - chi + 1)) for chi in range(m + 1))
+    return Fraction(sum(terms[:m]), den), tuple(Fraction(num, den) for num in sums)
+
+
+def fraction_diag(g, k, table):
+    """The coefficient of Omega_{g,k}(w, ..., w), one Fraction product per
+    term of the Itzykson-Zuber fold."""
+    if g == 0:
+        return Fraction(math.prod(range(k, 3 * k - 7, 2)))
+    log, c = fraction_lagrange_row(2 * g - 2 + k)
+    if g == 1:
+        total = log * table.correlator(1, (1,))
+    else:
+        ls = range(1, min(k, 3 * g - 3) + 1)
+        total = sum((table.core_sum(g, l) * c[2 * g - 2 + l] / math.factorial(l) for l in ls), Fraction(0))
+    return math.factorial(k) * total
+
+
+def fraction_s_coeff(n, branch, table):
+    """The coefficient of S_n (n >= 2): branch^(n+1) sum_g diag(g, k)/k!
+    over the cells 2g - 1 + k = n."""
+    total = Fraction(0)
+    for g in range(n // 2 + 1):
+        k = n + 1 - 2 * g
+        total += fraction_diag(g, k, table) / math.factorial(k)
+    return Fraction(branch) ** (n + 1) * total
+
+
+def _w52d(coeff, halfsteps):
+    """w^(5/2) d_w on a single monomial: exponent +3 half-steps."""
+    return coeff * Fraction(halfsteps, 2), halfsteps + 3
+
+
+def fraction_residual(n, terms):
+    """The coefficient of R_n from the sigma_i as Fractions."""
+    sigma = []
+    for i in range(n + 1):
+        t = terms[i]
+        c, h = (t.coeff, 3) if t.kind == "log" else _w52d(t.coeff, t.halfsteps)
+        if h != 3 * i:
+            raise ValueError(f"sigma_{i} off its monomial w^({3 * i}/2)")
+        sigma.append(c)
+    total = sum(sigma[i] * sigma[n - i] for i in range(n + 1))
+    if n == 0:
+        return total - Fraction(1, 4)
+    return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2

@@ -114,6 +114,19 @@ def test_one_point_closed_form(table):
         assert table.correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * math.factorial(g)), g
 
 
+def test_split_range_edges_at_high_genus():
+    # the split loop runs g_1 only where 0 <= b_1 <= a_0 - 2; the one-point
+    # keys and every special of the cells (5, 3) and (6, 2) reach each end
+    # of that range: g_1 = 0, g_1 = g, b_1 = 0 and b_2 = 0
+    t = CorrelatorTable()
+    for g in range(1, 21):
+        assert t.correlator(g, (3 * g - 2,)) == Fraction(1, 24**g * math.factorial(g)), g
+    for g, n in ((5, 3), (6, 2)):
+        for a in cell_keys(g, n):
+            for i in range(n):
+                assert t.dvv_rhs(g, a, i) == t.correlator(g, a), (g, a, i)
+
+
 def dijkgraaf_two_point(g):
     """[<tau_a tau_{3g-1-a}>_g for a = 0..3g-1] from Dijkgraaf's two-point
     function (hep-th/9201003), written out here with no package helper:

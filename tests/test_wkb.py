@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from _oracles import fraction_diag, fraction_residual, fraction_s_coeff
 
 from airyqc import (
     CorrelatorTable,
@@ -16,7 +17,7 @@ from airyqc import (
 )
 from airyqc.core import _scale_exp, partition_walk
 from airyqc.correlators import is_stable
-from airyqc.wkb import _lagrange_row
+from airyqc.wkb import _lagrange_row, _residual
 
 
 def test_diag_Omega_values(table):
@@ -325,9 +326,66 @@ def test_universal_coefficients_equal_the_series_reversion():
     genus0 = [c / 2 for c in _shift(bracket, 1)]
     table = CorrelatorTable()
     for m in range(1, _M + 1):
-        log, c = _lagrange_row(m)
+        den, log, nums = _lagrange_row(m)
+        log, c = F(log, den), [F(x, den) for x in nums]
         assert log == minus_log[m], m
         assert list(c) == [y_powers[chi][m] for chi in range(m + 1)], m
         assert all(y_powers[chi][m] == 0 for chi in range(m + 1, _M + 1)), m
         assert diag_Omega(1, m, table)[0] == math.factorial(m) * F(1, 24) * minus_log[m], m
         assert diag_Omega(0, m + 2, table)[0] == math.factorial(m + 2) * genus0[m], m
+
+
+# ---------------------------------------------------------------------------
+# the int sums against their Fraction forms (tests/_oracles.py)
+
+
+@pytest.mark.parametrize("tau1", [F(1, 24), F(1, 12), F(1, 23)], ids=["1/24", "1/12", "1/23"])
+def test_s_term_equals_the_fraction_assembly(tau1):
+    table, oracle = CorrelatorTable(tau1=tau1), CorrelatorTable(tau1=tau1)
+    for n in range(2, 25):
+        for branch in (1, -1):
+            assert s_term(n, branch, table).coeff == fraction_s_coeff(n, branch, oracle), (n, branch)
+        for g in range(n // 2 + 1):
+            k = n + 1 - 2 * g
+            assert diag_Omega(g, k, table)[0] == fraction_diag(g, k, oracle), (g, k)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("wrong", range(2, 7))
+def test_residual_equals_the_fraction_residual(table, branch, wrong):
+    terms = s_terms(12, branch, table)
+    good = terms[wrong]
+    terms[wrong] = WkbTerm(wrong, branch, "monomial", good.coeff * F(7, 5) - F(1, 3), good.halfsteps)
+    residuals = [_residual(n, terms) for n in range(13)]
+    assert residuals == [fraction_residual(n, terms) for n in range(13)]
+    assert residuals[wrong] != 0 and not any(residuals[:wrong])
+
+
+def test_residual_rejects_a_term_off_its_monomial(table):
+    terms = s_terms(5, 1, table)
+    good = terms[4]
+    terms[4] = WkbTerm(4, 1, "monomial", good.coeff, good.halfsteps + 3)
+    with pytest.raises(ValueError, match=r"^sigma_4 off its monomial w\^\(12/2\)$"):
+        _residual(4, terms)
+    terms[4] = WkbTerm(4, 1, "log", good.coeff)
+    with pytest.raises(ValueError, match=r"^sigma_4 off its monomial"):
+        verify_order(5, 1, terms)
+
+
+def test_t_recursion_rejects_a_log_term(table):
+    terms = s_terms(5, 1, table)
+    terms[3] = WkbTerm(3, 1, "log", terms[3].coeff)
+    with pytest.raises(ValueError, match=r"^S_3 is not a monomial$"):
+        t_recursion_check(5, terms)
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, "3", None])
+def test_orders_must_be_ints(table, order):
+    with pytest.raises(ValueError, match=r"^n must be an int, got "):
+        s_term(order, 1, table)
+    with pytest.raises(ValueError, match=r"^N must be an int, got "):
+        s_terms(order, 1, table)
+    with pytest.raises(ValueError, match=r"^N must be an int, got "):
+        quantum_curve_report(order, -1, table)
+    with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+        s_terms(-1, 1, table)
