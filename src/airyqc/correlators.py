@@ -258,9 +258,12 @@ class CorrelatorTable:
         Every choice of ``special`` must return the same value, equal to
         :meth:`correlator` on every key but the two seeds; the string and
         dilaton reductions that :meth:`correlator` takes first are an
-        optimization, not part of the result.
+        optimization, not part of the result.  A ``special`` that is not
+        an int in range(n) raises ValueError.
         """
         g, a = canonical_key(g, exponents)
+        if type(special) is not int or not 0 <= special < len(a):
+            raise ValueError(f"special must be an int in range({len(a)}), got {special!r}")
         a0 = exponents[special]
         i = a.index(a0)
         rest = a[:i] + a[i + 1 :]

@@ -35,7 +35,10 @@ table over L^2, read once per target orbit.  Symmetry in
 w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i
 by comparing every reading of each full target orbit (``_symmetric``).
 The reading walk ``core.readings``, the merge rule ``core.merge`` and
-``_symmetric`` also serve the EO residue read (``residues.eo_W``).  One
+``_symmetric`` also serve the EO route (``residues``): it flattens each
+lower cell by the same walk, keys each spectator monomial by its
+exponent tuple as a tail is keyed here, and reads its residue forward
+into one table like the split table of this step.  One
 slot map 2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target

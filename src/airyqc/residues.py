@@ -13,32 +13,30 @@ check ``polynomials._symmetric``; the split counts of the DVV table come
 from ``core.sub_multisets``, which this route does not call.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
-order ``trunc``, whose coefficients are Laurent polynomials in the
-spectator variables z_0 ... z_{n-1}.  Each spectator monomial
-z_0^e_0 ... z_{n-1}^e_{n-1} is one int key, sum_i e_i 2^(WIDTH i): one
-signed WIDTH-bit digit per position (:func:`pack`), so the monomial of a
-product is the sum of the keys, and keys are decoded (:func:`unpack`)
-only when ``ZSeries.residue`` reads the z^(-1) stratum.
+order ``trunc``, whose coefficients are Laurent polynomials in its own
+block of ``nspec`` spectator variables: each spectator monomial is the
+tuple of its exponents over that block.  A product is the product over
+disjoint blocks, the first factor's spectators and then the second's, so
+the monomial of a product term is its factors' tuples joined end to end
+and its ``nspec`` is the sum of theirs.  No series says which variables
+its spectators are; :func:`eo_W` places the blocks.
 
 Every product goes through one routine, :func:`_mul_into`, which adds
 into a stratum dict in place only the strata z^k its caller keeps, and
-two certificates.  :func:`exact_through`: f1 * f2 is exact through
-z^min(trunc_1 + val_2, trunc_2 + val_1).  :func:`digit_bound`: each
-series carries a bound on its |e_i|, a product's is the sum of its
-factors', and ``_mul_into`` raises ValueError when that reaches the
-half-width 2^(WIDTH - 1), so no digit ever carries into its neighbour.
-``ZSeries.__mul__`` keeps the strata the first certificate covers;
-:func:`eo_W` keeps the even strata z^k, k <= 0, of each split product
-and then only the z^(-1) stratum of the kernel contraction.
+one certificate, :func:`exact_through`: f1 * f2 is exact through
+z^min(trunc_1 + val_2, trunc_2 + val_1).  ``ZSeries.__mul__`` keeps the
+strata the certificate covers; :func:`eo_W` keeps the even strata z^k,
+k <= 0, of each split product and then only the z^(-1) stratum of the
+kernel contraction.
 
 :func:`eo_W` works orbit-wise.  A lower cell enters as its terms whose
 spectator exponents descend (:func:`series_from_cell`), so one product
 stands for every split with the same (g_1, |A_1|), and a size pair and
 its mirror are multiplied once, at twice the weight.  The residue of each
-|A_1| is decoded once and read forward: each term adds into one table
-keyed by its z_0 exponent and its merged spectator tail, and each target
-orbit reads that table once per distinct z_0 exponent; all of them must
-agree, which checks the symmetry of z_0 against the spectators.
+|A_1| is read forward: each term adds into one table keyed by its z_0
+exponent and its merged spectator tail, and each target orbit reads that
+table once per distinct z_0 exponent; all of them must agree, which
+checks the symmetry of z_0 against the spectators.
 
 It runs on ints: each genus-g_i cell enters at the scale 2^E(g_i) on
 which the DVV table is integral, and the weights and the recursion's 1/2
@@ -51,15 +49,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import lshift
 
 from .core import ZERO, _scale_exp, merge, readings
 from .correlators import cell_keys, require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell, _readings, _symmetric
-
-WIDTH = 16  # bits per spectator digit
-_HALF = 1 << WIDTH - 1
-_MASK = (1 << WIDTH) - 1
 
 __all__ = [
     "ZSeries",
@@ -74,17 +67,16 @@ __all__ = [
 class ZSeries:
     """Truncated Laurent series in z over spectator Laurent polynomials.
 
-    ``terms`` maps a z-exponent to a {packed spectator key: coefficient}
-    dict (see :func:`pack`); ``trunc`` is the largest z-exponent through
-    which the series is exact (math.inf for exact Laurent polynomials), and
-    ``bound`` bounds |e_i| over every spectator exponent of every key, the
-    input of :func:`digit_bound`.  The constructor drops zero coefficients,
-    so the arithmetic below sums without checking.
+    ``terms`` maps a z-exponent to a {spectator exponent tuple: coefficient}
+    dict, each tuple of length ``nspec``; ``trunc`` is the largest
+    z-exponent through which the series is exact (math.inf for exact
+    Laurent polynomials).  The constructor drops zero coefficients, so the
+    arithmetic below sums without checking.
     """
 
-    __slots__ = ("nspec", "trunc", "terms", "bound")
+    __slots__ = ("nspec", "trunc", "terms")
 
-    def __init__(self, nspec, trunc, terms, bound):
+    def __init__(self, nspec, trunc, terms):
         self.nspec = nspec
         self.trunc = trunc
         self.terms = {}
@@ -94,7 +86,6 @@ class ZSeries:
             clean = {e: c for e, c in poly.items() if c}
             if clean:
                 self.terms[k] = clean
-        self.bound = bound
 
     def valuation(self):
         """Lowest z-exponent the series can have; a series with no terms
@@ -112,123 +103,82 @@ class ZSeries:
                 tgt = out.setdefault(k, {})
                 for e, c in poly.items():
                     tgt[e] = tgt.get(e, ZERO) + c
-        return ZSeries(self.nspec, trunc, out, max(self.bound, other.bound))
+        return ZSeries(self.nspec, trunc, out)
 
     def __mul__(self, other):
-        assert self.nspec == other.nspec
+        """The product over disjoint blocks: this series' spectators, then
+        the other's."""
         trunc = exact_through(self, other)
         terms = {}
-        bound = _mul_into(terms, self, other, lambda k: k <= trunc)
-        return ZSeries(self.nspec, trunc, terms, bound)
+        _mul_into(terms, self, other, lambda k: k <= trunc)
+        return ZSeries(self.nspec + other.nspec, trunc, terms)
 
     def residue(self) -> dict:
         """Coefficient of z^(-1) as a {spectator exponent tuple: coeff}
-        Laurent polynomial; the keys are decoded here, once.
+        Laurent polynomial.
 
         Raises if truncation cannot certify the z^(-1) stratum.
         """
         if self.trunc < -1:
             raise ValueError(f"series truncated at {self.trunc}, residue stratum not exact")
-        return {unpack(e, self.nspec): c for e, c in self.terms.get(-1, {}).items()}
+        return dict(self.terms.get(-1, {}))
 
 
-def pack(exps) -> int:
-    """The key sum_i e_i 2^(WIDTH i) of the spectator monomial prod z_i^e_i.
-
-    Digit i is the signed exponent of z_i, so the key of a product is the
-    sum of the keys while every digit stays below the half-width:
-
-    >>> pack((-2, 0, 3)) + pack((1, -4, 0)) == pack((-1, -4, 3))
-    True
-    """
-    if any(abs(e) >= _HALF for e in exps):
-        raise ValueError(f"exponent vector {tuple(exps)} does not fit the digit half-width {_HALF}")
-    return sum(e << WIDTH * i for i, e in enumerate(exps))
-
-
-def unpack(key: int, nspec: int) -> tuple:
-    """The exponent vector of ``nspec`` digits that :func:`pack` made ``key``."""
-    exps = []
-    for _ in range(nspec):
-        d = (key + _HALF & _MASK) - _HALF
-        exps.append(d)
-        key = (key - d) >> WIDTH
-    if key:
-        raise ValueError(f"key has digits beyond its {nspec} spectator positions")
-    return tuple(exps)
-
-
-def _check_positions(positions, nspec):
-    if len(set(positions)) != len(positions) or not all(0 <= p < nspec for p in positions):
-        raise ValueError(f"spectator positions {tuple(positions)} are not distinct positions in range({nspec})")
-
-
-def kernel_series(M, nspec: int) -> ZSeries:
-    """1/(z (z_0^2 - z^2)) = sum_{j>=0} z^(2j-1) z_0^(-2j-2), through z^M."""
+def kernel_series(M) -> ZSeries:
+    """1/(z (z_0^2 - z^2)) = sum_{j>=0} z^(2j-1) z_0^(-2j-2), through z^M,
+    its one spectator z_0."""
     if M < -1:
         raise ValueError("truncation must be >= -1")
-    top = (M + 1) // 2
-    return ZSeries(nspec, M, {2 * j - 1: {-2 * j - 2: 1} for j in range(top + 1)}, 2 * top + 2)
+    return ZSeries(1, M, {2 * j - 1: {(-2 * j - 2,): 1} for j in range((M + 1) // 2 + 1)})
 
 
-def b02_series(sign: int, i: int, M, nspec: int) -> ZSeries:
-    """Expansion of the two-point cell with one leg active:
+def b02_series(sign: int, M) -> ZSeries:
+    """Expansion of the two-point cell with one leg active, its one
+    spectator w:
 
-        1/(+z - z_i)^2 = sum_{m>=0} (m+1) z^m z_i^(-m-2)         sign = +1
-        1/(-z - z_i)^2 = sum_{m>=0} (m+1) (-1)^m z^m z_i^(-m-2)  sign = -1
+        1/(+z - w)^2 = sum_{m>=0} (m+1) z^m w^(-m-2)         sign = +1
+        1/(-z - w)^2 = sum_{m>=0} (m+1) (-1)^m z^m w^(-m-2)  sign = -1
     """
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if M < 0:
         raise ValueError("truncation must be >= 0")
-    _check_positions((i,), nspec)
-    terms = {m: {-m - 2 << WIDTH * i: (m + 1) * sign**m} for m in range(M + 1)}
-    return ZSeries(nspec, M, terms, M + 2)
+    return ZSeries(1, M, {m: {(-m - 2,): (m + 1) * sign**m} for m in range(M + 1)})
 
 
-def series_from_cell(cell: SparseSymPoly, spectators, nspec: int, *, scale: int = 0, flats: dict | None = None) -> ZSeries:
-    """2^scale times the terms of a stable cell W(z, z_{spectators}), or
-    W(z, -z, z_{spectators}) when the cell has two variables more than
-    ``spectators``, whose spectator exponents descend along
-    ``spectators``, as an exact ZSeries with int coefficients.  These are
-    not the whole cell: by its symmetry every other term is one of them
-    with the spectators permuted, which :func:`eo_W` accounts for when it
-    reads the residue.  Other counts of active legs, spectator positions
-    that are not distinct and in range(nspec), and a coefficient that
-    2^scale does not make an integer raise ValueError.  Cells are even in
-    every variable, so the sign of an active leg never matters.
+def series_from_cell(cell: SparseSymPoly, nspec: int, *, scale: int = 0, flats: dict | None = None) -> ZSeries:
+    """2^scale times the terms of a stable cell W(z, w_1, ..., w_nspec),
+    or W(z, -z, w_1, ..., w_nspec) when the cell has nspec + 2 variables,
+    whose spectator exponents descend along w_1 ... w_nspec, as an exact
+    ZSeries with int coefficients.  These are not the whole cell: by its
+    symmetry every other term is one of them with the spectators permuted,
+    which :func:`eo_W` accounts for when it reads the residue.  Other
+    counts of active legs and a coefficient that 2^scale does not make an
+    integer raise ValueError.  Cells are even in every variable, so the
+    sign of an active leg never matters.
 
-    ``flats``, a dict the caller keeps, lets one cell be placed on several
-    spectator sets but scaled and flattened (:func:`_flatten`) once: it
-    holds the flattening by (id(cell), active legs, scale) next to the cell
-    itself, whose reference keeps that id from naming another cell.  The
-    leg exponent a at spectator position p is the digit -2a - 2 of z_p.
+    ``flats``, a dict the caller keeps, lets a cell be scaled and flattened
+    (:func:`_flatten`) once however often its series is asked for: it
+    holds the series by (id(cell), nspec, scale) next to the cell itself,
+    whose reference keeps that id from naming another cell.
     """
-    spectators = tuple(spectators)
-    _check_positions(spectators, nspec)
-    active = cell.nvars - len(spectators)
+    active = cell.nvars - nspec
     if active not in (1, 2):
         raise ValueError(f"{active} active legs, expected 1 or 2")
     flats = {} if flats is None else flats
-    key = (id(cell), active, scale)
+    key = (id(cell), nspec, scale)
     if key not in flats:
-        flats[key] = cell, _flatten(cell, active, scale)
-    strata, bound = flats[key][1]
-    shifts = [WIDTH * p for p in spectators]
-    base = -2 * sum(1 << s for s in shifts)
-    terms = {}
-    for k, poly in strata.items():
-        terms[k] = {base - 2 * sum(map(lshift, tail, shifts)): c for tail, c in poly.items()}
-    return ZSeries(nspec, math.inf, terms, bound)
+        flats[key] = cell, ZSeries(nspec, math.inf, _flatten(cell, active, scale))
+    return flats[key][1]
 
 
-def _flatten(cell: SparseSymPoly, active: int, scale: int):
-    """(strata, bound): 2^scale times the cell with ``active`` legs on z
-    and the rest of each orbit, descending, as its tail, as {z-exponent:
-    {tail: int}}, and a bound on |2a + 2| over every exponent a of the
-    cell.  An orbit adds one entry for each distinct ordered choice of its
-    active values (``core.readings``), and its coefficient is scaled and
-    checked for integrality once."""
+def _flatten(cell: SparseSymPoly, active: int, scale: int) -> dict:
+    """2^scale times the cell with ``active`` legs on z and the rest of each
+    orbit, descending, on the spectators, as {z-exponent: {spectator
+    exponent tuple: int}}; a leg exponent a is the z-exponent -2a - 2.  An
+    orbit adds one entry for each distinct ordered choice of its active
+    values (``core.readings``), and its coefficient is scaled and checked
+    for integrality once."""
     strata = {}
     for orbit, coeff in cell.orbits.items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
@@ -236,8 +186,9 @@ def _flatten(cell: SparseSymPoly, active: int, scale: int):
             raise ValueError(f"coefficient {coeff} is not an integer at scale 2^{scale}")
         for chosen, tail in readings(orbit, active):
             tgt = strata.setdefault(-2 * (sum(chosen) + active), {})
-            tgt[tail] = tgt.get(tail, 0) + c
-    return strata, 2 * max((orbit[0] for orbit in cell.orbits), default=-1) + 2
+            e = tuple([-2 * a - 2 for a in tail])
+            tgt[e] = tgt.get(e, 0) + c
+    return strata
 
 
 def exact_through(f1: ZSeries, f2: ZSeries):
@@ -246,34 +197,25 @@ def exact_through(f1: ZSeries, f2: ZSeries):
     A W_(0,2) leg cut at z^1 times the W_(0,3) leg, whose pole is z^(-2),
     is exact only through z^(-1):
 
-    >>> w03 = series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), (2, 3), 4)
-    >>> exact_through(b02_series(1, 1, 1, 4), w03)
+    >>> w03 = series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), 2)
+    >>> exact_through(b02_series(1, 1), w03)
     -1
     """
     return min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
 
 
-def digit_bound(f1: ZSeries, f2: ZSeries) -> int:
-    """The packing certificate: every spectator exponent of f1 * f2 is at
-    most this in absolute value, so adding keys never carries a digit into
-    its neighbour.  Raises ValueError when the bound reaches the half-width.
-
-    >>> digit_bound(kernel_series(4, 2), b02_series(1, 1, 4, 2))
-    12
-    """
-    bound = f1.bound + f2.bound
-    if bound >= _HALF:
-        raise ValueError(f"spectator exponents up to {bound} reach the digit half-width {_HALF}")
-    return bound
-
-
-def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> int:
+def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> None:
     """Add the strata z^k of f1 * f2 with ``keep(k)`` true, times 2^shift,
-    into the stratum dict ``out`` in place and return their
-    :func:`digit_bound`; no other stratum is formed.  A nonzero ``shift``
-    needs int coefficients in f1.  Exactness is the caller's, by
-    :func:`exact_through`."""
-    bound = digit_bound(f1, f2)
+    into the stratum dict ``out`` in place; no other stratum is formed.  A
+    nonzero ``shift`` needs int coefficients in f1.  Exactness is the
+    caller's, by :func:`exact_through`.  The blocks are disjoint, so the
+    monomial of a term is its factors' tuples joined end to end:
+
+    >>> out = {}
+    >>> _mul_into(out, kernel_series(1), b02_series(1, 1), lambda k: k <= 0)
+    >>> out
+    {-1: {(-2, -2): 1}, 0: {(-2, -3): 2}}
+    """
     for k1, p1 in f1.terms.items():
         for k2, p2 in f2.terms.items():
             k = k1 + k2
@@ -287,7 +229,6 @@ def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> int:
                 for e2, c2 in p2.items():
                     e = e1 + e2
                     tgt[e] = get(e, 0) + c1 * c2
-    return bound
 
 
 def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSymPoly:
@@ -307,29 +248,30 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
 
     Size pairs: the cells are symmetric, so the splits with one (g_1,
     |A_1| = k) differ only by which spectators the legs sit on.  One
-    product stands for all of them: leg 1 on positions 1..k, leg 2 on
-    positions k+1..n-1, each holding only its terms whose spectator
-    exponents descend along its positions (:func:`series_from_cell`).  It
-    goes into the stratum dict of its k, the genus term into that of
-    k = n - 1.  A split and its mirror (g_2, A_2, g_1, A_1) give the
-    products P(z) and P(-z), whose even strata are equal, so each
-    unordered pair {(g_1, k), (g_2, n-1-k)} is multiplied once, at twice
-    the weight, and its truncation certificate, which the mirror shares,
-    is checked once; a pair with (g_1, k) = (g_2, n-1-k) is its own mirror
-    and has weight 1.
+    product stands for all of them: over disjoint blocks, leg 1's
+    spectators are z_1 ... z_k and leg 2's z_(k+1) ... z_(n-1), each leg
+    holding only its terms whose spectator exponents descend
+    (:func:`series_from_cell`).  It goes into the stratum dict of its k,
+    the genus term, on z_1 ... z_(n-1), into that of k = n - 1.  A split
+    and its mirror (g_2, A_2, g_1, A_1) give the products P(z) and P(-z),
+    whose even strata are equal, so each unordered pair {(g_1, k), (g_2,
+    n-1-k)} is multiplied once, at twice the weight, and its truncation
+    certificate, which the mirror shares, is checked once; a pair with
+    (g_1, k) = (g_2, n-1-k) is its own mirror and has weight 1.
 
-    Read forward: ``kernel_series(M, n)`` is contracted with each k's
-    ``inner`` by the same routine, forming only the z^(-1) stratum, which
-    ``ZSeries.residue`` decodes once.  A residue term a = (v; mu; nu),
-    mu = a[1:k+1] on leg 1's positions and nu on leg 2's, must have degree
-    3g - 3 + n and descending mu and nu, as every product term does; it
-    stands for the mult subsets A_1 of the merged tail whose spectator
-    exponents form mu, so ``core.merge(mu, nu)`` gives (tail, mult) and
-    mult times the term is added into one table at (v, tail).  Each
-    target orbit of ``cell_keys(g, n)`` then reads that table once for
-    each of its ``_readings`` (v, tail), and ``polynomials._symmetric``
-    requires the readings of an orbit to agree: the symmetry of z_0
-    against the spectators, which the construction does not give.
+    Read forward: ``kernel_series(M)``, whose one spectator is z_0, is
+    contracted with each k's ``inner`` by the same routine, forming only
+    the z^(-1) stratum, which ``ZSeries.residue`` reads.  A residue term
+    a = (v; mu; nu), mu = a[1:k+1] on leg 1's spectators and nu on leg
+    2's, must have degree 3g - 3 + n and descending mu and nu, as every
+    product term does; it stands for the mult subsets A_1 of the merged
+    tail whose spectator exponents form mu, so ``core.merge(mu, nu)``
+    gives (tail, mult) and mult times the term is added into one table at
+    (v, tail).  Each target orbit of ``cell_keys(g, n)`` then reads that
+    table once for each of its ``_readings`` (v, tail), and
+    ``polynomials._symmetric`` requires the readings of an orbit to agree:
+    the symmetry of z_0 against the spectators, which the construction
+    does not give.
 
     Scale: ``inner`` holds 2^E(g) times the even part of the bracket, in
     ints, with E = :func:`~airyqc.core._scale_exp`, so the residue r is
@@ -348,67 +290,64 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
 
     Legs: :func:`series_from_cell` builds each lower cell's leg with one
     ``flats`` dict, so that each cell is scaled and flattened once however
-    many positions it is placed on; :func:`eo_shell` passes one dict to
-    all its calls.  An entry names its cell by identity and holds it, so a
-    dict filled from other lower cells is never misread.
+    many targets use it; :func:`eo_shell` passes one dict to all its
+    calls.  An entry names its cell by identity and holds it, so a dict
+    filled from other lower cells is never misread.
 
     Checks, each raising ValueError: every lower cell is integral at its
     scale (:func:`_flatten`), every split product is exact through z^0
     and each contraction through z^(-1) (:func:`exact_through`; the latter
-    says the kernel's truncation reaches every stratum of ``inner``), no
-    product's spectator exponents reach the digits' half-width
-    (:func:`digit_bound`), every exponent of every residue term is even
-    and negative, every residue term lies on a target orbit (its degree
-    and the descent of its legs), and the readings of each orbit agree.
-    The output has the exponent-table form of ``tW_from_correlators``.
+    says the kernel's truncation reaches every stratum of ``inner``),
+    every exponent of every residue term is even and negative, every
+    residue term lies on a target orbit (its degree and the descent of its
+    legs), and the readings of each orbit agree.  The output has the
+    exponent-table form of ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
     E = _scale_exp(g)
     flats = {} if flats is None else flats
 
-    def leg(gi, positions, sign):
-        if (gi, len(positions)) == (0, 1):
-            return b02_series(sign, positions[0], M, n)
-        return series_from_cell(_lower_cell(lower, gi, len(positions) + 1), positions, n, scale=_scale_exp(gi), flats=flats)
+    def leg(gi, k, sign):
+        if (gi, k) == (0, 1):
+            return b02_series(sign, M)
+        return series_from_cell(_lower_cell(lower, gi, k + 1), k, scale=_scale_exp(gi), flats=flats)
 
-    inner, bounds = {}, {}  # by k = |A_1|: a stratum dict and its digit bound
+    inner = {}  # by k = |A_1|: a stratum dict over the spectators z_1 ... z_(n-1)
     if (g, n) == (1, 1):
-        inner[0], bounds[0] = {-2: {0: 2}}, 0
+        inner[0] = {-2: {(): 2}}
     elif g >= 1:
-        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), range(1, n), n, scale=_scale_exp(g - 1))
+        genus = series_from_cell(_lower_cell(lower, g - 1, n + 1), n - 1, scale=_scale_exp(g - 1))
         shift = E - _scale_exp(g - 1)
         inner[n - 1] = {j: {e: c << shift for e, c in poly.items()} for j, poly in genus.terms.items()}
-        bounds[n - 1] = genus.bound
 
     for g1 in range(g + 1):
         for k in range(n):
             g2, k2 = g - g1, n - 1 - k
             if (g1, k) > (g2, k2) or (g1, k) == (0, 0) or (g2, k2) == (0, 0):
                 continue  # the mirror is taken instead, or W_(0,1) = 0
-            f1 = leg(g1, range(1, k + 1), 1)
-            if (g1, k) == (g2, k2):  # its own mirror
-                f2 = f1 if n == 1 else leg(g2, range(k + 1, n), -1)
+            f1 = leg(g1, k, 1)
+            if (g1, k) == (g2, k2):  # its own mirror; only a W_(0,2) leg depends on its sign
+                f2 = leg(g2, k2, -1) if (g1, k) == (0, 1) else f1
                 shift = E - 2 * _scale_exp(g1)
             else:
-                f2, shift = leg(g2, range(k + 1, n), -1), E + 1 - _scale_exp(g1) - _scale_exp(g2)
+                f2, shift = leg(g2, k2, -1), E + 1 - _scale_exp(g1) - _scale_exp(g2)
             exact = exact_through(f1, f2)
             if exact < 0:
                 raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
-            bound = _mul_into(inner.setdefault(k, {}), f1, f2, lambda j: j <= 0 and not j % 2, shift)
-            bounds[k] = max(bounds.get(k, 0), bound)
+            _mul_into(inner.setdefault(k, {}), f1, f2, lambda j: j <= 0 and not j % 2, shift)
 
-    kernel = kernel_series(M, n)
+    kernel = kernel_series(M)
     degree = 3 * g - 3 + n
     table = {}  # {(z_0 exponent, descending tail): sum of mult c}
     for k, strata in inner.items():
-        even = ZSeries(n, 0, strata, bounds[k])
+        even = ZSeries(n - 1, 0, strata)
         exact = exact_through(kernel, even)
         if exact < -1:
             raise ValueError(f"kernel truncated at z^{M} does not reach stratum z^{even.valuation()} of W_({g},{n})")
         out = {}
-        bound = _mul_into(out, kernel, even, lambda j: j == -1)
-        for exps, c in ZSeries(n, exact, out, bound).residue().items():
+        _mul_into(out, kernel, even, lambda j: j == -1)
+        for exps, c in ZSeries(n, exact, out).residue().items():
             if any(e >= 0 or e % 2 for e in exps):
                 raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
             a = tuple([(-e - 2) // 2 for e in exps])

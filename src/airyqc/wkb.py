@@ -94,7 +94,7 @@ class WkbTerm(namedtuple("WkbTerm", "n branch kind coeff halfsteps", defaults=(N
 
 
 def _check_branch(branch: int):
-    if branch not in (1, -1):
+    if type(branch) is not int or branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
 
 

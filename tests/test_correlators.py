@@ -248,11 +248,17 @@ def test_shell_keys_and_free_walk_orders_are_pinned():
 
 
 def test_dvv_rhs_takes_any_index_as_special(table):
-    # negative indices included: special = -1 once dropped the wrong entry
     for g, a in shell_keys(6):
         if (g, a) not in SEEDS:
-            for i in range(-len(a), len(a)):
+            for i in range(len(a)):
                 assert table.dvv_rhs(g, a, i) == table.correlator(g, a), (g, a, i)
+
+
+@pytest.mark.parametrize("special", [-1, 2, True, 1.0, None])
+def test_dvv_rhs_rejects_a_special_off_the_indices(table, special):
+    # a negative index would name an entry from the end, and True would read index 1
+    with pytest.raises(ValueError, match=r"^special must be an int in range\(2\), got "):
+        table.dvv_rhs(1, (2, 0), special)
 
 
 def test_shell_contents_chi_1():

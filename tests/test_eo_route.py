@@ -34,26 +34,20 @@ def test_truncation_certificate_fires(monkeypatch, wtable6):
     # W_(0,3) has a z^-2 pole, so a W_(0,2) leg cut at z^1 leaves the
     # product's z^0 stratum inexact
     original = residues.b02_series
-    monkeypatch.setattr(residues, "b02_series", lambda sign, i, M, nspec: original(sign, i, 1, nspec))
+    monkeypatch.setattr(residues, "b02_series", lambda sign, M: original(sign, 1))
     with pytest.raises(ValueError, match="exact only through z\\^-1"):
         residues.eo_W(0, 4, wtable6)
 
 
 def _patched_b02(monkeypatch, change):
-    # each W_(0,2) leg's series with every term (exponents, coeff) of
-    # spectator i replaced by change(i, exponents, coeff)
+    # each W_(0,2) leg's series with every term (exponents, coeff) of the
+    # leg of sign ``sign`` replaced by change(sign, exponents, coeff)
     original = residues.b02_series
 
-    def patched(sign, i, M, nspec):
-        s = original(sign, i, M, nspec)
-
-        def term(key, c):
-            exps, c = change(i, residues.unpack(key, nspec), c)
-            return residues.pack(exps), c
-
-        terms = {k: dict(term(e, c) for e, c in p.items()) for k, p in s.terms.items()}
-        bound = max(abs(d) for p in terms.values() for e in p for d in residues.unpack(e, nspec))
-        return residues.ZSeries(nspec, s.trunc, terms, bound)
+    def patched(sign, M):
+        s = original(sign, M)
+        terms = {k: dict(change(sign, e, c) for e, c in p.items()) for k, p in s.terms.items()}
+        return residues.ZSeries(s.nspec, s.trunc, terms)
 
     monkeypatch.setattr(residues, "b02_series", patched)
 
@@ -62,8 +56,8 @@ def test_symmetry_check_fires(monkeypatch, wtable6, table):
     # the kernel's term z^1 z_0^-4 doubled breaks z_0 against the spectators
     original = residues.kernel_series
 
-    def doubled(M, nspec):
-        s = original(M, nspec)
+    def doubled(M):
+        s = original(M)
         s.terms[1] = {e: 2 * c for e, c in s.terms[1].items()}
         return s
 
@@ -71,11 +65,12 @@ def test_symmetry_check_fires(monkeypatch, wtable6, table):
     with pytest.raises(ValueError) as err:
         residues.eo_W(0, 4, wtable6)
     assert str(err.value) == "cell (0, 4): terms are not symmetric on orbit (1, 0, 0, 0)"
-    # a W_(0,2) leg doubled on spectator 1 only: that leg sits on position
-    # 1 alone, so the cells it feeds are doubled whole and stay symmetric,
-    # and the comparison with DVV is what catches it
+    # a W_(0,2) leg doubled on the z side only: every W_(0,2) leg but the
+    # -z one of W_(0,3) is a first leg, on z_1, so the cells it feeds are
+    # doubled whole and stay symmetric, and the comparison with DVV is
+    # what catches it
     monkeypatch.setattr(residues, "kernel_series", original)
-    _patched_b02(monkeypatch, lambda i, e, c: (e, 2 * c if i == 1 else c))
+    _patched_b02(monkeypatch, lambda sign, e, c: (e, 2 * c if sign == 1 else c))
     assert [c.line() for c in suite_dvv_eo(2, table) if not c.ok] == [
         "FAIL dvv-eo W_(0,3): first differing orbit (0, 0, 0): eo=2, dvv=1",
         "FAIL dvv-eo W_(0,4): first differing orbit (1, 0, 0, 0): eo=12, dvv=3",
@@ -92,13 +87,14 @@ def test_every_residue_term_is_read(monkeypatch, wtable6):
         residues.eo_W(1, 2, lower)
     assert str(err.value) == "residue term (2, 1) of W_(1,2), k = 1, lies on no orbit of degree 2"
     # every lower cell entering with each tail in every order, not only
-    # descending, puts terms into the residue whose legs do not descend
+    # descending, puts terms into the residue whose legs do not descend;
+    # the orders of a tail of z-exponents e come in descending order of
+    # its leg exponents a = (-e - 2)/2
     flatten = residues._flatten
 
     def every_order(cell, active, scale):
-        strata, bound = flatten(cell, active, scale)
-        spread = {k: {p: c for tail, c in poly.items() for p in multiset_permutations(tail)} for k, poly in strata.items()}
-        return spread, bound
+        strata = flatten(cell, active, scale)
+        return {k: {p: c for tail, c in poly.items() for p in [*multiset_permutations(tail)][::-1]} for k, poly in strata.items()}
 
     monkeypatch.setattr(residues, "_flatten", every_order)
     with pytest.raises(ValueError) as err:
@@ -108,7 +104,7 @@ def test_every_residue_term_is_read(monkeypatch, wtable6):
 
 def test_exponent_parity_check_fires(monkeypatch, wtable6):
     # a W_(0,2) leg with z_i^(-m-3) in place of z_i^(-m-2) leaves an odd exponent
-    _patched_b02(monkeypatch, lambda i, e, c: (e[:i] + (e[i] - 1,) + e[i + 1 :], c))
+    _patched_b02(monkeypatch, lambda sign, e, c: ((e[0] - 1,), c))
     with pytest.raises(ValueError) as err:
         residues.eo_W(0, 4, wtable6)
     assert str(err.value) == "non-even or non-negative exponent (-2, -5, -2, -2) in W_(0,4)"
@@ -123,31 +119,22 @@ def test_kernel_coverage_fires(wtable6):
         residues.eo_W(1, 2, lower)
 
 
-def test_digit_certificate_fires(monkeypatch, wtable6):
-    # with a half-width of 8, the first split of W_(0,4), a W_(0,2) leg
-    # with exponents down to z_1^-10 times a W_(0,3) leg with z_i^-2, could
-    # carry a digit into its neighbour
-    monkeypatch.setattr(residues, "_HALF", 8)
-    with pytest.raises(ValueError) as err:
-        residues.eo_W(0, 4, wtable6)
-    assert str(err.value) == "spectator exponents up to 12 reach the digit half-width 8"
-
-
 def test_series_from_cell_needs_one_or_two_active_legs():
     with pytest.raises(ValueError, match="3 active legs, expected 1 or 2"):
-        residues.series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), (), 4)
+        residues.series_from_cell(SparseSymPoly(3, {(0, 0, 0): 1}), 0)
 
 
 def test_each_leg_is_built_once(monkeypatch, wtable6):
-    # a leg (g_i, A) other than W_(0,2) does not depend on its sign, so a
-    # split and its mirror share one series; and one eo_shell flattens each
-    # lower cell once for each count of active legs
+    # a leg (g_i, |A|) other than W_(0,2) depends neither on its sign nor
+    # on where it sits, so a pair that is its own mirror shares one series;
+    # and one eo_shell flattens each lower cell once for each count of
+    # active legs
     built, flattened = [], []
     original, flatten = residues.series_from_cell, residues._flatten
 
-    def counting(cell, spectators, nspec, **kw):
-        built.append((id(cell), tuple(spectators), kw["scale"]))
-        return original(cell, spectators, nspec, **kw)
+    def counting(cell, nspec, **kw):
+        built.append((id(cell), nspec, kw["scale"]))
+        return original(cell, nspec, **kw)
 
     def counting_flatten(cell, active, scale):
         flattened.append((id(cell), active, scale))
@@ -164,28 +151,14 @@ def test_each_leg_is_built_once(monkeypatch, wtable6):
     assert flattened and len(flattened) == len(set(flattened))
 
 
-def test_spectator_positions_are_validated():
-    # a repeated or out-of-range position would pack into a wrong key
-    w03 = SparseSymPoly(3, {(0, 0, 0): 1})
-    for build in (
-        lambda: residues.b02_series(1, -1, 2, 3),
-        lambda: residues.b02_series(1, 3, 2, 3),
-        lambda: residues.series_from_cell(w03, (1, 1), 3),
-        lambda: residues.series_from_cell(w03, (1, 3), 3),
-        lambda: residues.series_from_cell(w03, (-1, 1), 3),
-    ):
-        with pytest.raises(ValueError, match="not distinct positions in range"):
-            build()
-
-
 def test_flats_never_serve_a_replaced_cell(wtable6):
     # an entry names its cell by identity: a dict filled from other cells
     # of the same shape is never read for a new one
     flats = {}
     one, two = SparseSymPoly(3, {(0, 0, 0): 1}), SparseSymPoly(3, {(0, 0, 0): 2})
-    first = residues.series_from_cell(one, (1, 2), 3, flats=flats)
-    second = residues.series_from_cell(two, (1, 2), 3, flats=flats)
-    assert second.terms == residues.series_from_cell(two, (1, 2), 3).terms != first.terms
+    first = residues.series_from_cell(one, 2, flats=flats)
+    second = residues.series_from_cell(two, 2, flats=flats)
+    assert second.terms == residues.series_from_cell(two, 2).terms != first.terms
     # filled over the shell, then W_(1,1) replaced: its scale check fires
     flats.clear()
     for g, n in shell_cells(1, 6):
@@ -214,52 +187,74 @@ def test_scale_check_fires(wtable6, key, cell, target, message):
 
 # --- the Fraction route: eo_W before it ran on ints ---------------------------
 
-def _fraction_series(cell, spectators, nspec):
-    """``series_from_cell`` with the cell's Fraction coefficients."""
-    spectators = tuple(spectators)
+def _fraction_series(cell, spectators, n):
+    """The cell W(z, z_spectators), or W(z, -z, z_spectators) with two
+    active legs, in its Fraction coefficients: exact, and as {(z-exponent,
+    exponent n-vector): coeff} with each spectator exponent at its
+    position."""
     active = cell.nvars - len(spectators)
-    terms, bound = {}, 0
+    terms = {}
     for vec, coeff in cell.expand().items():
-        k = sum(-2 * a - 2 for a in vec[:active])
-        exps = [0] * nspec
+        exps = [0] * n
         for pos, a in zip(spectators, vec[active:]):
             exps[pos] = -2 * a - 2
-        tgt = terms.setdefault(k, {})
-        e = residues.pack(exps)
-        tgt[e] = tgt[e] + coeff if e in tgt else coeff
-        bound = max(bound, *map(abs, exps))
-    return residues.ZSeries(nspec, math.inf, terms, bound)
+        key = (sum(-2 * a - 2 for a in vec[:active]), tuple(exps))
+        terms[key] = terms.get(key, 0) + coeff
+    return math.inf, terms
+
+
+def _unit(n, i, e):
+    exps = [0] * n
+    exps[i] = e
+    return tuple(exps)
+
+
+def _fraction_product(f1, f2, keep):
+    """The strata z^k with ``keep(k)`` of f1 * f2, each (trunc, terms) as
+    :func:`_fraction_series` makes them, by adding exponent n-vectors
+    entry-wise, and the z-exponent through which the product is exact."""
+    (t1, d1), (t2, d2) = f1, f2
+    v1, v2 = (min((k for k, _ in d), default=t + 1) for t, d in (f1, f2))
+    trunc = min(t1 + v2, t2 + v1)
+    out = {}
+    for (k1, e1), c1 in d1.items():
+        for (k2, e2), c2 in d2.items():
+            k = k1 + k2
+            if k <= trunc and keep(k):
+                key = (k, tuple(a + b for a, b in zip(e1, e2)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return trunc, out
 
 
 def _fraction_eo_W(g, n, lower):
-    """W_{g,n} in Fractions: every ordered split, each product at weight 1,
-    and the 1/2 applied to the residue."""
+    """W_{g,n} in Fractions: every ordered split on its own spectator
+    positions, each product at weight 1, and the 1/2 applied to the
+    residue."""
     require_stable(g, n)
     M = 6 * g + 2 * n
     rest = list(range(1, n))
 
     def leg(gi, A, sign):
         if (gi, len(A)) == (0, 1):
-            return residues.b02_series(sign, A[0], M, n)
+            return M, {(m, _unit(n, A[0], -m - 2)): (m + 1) * sign**m for m in range(M + 1)}
         return _fraction_series(lower[(gi, len(A) + 1)], A, n)
 
-    inner, bound = {}, 0
+    inner = {}
     if (g, n) == (1, 1):
-        inner[-2] = {residues.pack((0,)): Fraction(1, 4)}
+        inner[(-2, (0,))] = Fraction(1, 4)
     elif g >= 1:
-        genus = _fraction_series(lower[(g - 1, n + 1)], rest, n)
-        inner, bound = genus.terms, genus.bound
+        inner = _fraction_series(lower[(g - 1, n + 1)], rest, n)[1]
     for g1, A1, g2, A2 in ordered_splits(g, rest):
         if (g1, len(A1)) == (0, 0) or (g2, len(A2)) == (0, 0):
             continue
-        f1, f2 = leg(g1, A1, 1), leg(g2, A2, -1)
-        assert residues.exact_through(f1, f2) >= 0
-        bound = max(bound, residues._mul_into(inner, f1, f2, lambda k: k <= 0 and not k % 2))
-    inner = residues.ZSeries(n, 0, inner, bound)
-    kernel = residues.kernel_series(M, n)
-    assert residues.exact_through(kernel, inner) >= -1
-    residue = (kernel * inner).residue()
-    terms = {tuple((-e - 2) // 2 for e in exps): HALF * c for exps, c in residue.items()}
+        exact, product = _fraction_product(leg(g1, A1, 1), leg(g2, A2, -1), lambda k: k <= 0)
+        assert exact >= 0
+        for key, c in product.items():
+            inner[key] = inner.get(key, 0) + c
+    kernel = M, {(2 * j - 1, _unit(n, 0, -2 * j - 2)): 1 for j in range((M + 1) // 2 + 1)}
+    exact, residue = _fraction_product(kernel, (0, inner), lambda k: k == -1)
+    assert exact >= -1
+    terms = {tuple((-e - 2) // 2 for e in exps): HALF * c for (_, exps), c in residue.items() if c}
     return from_expanded(SparseSymPoly, n, terms)
 
 

@@ -389,3 +389,12 @@ def test_orders_must_be_ints(table, order):
         quantum_curve_report(order, -1, table)
     with pytest.raises(ValueError, match=r"^N must be >= 0$"):
         s_terms(-1, 1, table)
+
+
+def test_branch_must_be_an_int(table):
+    # True == 1 and 1.0 == 1, so a membership test alone would take either for +1
+    for branch in (True, 1.0, 0):
+        with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
+            s_term(2, branch, table)
+        with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
+            quantum_curve_report(3, branch, table)
