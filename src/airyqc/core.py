@@ -202,28 +202,6 @@ def bounded_partitions(total: int, parts: int):
     return sorted((a for a, _ in partition_walk(total, parts, 1)), reverse=True)
 
 
-def multiset_permutations(items):
-    """Yield each distinct permutation of `items` exactly once."""
-    items = tuple(sorted(items, reverse=True))
-    n = len(items)
-    counts = Counter(items)
-    values = sorted(counts, reverse=True)
-    out = [None] * n
-
-    def rec(pos):
-        if pos == n:
-            yield tuple(out)
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                out[pos] = v
-                yield from rec(pos + 1)
-                counts[v] += 1
-
-    yield from rec(0)
-
-
 def orbit_size(orbit) -> int:
     """Number of distinct permutations of the exponent tuple `orbit`."""
     n = math.factorial(len(orbit))

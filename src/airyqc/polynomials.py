@@ -31,14 +31,13 @@ half-steps for Omega; the degree, the pair weight and the 1/(2s) scale
 follow from s.  Every lower cell is homogeneous, so each descending tail
 on w_1..w_n fixes w_0's exponent, and the step adds its genus readings,
 its split products and its transfer image forward into one {tail: int}
-table over L^2, read once per target orbit.  Symmetry in
-w_1..w_n is then manifest; the steps check symmetry of w_0 against w_i
-by comparing every reading of each full target orbit (``_symmetric``).
-The reading walk ``core.readings``, the merge rule ``core.merge`` and
-``_symmetric`` also serve the EO route (``residues``): it flattens each
-lower cell by the same walk, keys each spectator monomial by its
-exponent tuple as a tail is keyed here, and reads its residue forward
-into one table like the split table of this step.  One
+table over L^2.  One reader, ``_read_cell``, builds the target cell from
+that table: it reads each target orbit once per distinct entry on w_0,
+and the readings must agree, which checks symmetry of w_0 against w_i;
+symmetry in w_1..w_n is manifest.  The EO route (``residues``) adds its
+residue terms into a {tail: int} table too and builds its cells through
+the same reader; it flattens each lower cell by the same reading walk
+``core.readings`` and merges tails by the same rule ``core.merge``.  One
 slot map 2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import accumulate, exact, merge, multiset_permutations, odd_weight, rat_str, readings
+from .core import accumulate, exact, merge, odd_weight, rat_str, readings
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -105,7 +104,7 @@ class _OrbitPoly:
         if self._expanded is None:
             out = {}
             for orbit, coeff in self.orbits.items():
-                for perm in multiset_permutations(orbit):
+                for perm, _ in readings(orbit, len(orbit)):
                     out[perm] = coeff
             self._expanded = out
         return self._expanded
@@ -222,7 +221,7 @@ def d_op(f: dict) -> dict:
     """
     out = {}
     for m, coeff in f.items():
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError(f"exponent {m!r} not a non-negative integer")
         if not coeff:
             continue
@@ -241,7 +240,7 @@ def calD_op(f: dict) -> dict:
     """
     out = {}
     for h, coeff in f.items():
-        if not isinstance(h, int) or h < -1 or h % 2 == 0:
+        if type(h) is not int or h < -1 or h % 2 == 0:
             raise ValueError(f"half-step {h!r} not of the form 2a - 1 with a >= 0")
         if not coeff:
             continue
@@ -281,13 +280,6 @@ def verify_d_lemma(m: int) -> bool:
 def _calD_dx(f):
     """calD_{u,v} 2 d_x on a half-step dict, 2 d_x x^(h/2) = h x^((h-2)/2)."""
     return calD_op({h - 2: h * c for h, c in f.items()})
-
-
-def _readings(orbits):
-    """(orbit, e_0, tail) for each orbit and each distinct entry e_0 of it
-    read on w_0 (``core.readings`` with one slot); tail is the rest,
-    descending."""
-    return [(orbit, e0, tail) for orbit in orbits for (e0,), tail in readings(orbit, 1)]
 
 
 def _transfer(cell, op, L):
@@ -343,10 +335,11 @@ def _lower_cells(g, n, lower, s, op):
 
     Returns (L, genus, splits, image), L the lcm of the coefficient
     denominators of all these cells and every value an int over L: each
-    split cell as {(x, rest): weight(x) c L} over its one-slot readings,
-    listed as (cell_1, cell_2) pairs, the genus cell as (rest, weight(x)
-    weight(y) c L) over its ``core.readings`` ((x, y), rest) of two slots,
-    and the transfer cell as its ``_transfer`` image under `op`."""
+    split cell as {rest: weight(x) c L} over its one-slot readings (x,
+    rest), keyed by rest alone since the checked degree fixes x, listed as
+    (cell_1, cell_2) pairs, the genus cell as (rest, weight(x) weight(y) c
+    L) over its ``core.readings`` ((x, y), rest) of two slots, and the
+    transfer cell as its ``_transfer`` image under `op`."""
 
     def fetch(h, k):
         cell = _lower_cell(lower, h, k)
@@ -369,7 +362,7 @@ def _lower_cells(g, n, lower, s, op):
     L = math.lcm(*(c.denominator for cell in [*genus_cell, *cells.values(), *transfer] for c in cell.orbits.values()))
     weight = _WEIGHTS[s]
     read = {
-        key: {(x, rest): weight(x) * _over(c, L) for orbit, c in cell.orbits.items() for (x,), rest in readings(orbit, 1)}
+        key: {rest: weight(x) * _over(c, L) for orbit, c in cell.orbits.items() for (x,), rest in readings(orbit, 1)}
         for key, cell in cells.items()
     }
     genus = [
@@ -388,48 +381,55 @@ def _over(c, den):
 
 
 def _targets(g, nvars, s):
-    """The ``_readings`` of the target orbits of (g, nvars): each ``cell_keys``
-    a as (s a_i + 1), the builders' map for omega (1) and Omega (2)."""
-    return _readings(tuple(s * a + 1 for a in key) for key in cell_keys(g, nvars))
+    """The target orbits of (g, nvars): each ``cell_keys`` a as (s a_i + 1),
+    the builders' map for omega (1) and Omega (2)."""
+    return [tuple(s * a + 1 for a in key) for key in cell_keys(g, nvars)]
 
 
 def _split_table(splits):
     """The split term of every tail, {tail: sum of mult c_1 c_2}, as one
     forward product of the split pairs of ``_lower_cells``: each reading
-    (p, mu) of the first cell times each (q, nu) of the second, on the
-    tail and with the mult of ``core.merge(mu, nu)``, the position sets
-    realizing mu.  The cells are homogeneous, so p and q follow from mu
-    and nu, and no product read is zero.
+    mu of the first cell times each nu of the second, on the tail and with
+    the mult of ``core.merge(mu, nu)``, the position sets realizing mu.
+    The cells are homogeneous, so their w_0 entries follow from mu and nu,
+    and no product read is zero.
 
-    >>> _split_table([({(1, (1,)): 2}, {(3, (1,)): 5, (1, (3,)): 7})])
+    >>> _split_table([({(1,): 2}, {(1,): 5, (3,): 7})])
     {(1, 1): 20, (3, 1): 14}
     """
     table = {}
     for cell1, cell2 in splits:
-        for (_, mu), c1 in cell1.items():
-            for (_, nu), c2 in cell2.items():
+        for mu, c1 in cell1.items():
+            for nu, c2 in cell2.items():
                 tail, mult = merge(mu, nu)
                 table[tail] = table.get(tail, 0) + mult * c1 * c2
     return table
 
 
-def _symmetric(cls, g, nvars, values):
-    """The cell (g, nvars) from (orbit, coefficient) pairs, one per reading
-    of the orbit with a different entry on w_0.  All readings of an orbit
-    must agree: this is the check of w_0 against w_i, on either route."""
-    orbits = {}
-    for orbit, c in values:
-        if orbits.setdefault(orbit, c) != c:
-            raise ValueError(f"cell ({g}, {nvars}): terms are not symmetric on orbit {orbit}")
-    return cls(nvars, orbits)
+def _read_cell(cls, g, nvars, orbits, table, value):
+    """The cell (g, nvars) on `orbits` read from the {tail: int} `table`:
+    each one-slot reading (e_0, tail) of an orbit (``core.readings``) gives
+    the coefficient value(e_0, table[tail]), and all readings of an orbit
+    must agree.  This is the check of w_0 against w_i, on either route.
+
+    >>> _read_cell(SparseSymPoly, 0, 3, [(2, 1, 1)], {(1, 1): 4, (2, 1): 4}, lambda e0, num: num)
+    SparseSymPoly(3, {(2, 1, 1): Fraction(4, 1)})
+    """
+    cell = {}
+    for orbit in orbits:
+        for (e0,), tail in readings(orbit, 1):
+            c = value(e0, table.get(tail, 0))
+            if cell.setdefault(orbit, c) != c:
+                raise ValueError(f"cell ({g}, {nvars}): terms are not symmetric on orbit {orbit}")
+    return cls(nvars, cell)
 
 
 def _step_values(g, n, lower, s, op):
-    """The one recursion step on the lattice s a + 1: yield (orbit, e_0,
-    tail, num, den) for each reading (e_0, tail) of each target orbit of
-    (g, n+1), num/den the coefficient at (e_0, tail) of omega_{g,n+1}
-    (s = 1), or at half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1}
-    (s = 2); den = 2s L^2 is the same for every reading.
+    """The one recursion step on the lattice s a + 1: (table, den) with
+    table[tail]/den the coefficient at (e_0, tail) of omega_{g,n+1} (s = 1),
+    or at half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1} (s = 2), for
+    each reading (e_0, tail) of a target orbit (``_read_cell``); den = 2s L^2
+    is the same for every tail.
 
     The coefficient is 1/(2s) times the genus and split terms plus the
     transfer term, all added into the one {tail: int} table of
@@ -451,9 +451,7 @@ def _step_values(g, n, lower, s, op):
     for (_, v, rest), c in image.items():
         tail = tuple(sorted(rest + (v,), reverse=True))
         table[tail] = table.get(tail, 0) + 2 * L * tail.count(v) * c
-    den = 2 * s * L * L
-    for orbit, e0, tail in _targets(g, nvars, s):
-        yield orbit, e0, tail, table.get(tail, 0), den
+    return table, 2 * s * L * L
 
 
 def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
@@ -467,10 +465,10 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
 
     This is :func:`_step_values` on the lattice a + 1 (s = 1) with
     ``d_op``.  Symmetry in w_1..w_n is manifest; symmetry of w_0 against
-    w_i is checked on every full target orbit.
+    w_i is checked on every full target orbit by :func:`_read_cell`.
     """
-    values = ((orbit, Fraction(num, den)) for orbit, _, _, num, den in _step_values(g, n, lower, 1, d_op))
-    return _symmetric(SparseSymPoly, g, n + 1, values)
+    table, den = _step_values(g, n, lower, 1, d_op)
+    return _read_cell(SparseSymPoly, g, n + 1, _targets(g, n + 1, 1), table, lambda e0, num: Fraction(num, den))
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -483,14 +481,18 @@ def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
     Keys are (n+1)-tuples of half-steps; entry 0 need not lie on the Omega
     lattice until the antiderivative is taken.  The values are
     :func:`_step_values` on the half-step lattice 2a + 1 (s = 2) with
-    ``_calD_dx``, spread over the permutations of w_1..w_n.
+    ``_calD_dx``, read at each target reading (k, tail) and spread over
+    the orderings of the tail on w_1..w_n.
     """
+    table, den = _step_values(g, n, lower, 2, _calD_dx)
     out = {}
-    for _, k, tail, num, den in _step_values(g, n, lower, 2, _calD_dx):
-        if num:
-            c = Fraction(num, den)
-            for perm in multiset_permutations(tail):
-                out[(k - 2,) + perm] = c
+    for orbit in _targets(g, n + 1, 2):
+        for (k,), tail in readings(orbit, 1):
+            num = table.get(tail)
+            if num:
+                c = Fraction(num, den)
+                for perm, _ in readings(tail, n):
+                    out[(k - 2,) + perm] = c
     return out
 
 
@@ -498,9 +500,9 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     """Antidifferentiate :func:`Omega_step_dw0` in w_0 with zero constant
     term, orbit-wise: w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each (k, tail)
     reading of a full orbit, and all readings of an orbit must agree (the
-    symmetry of w_0 against w_i)."""
-    values = ((orbit, Fraction(2 * num, k * den)) for orbit, k, _, num, den in _step_values(g, n, lower, 2, _calD_dx))
-    return _symmetric(HalfPowerPoly, g, n + 1, values)
+    symmetry of w_0 against w_i, checked by :func:`_read_cell`)."""
+    table, den = _step_values(g, n, lower, 2, _calD_dx)
+    return _read_cell(HalfPowerPoly, g, n + 1, _targets(g, n + 1, 2), table, lambda k, num: Fraction(2 * num, k * den))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +536,14 @@ def d_bridge_holds(g: int, n: int, table: CorrelatorTable) -> bool:
 # ---------------------------------------------------------------------------
 # rendering and export
 
+def _check_kind(kind):
+    if kind not in ("W", "omega", "Omega"):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 def poly_orbit_records(poly, kind: str) -> list:
     """Orbit records for JSON export, sorted by orbit descending."""
+    _check_kind(kind)
     records = []
     for orbit, coeff in poly.sorted_orbits():
         if kind == "Omega":
@@ -552,6 +560,7 @@ def poly_text(poly, kind: str) -> str:
     W cells print in the 1/z^(2a+2) notation, omega cells as monomials in
     w_i, Omega cells with explicit half-integer exponents.
     """
+    _check_kind(kind)
     lines = []
     for orbit, coeff in poly.sorted_orbits():
         if kind == "W":
@@ -564,11 +573,9 @@ def poly_text(poly, kind: str) -> str:
                     continue
                 factors.append(f"w{i + 1}" + (f"^{e}" if e > 1 else ""))
             lines.append(f"{rat_str(coeff)} * " + " ".join(factors))
-        elif kind == "Omega":
+        else:
             mono = " ".join(f"w{i + 1}^({h}/2)" for i, h in enumerate(orbit))
             lines.append(f"{rat_str(coeff)} * {mono}")
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
     if not lines:
         return "0"
     return "\n".join(lines)

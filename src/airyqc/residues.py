@@ -8,9 +8,10 @@ z^(-1), never via numerical contours, so this route shares no values with
 the correlator engine.  With the DVV table it shares only the scale
 exponent :func:`~airyqc.core._scale_exp` and the stability tests, and
 with the omega/Omega step the reading walk ``core.readings``, the merge
-rule ``core.merge``, the target orbits ``cell_keys`` and the symmetry
-check ``polynomials._symmetric``; the split counts of the DVV table come
-from ``core.sub_multisets``, which this route does not call.
+rule ``core.merge``, the target orbits ``cell_keys`` and the reader
+``polynomials._read_cell``, which builds a cell from a {tail: int} table
+and checks its symmetry; the split counts of the DVV table come from
+``core.sub_multisets``, which this route does not call.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in its own
@@ -33,10 +34,11 @@ kernel contraction.
 spectator exponents descend (:func:`series_from_cell`), so one product
 stands for every split with the same (g_1, |A_1|), and a size pair and
 its mirror are multiplied once, at twice the weight.  The residue of each
-|A_1| is read forward: each term adds into one table keyed by its z_0
-exponent and its merged spectator tail, and each target orbit reads that
-table once per distinct z_0 exponent; all of them must agree, which
-checks the symmetry of z_0 against the spectators.
+|A_1| is read forward: each term adds into one table keyed by its merged
+spectator tail, which fixes the z_0 exponent by the degree, and each
+target orbit reads that table once per distinct z_0 exponent; all of
+them must agree, which checks the symmetry of z_0 against the
+spectators.
 
 It runs on ints: each genus-g_i cell enters at the scale 2^E(g_i) on
 which the DVV table is integral, and the weights and the recursion's 1/2
@@ -52,7 +54,7 @@ from fractions import Fraction
 
 from .core import ZERO, _scale_exp, merge, readings
 from .correlators import cell_keys, require_stable, shell_cells
-from .polynomials import SparseSymPoly, _lower_cell, _readings, _symmetric
+from .polynomials import SparseSymPoly, _lower_cell, _read_cell
 
 __all__ = [
     "ZSeries",
@@ -267,9 +269,10 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     product term does; it stands for the mult subsets A_1 of the merged
     tail whose spectator exponents form mu, so ``core.merge(mu, nu)``
     gives (tail, mult) and mult times the term is added into one table at
-    (v, tail).  Each target orbit of ``cell_keys(g, n)`` then reads that
-    table once for each of its ``_readings`` (v, tail), and
-    ``polynomials._symmetric`` requires the readings of an orbit to agree:
+    the tail; after the degree check v = 3g - 3 + n - sum(tail), so the
+    tail alone is the key.  ``polynomials._read_cell`` then reads that
+    table at the tail of each one-slot reading of each target orbit of
+    ``cell_keys(g, n)`` and requires the readings of an orbit to agree:
     the symmetry of z_0 against the spectators, which the construction
     does not give.
 
@@ -339,7 +342,7 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
 
     kernel = kernel_series(M)
     degree = 3 * g - 3 + n
-    table = {}  # {(z_0 exponent, descending tail): sum of mult c}
+    table = {}  # {descending tail: sum of mult c}
     for k, strata in inner.items():
         even = ZSeries(n - 1, 0, strata)
         exact = exact_through(kernel, even)
@@ -355,10 +358,8 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
             if sum(a) != degree or any(x < y for legs in (mu, nu) for x, y in zip(legs, legs[1:])):
                 raise ValueError(f"residue term {a} of W_({g},{n}), k = {k}, lies on no orbit of degree {degree}")
             tail, mult = merge(mu, nu)
-            key = a[0], tail
-            table[key] = table.get(key, 0) + mult * c
-    values = ((orbit, Fraction(table.get((v, tail), 0), 1 << E + 1)) for orbit, v, tail in _readings(cell_keys(g, n)))
-    return _symmetric(SparseSymPoly, g, n, values)
+            table[tail] = table.get(tail, 0) + mult * c
+    return _read_cell(SparseSymPoly, g, n, cell_keys(g, n), table, lambda v, num: Fraction(num, 1 << E + 1))
 
 
 def eo_shell(max_chi: int) -> dict:

@@ -3,9 +3,34 @@ permutation, which the package itself no longer does, and the Fraction
 forms of the WKB sums, which it now runs on ints."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from airyqc.core import orbit_size
+
+
+def multiset_permutations(items):
+    """Yield each distinct permutation of `items` exactly once, by its own
+    recursion over the remaining counts: the reference for
+    ``core.readings`` read with every slot singled out."""
+    items = tuple(sorted(items, reverse=True))
+    n = len(items)
+    counts = Counter(items)
+    values = sorted(counts, reverse=True)
+    out = [None] * n
+
+    def rec(pos):
+        if pos == n:
+            yield tuple(out)
+            return
+        for v in values:
+            if counts[v]:
+                counts[v] -= 1
+                out[pos] = v
+                yield from rec(pos + 1)
+                counts[v] += 1
+
+    yield from rec(0)
 
 
 def from_expanded(cls, nvars, terms):

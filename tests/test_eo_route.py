@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from airyqc import SparseSymPoly, residues, s_term, tW_from_correlators
-from airyqc.core import HALF, multiset_permutations, orbit_size
+from airyqc.core import HALF, orbit_size
 from airyqc.correlators import require_stable, shell_cells
 from airyqc.suites import suite_dvv_eo
 
-from _oracles import from_expanded, ordered_splits
+from _oracles import from_expanded, multiset_permutations, ordered_splits
 
 
 def test_eo_equals_dvv_at_chi_7(table, wtable6):

@@ -29,9 +29,9 @@ from airyqc import (
     omega_from_correlators,
     omega_step,
 )
-from airyqc.core import HALF, accumulate, sub_multisets
+from airyqc.core import HALF, accumulate, readings, sub_multisets
 from airyqc.correlators import is_stable, shell_cells
-from airyqc.polynomials import _calD_dx, _degree, _lower_cells, _split_table, _step_values, _targets
+from airyqc.polynomials import _calD_dx, _lower_cells, _split_table, _step_values, _targets
 from airyqc.suites import suite_Omega_rec, suite_omega_rec
 
 from _oracles import from_expanded, ordered_splits
@@ -165,12 +165,12 @@ def test_step_denominators_are_a_true_lcm(lower_cells):
 def _walk_split_term(tail, splits):
     # the split term of one tail read the way the steps once read it: each
     # (mu, nu) from sub_multisets with its count, then both cells of every
-    # pair of len(mu) at the readings (deg_1 - |mu|, mu) and (deg_2 - |nu|, nu)
+    # pair of len(mu) at the readings whose rests are mu and nu
     total = 0
     for mu, nu, mult in sub_multisets(tail):
-        for (deg1, cell1), (deg2, cell2) in splits.get(len(mu), ()):
-            c1 = cell1.get((deg1 - sum(mu), mu))
-            c2 = c1 and cell2.get((deg2 - sum(nu), nu))
+        for cell1, cell2 in splits.get(len(mu), ()):
+            c1 = cell1.get(mu)
+            c2 = c1 and cell2.get(nu)
             if c2:
                 total += mult * c1 * c2
     return total
@@ -194,9 +194,9 @@ def test_split_table_equals_the_sub_multiset_walk(table):
             assert len(pairs) == len(splits)
             by_m = {}
             for (cell1, cell2), (read1, read2) in zip(pairs, splits):
-                by_m.setdefault(cell1[1] - 1, []).append(((_degree(*cell1, s), read1), (_degree(*cell2, s), read2)))
+                by_m.setdefault(cell1[1] - 1, []).append((read1, read2))
             split = _split_table(splits)
-            tails = {tail for _, _, tail in _targets(g, n1, s)}
+            tails = {tail for orbit in _targets(g, n1, s) for _, tail in readings(orbit, 1)}
             assert set(split) <= tails, (s, g, n1)
             for tail in tails:
                 assert split.get(tail, 0) == _walk_split_term(tail, by_m), (s, g, n1, tail)
@@ -257,12 +257,14 @@ def test_forward_passes_equal_the_per_target_pulls(table):
             split = _split_table(splits)
             keys = set(split) | {tail for tail, _ in genus}
             keys |= {tuple(sorted(rest + (v,), reverse=True)) for _, v, rest in image}
-            assert keys <= {tail for _, _, tail in _targets(g, n1, s)}, (s, g, n1)
-            for _, e0, tail, num, den in _step_values(g, n, lower, s, op):
-                assert den == 2 * s * L * L
+            readings1 = [(e0, tail) for orbit in _targets(g, n1, s) for (e0,), tail in readings(orbit, 1)]
+            assert keys <= {tail for _, tail in readings1}, (s, g, n1)
+            step, den = _step_values(g, n, lower, s, op)
+            assert den == 2 * s * L * L
+            for e0, tail in readings1:
                 genus_term = L * _pull_genus_term(two_slot, e0, tail, s)
                 transfer_term = 2 * L * _transfer_term(image, e0 + s - 1, tail)
-                assert num == split.get(tail, 0) + genus_term + transfer_term, (s, g, n1, tail)
+                assert step.get(tail, 0) == split.get(tail, 0) + genus_term + transfer_term, (s, g, n1, tail)
 
 
 # --- the w_0 against w_i symmetry check inside the steps -------------------------

@@ -16,6 +16,7 @@ from airyqc import (
     omega_from_Omega,
     omega_from_correlators,
     omega_step,
+    poly_orbit_records,
     poly_text,
     tW_from_correlators,
     verify_d_lemma,
@@ -133,6 +134,14 @@ def test_calD_op_monomials():
         calD_op({2: F(1)})
 
 
+@pytest.mark.parametrize("op", [d_op, calD_op])
+def test_transfer_operators_reject_a_bool_exponent(op):
+    # True == 1 is a valid exponent of either operator as an int
+    for m in (True, False, 1.0):
+        with pytest.raises(ValueError, match=f"^[a-z-]+ {m!r} not "):
+            op({m: F(1)})
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 50])
 def test_d_lemma(m):
     assert verify_d_lemma(m)
@@ -220,3 +229,10 @@ def test_poly_text_forms(table):
         poly_text(Omega_from_correlators(0, 3, table), "Omega")
         == "1 * w1^(1/2) w2^(1/2) w3^(1/2)"
     )
+
+
+@pytest.mark.parametrize("poly", [SparseSymPoly(1, {(2,): 1}), SparseSymPoly(1, {})])
+@pytest.mark.parametrize("render", [poly_text, poly_orbit_records])
+def test_rendering_rejects_an_unknown_kind(render, poly):
+    with pytest.raises(ValueError, match="unknown kind 'x'"):
+        render(poly, "x")
