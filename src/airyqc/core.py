@@ -205,8 +205,8 @@ def bounded_partitions(total: int, parts: int):
 def orbit_size(orbit) -> int:
     """Number of distinct permutations of the exponent tuple `orbit`."""
     n = math.factorial(len(orbit))
-    for c in Counter(orbit).values():
-        n //= math.factorial(c)
+    for v in set(orbit):
+        n //= math.factorial(orbit.count(v))
     return n
 
 

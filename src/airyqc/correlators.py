@@ -126,12 +126,12 @@ class CorrelatorTable:
 
     Every key computed, reduced ones included, is stored, as the int
     S = 2^E(g) q^g ttau(g, a) of the module docstring; ``correlator``,
-    ``items``, ``core_sum`` and ``dvv_rhs`` return Fractions, and
-    ``add_record`` takes one; ``items`` yields the memo in no fixed order,
-    and the cache file's record order is the cache's own.  ``misses``
-    counts keys computed; ``hits`` counts memo lookups that found a value,
-    the recursion's own lookups of lower keys included.  Besides
-    <tau_1>_1, the WKB terms read only ``core_sum``.
+    ``items``, ``cell_values``, ``core_sum`` and ``dvv_rhs`` return
+    Fractions, and ``add_record`` takes one; ``items`` yields the memo in
+    no fixed order, and the cache file's record order is the cache's own.
+    ``misses`` counts keys computed; ``hits`` counts memo lookups that
+    found a value, the recursion's own lookups of lower keys included.
+    Besides <tau_1>_1, the WKB terms read only ``core_sum``.
 
     The seed <tau_1>_1 can be overridden (``tau1``, an int or a Fraction),
     which is used by mutation tests to confirm the downstream identities
@@ -175,6 +175,26 @@ class CorrelatorTable:
         """<tau_{a_1} ... tau_{a_n}>_g, memoized."""
         g, a = canonical_key(g, exponents)
         return self._fraction(g, a, self._value(g, a))
+
+    def cell_values(self, g, n, shift):
+        """Yield (a, <tau_a>_g prod (2a_i + shift)!!) for each
+        ``cell_keys(g, n)`` key a, straight from the memo ints: shift 1
+        (the omega and W weights) gives Fraction(S, 2^E(g) q^g), and shift
+        -1 (the Omega weights) Fraction(S, 2^E(g) q^g prod (2a_i + 1)).
+        Each key is read once through the memo, so ``hits`` and ``misses``
+        count as :meth:`correlator` would; the genus is checked as there.
+
+        >>> dict(CorrelatorTable().cell_values(1, 2, -1))
+        {(2, 0): Fraction(1, 8), (1, 1): Fraction(1, 24)}
+        """
+        if shift not in (1, -1):
+            raise ValueError(f"shift must be 1 or -1, got {shift!r}")
+        keys = cell_keys(g, n)
+        canonical_key(g, keys[0])
+        den = self._q**g << _scale_exp(g)
+        for a in keys:
+            s = self._value(g, a)
+            yield a, Fraction(s, den if shift == 1 else den * math.prod([2 * x + 1 for x in a]))
 
     def add_record(self, g, a, value) -> None:
         """Store a value read from outside the table, such as a cache record:

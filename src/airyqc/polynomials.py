@@ -12,7 +12,7 @@ orbit: a map from the descending-sorted exponent tuple to the coefficient
 carried by *each* monomial in that orbit.  Half-integer exponents are
 stored as integer half-steps (w^(5/2) <-> 5).  Cells hold Fractions; a
 recursion step reads all its lower cells as ints over one common
-denominator L and makes one Fraction per target coefficient.
+denominator L and makes one Fraction per target orbit.
 
 The module also implements, as executable identities, the one-step
 recursions that rebuild omega_{g,n+1} and Omega_{g,n+1} from lower cells,
@@ -31,14 +31,18 @@ half-steps for Omega; the degree, the pair weight and the 1/(2s) scale
 follow from s.  Every lower cell is homogeneous, so each descending tail
 on w_1..w_n fixes w_0's exponent, and the step adds its genus readings,
 its split products and its transfer image forward into one {tail: int}
-table over L^2.  One reader, ``_read_cell``, builds the target cell from
-that table: it reads each target orbit once per distinct entry on w_0,
-and the readings must agree, which checks symmetry of w_0 against w_i;
-symmetry in w_1..w_n is manifest.  The EO route (``residues``) adds its
-residue terms into a {tail: int} table too and builds its cells through
-the same reader; it flattens each lower cell by the same reading walk
-``core.readings`` and merges tails by the same rule ``core.merge``.  One
-slot map 2 w^(3/2) d_w takes Omega to omega monomials, orbit to orbit.
+table over L^2.  The split term multiplies each unordered pair of split
+cells once, each cell read once per chain and each reading carrying an
+EGF weight, so that a product adds at its sorted tail with no
+multiplicity and each tail is divided by its orbit size once
+(``_split_table``).  One reader, ``_read_cell``, builds the target cell
+from that table: it reads each target orbit once per distinct entry on
+w_0 as int pairs, and the readings must agree, which checks symmetry of
+w_0 against w_i; symmetry in w_1..w_n is manifest.  The EO route
+(``residues``) adds its residue terms into a {tail: int} table too and
+builds its cells through the same reader; it flattens each lower cell by
+the same reading walk ``core.readings``.  One slot map 2 w^(3/2) d_w takes
+Omega to omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import accumulate, exact, merge, odd_weight, rat_str, readings
+from .core import accumulate, exact, orbit_size, rat_str, readings
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -79,7 +83,7 @@ __all__ = [
 class _OrbitPoly:
     """Shared internals of the two symmetric polynomial types."""
 
-    __slots__ = ("nvars", "orbits", "_expanded")
+    __slots__ = ("nvars", "orbits", "_expanded", "_reads")
 
     def __init__(self, nvars, orbits):
         if nvars < 1:
@@ -98,6 +102,7 @@ class _OrbitPoly:
         self.nvars = nvars
         self.orbits = clean
         self._expanded = None
+        self._reads = {}  # the split readings of the recursion steps, by (s, degree)
 
     def expand(self):
         """Full {exponent tuple: coeff} dict (cached; treat as read-only)."""
@@ -156,13 +161,9 @@ class HalfPowerPoly(_OrbitPoly):
 
 def _from_correlators(g, n, table, poly_cls, shift, exponents):
     """The cell whose orbit ``exponents(a)`` carries <tau_a>_g
-    prod (2a_i + shift)!!, over the on-shell orbits a of (g, n)."""
-    orbits = {}
-    for a in cell_keys(g, n):
-        value = table.correlator(g, a)
-        if value:
-            orbits[exponents(a)] = value * odd_weight(a, shift)
-    return poly_cls(n, orbits)
+    prod (2a_i + shift)!!, over the on-shell orbits a of (g, n), read from
+    the table's memo ints by ``CorrelatorTable.cell_values``."""
+    return poly_cls(n, {exponents(a): value for a, value in table.cell_values(g, n, shift) if value})
 
 
 def _degree(g, n, s):
@@ -326,52 +327,88 @@ def _lower_cell(lower, g, n):
 _WEIGHTS = {1: lambda p: 1, 2: lambda p: p}
 
 
+def _fetch(lower, h, k, s):
+    """The lower cell (h, k), checked homogeneous of its ``_degree`` on the
+    lattice s a + 1 with every exponent >= 1, so that every term of the
+    step lands on a target orbit."""
+    cell = _lower_cell(lower, h, k)
+    d, want = cell.homogeneous_degree(), _degree(h, k, s)
+    if d not in (None, want):
+        raise ValueError(f"lower cell ({h}, {k}) has degree {d}, not {want}")
+    if any(orbit[-1] < 1 for orbit in cell.orbits):
+        raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
+    return cell
+
+
+def _split_reading(lower, h, k, s):
+    """The split cell (h, k) fetched, checked and read once per lattice s
+    and degree: (D, {rest: weight(x) c D orbit_size(rest)}) over its
+    one-slot readings (x, rest), keyed by rest alone since the checked
+    degree fixes x, D the lcm of the cell's coefficient denominators.  The
+    factor orbit_size(rest) = |rest|!/aut(rest) is the reading's EGF weight
+    (``_split_table``).  The reading is kept on the cell, keyed by s and
+    the degree it was checked at, so a later step reuses it and the same
+    cell placed at another (h, k) is checked and read again."""
+    cell = _lower_cell(lower, h, k)
+    key = (s, _degree(h, k, s))
+    read = cell._reads.get(key)
+    if read is None:
+        _fetch(lower, h, k, s)
+        D = math.lcm(*(c.denominator for c in cell.orbits.values()))
+        weight = _WEIGHTS[s]
+        values = {
+            rest: weight(x) * _over(c, D) * orbit_size(rest)
+            for orbit, c in cell.orbits.items()
+            for (x,), rest in readings(orbit, 1)
+        }
+        read = cell._reads[key] = D, values
+    return read
+
+
 def _lower_cells(g, n, lower, s, op):
     """The lower cells of the step to (g, n+1) on the lattice s a + 1,
-    fetched up front: the genus cell (g-1, n+2), the stable split pairs
-    (g_1, m+1), (g-g_1, n-m+1), and the transfer cell (g, n) (none for
-    n = 0).  Each must be homogeneous of its ``_degree`` with every
-    exponent >= 1, so that every term of the step lands on a target orbit.
+    fetched and checked up front (``_fetch``): the genus cell (g-1, n+2),
+    the stable split pairs (g_1, m+1), (g-g_1, n-m+1), and the transfer
+    cell (g, n) (none for n = 0).
 
     Returns (L, genus, splits, image), L the lcm of the coefficient
-    denominators of all these cells and every value an int over L: each
-    split cell as {rest: weight(x) c L} over its one-slot readings (x,
-    rest), keyed by rest alone since the checked degree fixes x, listed as
-    (cell_1, cell_2) pairs, the genus cell as (rest, weight(x) weight(y) c
-    L) over its ``core.readings`` ((x, y), rest) of two slots, and the
-    transfer cell as its ``_transfer`` image under `op`."""
-
-    def fetch(h, k):
-        cell = _lower_cell(lower, h, k)
-        d, want = cell.homogeneous_degree(), _degree(h, k, s)
-        if d not in (None, want):
-            raise ValueError(f"lower cell ({h}, {k}) has degree {d}, not {want}")
-        if any(orbit[-1] < 1 for orbit in cell.orbits):
-            raise ValueError(f"lower cell ({h}, {k}) has an exponent below 1")
-        return cell
-
-    genus_cell = [fetch(g - 1, n + 2)] if g >= 1 else []
-    cells, pairs = {}, []
+    denominators of all these cells and every value an int over L or L^2:
+    the genus cell as (rest, weight(x) weight(y) c L) over its
+    ``core.readings`` ((x, y), rest) of two slots, the transfer cell as
+    its ``_transfer`` image under `op`, and the splits as one
+    (scale, reading_1, reading_2) per unordered pair, the ``_split_reading``
+    of each cell over its own D_i.  A pair and its mirror add the same
+    products into the same tails, so only the pair whose first cell is <=
+    its mirror's is kept, at weight w = 2, or 1 when it is its own mirror;
+    its scale w C(n, m) (L / D_1) (L / D_2) puts its products over L^2 with
+    the binomial that ``_split_table``'s EGF division expects."""
+    genus_cell = [_fetch(lower, g - 1, n + 2, s)] if g >= 1 else []
+    reads, pairs = {}, []
     for m in range(n + 1):
         for g1 in range(g + 1):
-            pair = ((g1, m + 1), (g - g1, n - m + 1))
+            pair = (g1, m + 1), (g - g1, n - m + 1)
             if all(is_stable(*cell) for cell in pair):
-                pairs.append(pair)
-                cells.update((cell, fetch(*cell)) for cell in pair)
-    transfer = [fetch(g, n)] if n >= 1 else []
-    L = math.lcm(*(c.denominator for cell in [*genus_cell, *cells.values(), *transfer] for c in cell.orbits.values()))
+                for cell in pair:
+                    if cell not in reads:
+                        reads[cell] = _split_reading(lower, *cell, s)
+                if pair[0] <= pair[1]:
+                    pairs.append(((1 if pair[0] == pair[1] else 2) * math.comb(n, m), *pair))
+    transfer = [_fetch(lower, g, n, s)] if n >= 1 else []
+    L = math.lcm(
+        *(c.denominator for cell in [*genus_cell, *transfer] for c in cell.orbits.values()),
+        *(D for D, _ in reads.values()),
+    )
     weight = _WEIGHTS[s]
-    read = {
-        key: {rest: weight(x) * _over(c, L) for orbit, c in cell.orbits.items() for (x,), rest in readings(orbit, 1)}
-        for key, cell in cells.items()
-    }
     genus = [
         (rest, weight(x) * weight(y) * _over(c, L))
         for cell in genus_cell
         for orbit, c in cell.orbits.items()
         for (x, y), rest in readings(orbit, 2)
     ]
-    splits = [(read[cell1], read[cell2]) for cell1, cell2 in pairs]
+    splits = []
+    for scale, cell1, cell2 in pairs:
+        (D1, read1), (D2, read2) = reads[cell1], reads[cell2]
+        splits.append((scale * (L // D1) * (L // D2), read1, read2))
     return L, genus, splits, _transfer(transfer[0], op, L) if transfer else {}
 
 
@@ -388,39 +425,60 @@ def _targets(g, nvars, s):
 
 def _split_table(splits):
     """The split term of every tail, {tail: sum of mult c_1 c_2}, as one
-    forward product of the split pairs of ``_lower_cells``: each reading
-    mu of the first cell times each nu of the second, on the tail and with
-    the mult of ``core.merge(mu, nu)``, the position sets realizing mu.
-    The cells are homogeneous, so their w_0 entries follow from mu and nu,
-    and no product read is zero.
+    forward product of the weighted split pairs of ``_lower_cells``: each
+    reading mu of the first cell times each nu of the second, added at the
+    merged tail sorted(mu + nu) with no multiplicity.  The cells are
+    homogeneous, so their w_0 entries follow from mu and nu, and no
+    product read is zero.
 
-    >>> _split_table([({(1,): 2}, {(1,): 5, (3,): 7})])
+    The multiplicity is folded in by EGF weights.  A product has mult =
+    aut(tail) / (aut(mu) aut(nu)) position sets of the tail realizing mu,
+    aut(t) the product of the factorials of t's value counts.  Each reading
+    carries orbit_size(rest) = |rest|!/aut(rest) and each pair C(n, m), so
+    a product adds mult c_1 c_2 n!/aut(tail) = mult c_1 c_2
+    orbit_size(tail), and each tail is divided by its orbit size once at
+    the end.  That division is exact for any int readings of this form; a
+    remainder raises ValueError.
+
+    >>> _split_table([(2, {(1,): 2}, {(1,): 5, (3,): 7})])
     {(1, 1): 20, (3, 1): 14}
     """
     table = {}
-    for cell1, cell2 in splits:
+    for scale, cell1, cell2 in splits:
         for mu, c1 in cell1.items():
+            c1 *= scale
             for nu, c2 in cell2.items():
-                tail, mult = merge(mu, nu)
-                table[tail] = table.get(tail, 0) + mult * c1 * c2
+                tail = tuple(sorted(mu + nu, reverse=True))
+                table[tail] = table.get(tail, 0) + c1 * c2
+    for tail, c in table.items():
+        q, r = divmod(c, orbit_size(tail))
+        if r:
+            raise ValueError(f"split term {c} of tail {tail} is not a multiple of its orbit size {orbit_size(tail)}")
+        table[tail] = q
     return table
 
 
 def _read_cell(cls, g, nvars, orbits, table, value):
     """The cell (g, nvars) on `orbits` read from the {tail: int} `table`:
     each one-slot reading (e_0, tail) of an orbit (``core.readings``) gives
-    the coefficient value(e_0, table[tail]), and all readings of an orbit
-    must agree.  This is the check of w_0 against w_i, on either route.
+    the coefficient p/q, (p, q) = value(e_0, table[tail]) with ints p and
+    q > 0, and all readings of an orbit must agree, p q' == p' q.  This is
+    the check of w_0 against w_i, on either route; each orbit makes one
+    Fraction.
 
-    >>> _read_cell(SparseSymPoly, 0, 3, [(2, 1, 1)], {(1, 1): 4, (2, 1): 4}, lambda e0, num: num)
+    >>> _read_cell(SparseSymPoly, 0, 3, [(2, 1, 1)], {(1, 1): 4, (2, 1): 4}, lambda e0, num: (num, 1))
     SparseSymPoly(3, {(2, 1, 1): Fraction(4, 1)})
     """
     cell = {}
     for orbit in orbits:
+        first = None
         for (e0,), tail in readings(orbit, 1):
-            c = value(e0, table.get(tail, 0))
-            if cell.setdefault(orbit, c) != c:
+            p, q = value(e0, table.get(tail, 0))
+            if first is None:
+                first = p, q
+            elif p * first[1] != first[0] * q:
                 raise ValueError(f"cell ({g}, {nvars}): terms are not symmetric on orbit {orbit}")
+        cell[orbit] = Fraction(*first)
     return cls(nvars, cell)
 
 
@@ -468,7 +526,7 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     w_i is checked on every full target orbit by :func:`_read_cell`.
     """
     table, den = _step_values(g, n, lower, 1, d_op)
-    return _read_cell(SparseSymPoly, g, n + 1, _targets(g, n + 1, 1), table, lambda e0, num: Fraction(num, den))
+    return _read_cell(SparseSymPoly, g, n + 1, _targets(g, n + 1, 1), table, lambda e0, num: (num, den))
 
 
 def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
@@ -502,7 +560,7 @@ def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
     reading of a full orbit, and all readings of an orbit must agree (the
     symmetry of w_0 against w_i, checked by :func:`_read_cell`)."""
     table, den = _step_values(g, n, lower, 2, _calD_dx)
-    return _read_cell(HalfPowerPoly, g, n + 1, _targets(g, n + 1, 2), table, lambda k, num: Fraction(2 * num, k * den))
+    return _read_cell(HalfPowerPoly, g, n + 1, _targets(g, n + 1, 2), table, lambda k, num: (2 * num, k * den))
 
 
 # ---------------------------------------------------------------------------

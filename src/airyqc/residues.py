@@ -7,11 +7,12 @@ Laurent series: the residue at z = 0 is read off as the coefficient of
 z^(-1), never via numerical contours, so this route shares no values with
 the correlator engine.  With the DVV table it shares only the scale
 exponent :func:`~airyqc.core._scale_exp` and the stability tests, and
-with the omega/Omega step the reading walk ``core.readings``, the merge
-rule ``core.merge``, the target orbits ``cell_keys`` and the reader
-``polynomials._read_cell``, which builds a cell from a {tail: int} table
-and checks its symmetry; the split counts of the DVV table come from
-``core.sub_multisets``, which this route does not call.
+with the omega/Omega step the reading walk ``core.readings``, the target
+orbits ``cell_keys`` and the reader ``polynomials._read_cell``, which
+builds a cell from a {tail: int} table and checks its symmetry.  Only
+this route merges two descending legs into a tail by ``core.merge``,
+the inverse of the DVV table's ``core.sub_multisets``, which this route
+does not call.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in its own
@@ -50,7 +51,6 @@ bit more than W_{g,n} needs, so only the result is divided, by
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import ZERO, _scale_exp, merge, readings
 from .correlators import cell_keys, require_stable, shell_cells
@@ -278,10 +278,11 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
 
     Scale: ``inner`` holds 2^E(g) times the even part of the bracket, in
     ints, with E = :func:`~airyqc.core._scale_exp`, so the residue r is
-    2^(E(g)+1) W_{g,n}, and each reading of the table is divided by
-    2^(E(g)+1) once, so the symmetry check compares Fractions over one
-    denominator.  Each cell enters at its own scale, the kernel and the
-    W_(0,2) legs as they are, and each term is shifted left by
+    2^(E(g)+1) W_{g,n}, and each reading of the table is the int pair
+    (r, 2^(E(g)+1)), so the symmetry check compares ints over one
+    denominator and each orbit makes one Fraction.  Each cell enters at
+    its own scale, the kernel and the W_(0,2) legs as they are, and each
+    term is shifted left by
 
         E(g) - E(g-1) >= 3               the genus term,
         E(g) + 1 - E(g_1) - E(g_2) >= 1  a pair with its mirror,
@@ -351,15 +352,15 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
         out = {}
         _mul_into(out, kernel, even, lambda j: j == -1)
         for exps, c in ZSeries(n, exact, out).residue().items():
-            if any(e >= 0 or e % 2 for e in exps):
+            a = tuple([(-e - 2) >> 1 for e in exps])
+            if min(a) < 0 or tuple([-2 * x - 2 for x in a]) != exps:
                 raise ValueError(f"non-even or non-negative exponent {exps} in W_({g},{n})")
-            a = tuple([(-e - 2) // 2 for e in exps])
             mu, nu = a[1 : k + 1], a[k + 1 :]
-            if sum(a) != degree or any(x < y for legs in (mu, nu) for x, y in zip(legs, legs[1:])):
+            if sum(a) != degree or sorted(mu, reverse=True) != list(mu) or sorted(nu, reverse=True) != list(nu):
                 raise ValueError(f"residue term {a} of W_({g},{n}), k = {k}, lies on no orbit of degree {degree}")
             tail, mult = merge(mu, nu)
             table[tail] = table.get(tail, 0) + mult * c
-    return _read_cell(SparseSymPoly, g, n, cell_keys(g, n), table, lambda v, num: Fraction(num, 1 << E + 1))
+    return _read_cell(SparseSymPoly, g, n, cell_keys(g, n), table, lambda v, num: (num, 1 << E + 1))
 
 
 def eo_shell(max_chi: int) -> dict:

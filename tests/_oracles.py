@@ -1,12 +1,14 @@
 """Helpers of the test oracles that expand every split and every
 permutation, which the package itself no longer does, and the Fraction
-forms of the WKB sums, which it now runs on ints."""
+forms of the WKB sums and of the correlator-to-polynomial builders, which
+it now runs on ints."""
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from airyqc.core import orbit_size
+from airyqc.core import odd_weight, orbit_size
+from airyqc.correlators import cell_keys
 
 
 def multiset_permutations(items):
@@ -48,6 +50,18 @@ def from_expanded(cls, nvars, terms):
             raise ValueError(f"terms are not symmetric on orbit {orbit}")
         orbits[orbit] = coeffs[0]
     return cls(nvars, orbits)
+
+
+def correlator_cell(g, n, table, poly_cls, shift, exponents):
+    """The cell whose orbit ``exponents(a)`` carries <tau_a>_g
+    prod (2a_i + shift)!!, one public ``correlator`` read and one Fraction
+    product per key: the builders' path before they read the memo ints."""
+    orbits = {}
+    for a in cell_keys(g, n):
+        value = table.correlator(g, a)
+        if value:
+            orbits[exponents(a)] = value * odd_weight(a, shift)
+    return poly_cls(n, orbits)
 
 
 def ordered_splits(g, positions):

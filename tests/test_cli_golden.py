@@ -31,8 +31,10 @@ GOLDEN = {
     "verify dvv-eo --max-chi 9": "1bcf7cea3ca1ebb3020edec4497199f71fe579827966cd856d4c177f309c731d",
     "verify omega-rec --max-chi 5": "f418c1ebda75008c1c60c57467a44d372f6e3f2fc6cd1782598899c502b7289b",
     "verify omega-rec --max-chi 11": "d1b3aea35f967c7df9e4697c2ea329064969170ba3ec176a83fc9ed42baca128",
+    "verify omega-rec --max-chi 13": "b70042983ac78e94b7ff7dc4b992e7a253991f93c29c9c701791bb1a473ff83a",
     "verify Omega-rec --max-chi 5": "053adb2382060fd24e9f48e3d69e12638bc99cb4a7c970ba45004016bc244232",
     "verify Omega-rec --max-chi 11": "e27e2bd76c8333fa3afd1bcdb532e7355b8a1cf61f8736936746e839f66dfe21",
+    "verify Omega-rec --max-chi 13": "91f16882ad42c525e24cb5cdc3f0434783dc3052746366467034e715e26bd505",
     "verify d-lemma --max-m 20": "a8e2cd09c057bd1627e52827e2fa35b8af9805e46b94947ebb68895ecf532215",
     "verify d-lemma --max-chi 6 --max-m 0": "2687cd60fac4bf023878e37a0af4de7c09b00c8159ff6a62fa7e8a3d4e1ba479",
     "verify t-rec --order 12": "4d5fc23d5f27eb60de92d9a57913edf7f1056d8d3ae1071fbeeb3c0c01dc254a",

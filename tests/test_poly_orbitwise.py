@@ -177,29 +177,65 @@ def _walk_split_term(tail, splits):
 
 
 def test_split_table_equals_the_sub_multiset_walk(table):
+    # the weighted unordered pairs of _lower_cells through _split_table's
+    # EGF division, against the walk over every ordered pair, whose cells
+    # are read here over the step's L without any EGF weight
     for s, op, build in ((1, d_op, omega_from_correlators), (2, _calD_dx, Omega_from_correlators)):
+        weight = (lambda p: 1) if s == 1 else (lambda p: p)
         lower = {cell: build(*cell, table) for cell in shell_cells(1, 9)}
         for g, n1 in shell_cells(1, 10):
             if (g, n1) in ((0, 3), (1, 1)):
                 continue
             n = n1 - 1
-            _, _, splits, _ = _lower_cells(g, n, lower, s, op)
-            # _lower_cells lists its stable pairs by m, then by g_1
-            pairs = [
-                ((g1, m + 1), (g - g1, n - m + 1))
-                for m in range(n + 1)
-                for g1 in range(g + 1)
-                if is_stable(g1, m + 1) and is_stable(g - g1, n - m + 1)
-            ]
-            assert len(pairs) == len(splits)
-            by_m = {}
-            for (cell1, cell2), (read1, read2) in zip(pairs, splits):
-                by_m.setdefault(cell1[1] - 1, []).append((read1, read2))
+            L, _, splits, _ = _lower_cells(g, n, lower, s, op)
+            by_m, unordered = {}, 0
+            for m in range(n + 1):
+                for g1 in range(g + 1):
+                    pair = ((g1, m + 1), (g - g1, n - m + 1))
+                    if all(is_stable(*cell) for cell in pair):
+                        unordered += pair[0] <= pair[1]
+                        reads = [
+                            {rest: weight(x) * c * L for orbit, c in lower[cell].orbits.items() for (x,), rest in readings(orbit, 1)}
+                            for cell in pair
+                        ]
+                        by_m.setdefault(m, []).append(reads)
+            assert len(splits) == unordered
             split = _split_table(splits)
             tails = {tail for orbit in _targets(g, n1, s) for _, tail in readings(orbit, 1)}
             assert set(split) <= tails, (s, g, n1)
             for tail in tails:
                 assert split.get(tail, 0) == _walk_split_term(tail, by_m), (s, g, n1, tail)
+
+
+def test_split_table_rejects_a_reading_without_its_egf_weight(table):
+    # the step to omega_{1,4} keeps the pair ((0, 4), (1, 1)) at scale 16;
+    # the reading (2, 1, 1) of omega_{0,4} carries 9 = 3 * orbit_size, and
+    # one more leaves the tail (2, 1, 1) off a multiple of its orbit size
+    lower = {cell: omega_from_correlators(*cell, table) for cell in shell_cells(1, 5)}
+    _, _, splits, _ = _lower_cells(1, 3, lower, 1, d_op)
+    assert splits[1] == (16, {(1, 1, 1): 3, (2, 1, 1): 9}, {(): 1})
+    _split_table(splits)
+    scale, read1, read2 = splits[1]
+    splits[1] = scale, {**read1, (2, 1, 1): 10}, read2
+    with pytest.raises(ValueError, match=r"tail \(2, 1, 1\) is not a multiple of its orbit size 3"):
+        _split_table(splits)
+
+
+def test_split_readings_are_kept_per_cell_and_degree(table):
+    # a second chain over cells the first chain has read takes the same
+    # steps; the same cell object placed at another (h, k) is checked and
+    # read again, so its degree check fires there
+    chain = {(0, 3): Omega_base(0, 3), (1, 1): Omega_base(1, 1)}
+    for g, n1 in shell_cells(2, 6):
+        chain[(g, n1)] = Omega_step(g, n1 - 1, chain)
+    assert (2, 6) in chain[(0, 4)]._reads
+    again = {}
+    for g, n1 in shell_cells(2, 6):
+        again[(g, n1)] = Omega_step(g, n1 - 1, chain)
+        assert again[(g, n1)] == chain[(g, n1)] == Omega_from_correlators(g, n1, table), (g, n1)
+    moved = {**chain, (1, 3): chain[(0, 3)]}
+    with pytest.raises(ValueError, match=r"lower cell \(1, 3\) has degree 3, not 9"):
+        Omega_step(1, 4, moved)
 
 
 # --- the forward genus and transfer passes against the per-target pulls ------

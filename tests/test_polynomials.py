@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from airyqc import (
+    CorrelatorTable,
     HalfPowerPoly,
     Omega_base,
     Omega_from_correlators,
@@ -23,7 +24,7 @@ from airyqc import (
 )
 from airyqc.correlators import shell_cells
 
-from _oracles import from_expanded
+from _oracles import correlator_cell, from_expanded
 
 # Golden orbit tables.  Four displayed tables are known misprints and are
 # encoded here as recomputed from the recursion itself: omega_{0,4} carries
@@ -65,6 +66,31 @@ BIG_OMEGA_GOLD = {
     (1, 2): {(5, 1): F(1, 8), (3, 3): F(1, 24)},
     (1, 3): {(7, 1, 1): F(5, 8), (5, 3, 1): F(1, 4), (3, 3, 3): F(1, 12)},
 }
+
+
+@pytest.mark.parametrize("tau1", [F(1, 24), F(1, 23)])
+def test_builders_read_the_memo_ints_as_the_correlator_path(tau1):
+    # every cell to chi 9, built from the memo ints and by one correlator()
+    # read per key, each on its own fresh table: the same cells, and the
+    # same memo hits and misses in the same order
+    ints, fractions = CorrelatorTable(tau1=tau1), CorrelatorTable(tau1=tau1)
+    builders = (
+        (tW_from_correlators, SparseSymPoly, 1, tuple),
+        (omega_from_correlators, SparseSymPoly, 1, lambda a: tuple(x + 1 for x in a)),
+        (Omega_from_correlators, HalfPowerPoly, -1, lambda a: tuple(2 * x + 1 for x in a)),
+    )
+    for g, n in shell_cells(1, 9):
+        for build, cls, shift, exponents in builders:
+            assert build(g, n, ints) == correlator_cell(g, n, fractions, cls, shift, exponents), (build, g, n)
+            assert (ints.hits, ints.misses) == (fractions.hits, fractions.misses), (build, g, n)
+
+
+def test_cell_values_rejects_a_bool_genus_and_an_unknown_shift():
+    table = CorrelatorTable()
+    with pytest.raises(ValueError, match="genus must be a non-negative integer"):
+        omega_from_correlators(True, 1, table)
+    with pytest.raises(ValueError, match="shift must be 1 or -1"):
+        list(table.cell_values(1, 1, 3))
 
 
 @pytest.mark.parametrize("cell", sorted(TW_GOLD))
