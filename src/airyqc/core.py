@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -233,7 +231,8 @@ def merge(mu, nu):
     """(tail, mult): the descending merge of the descending tuples `mu`
     and `nu`, and the number of position sets of the tail that realize
     `mu`, prod_v C(count of v in the tail, count of v in mu); the inverse
-    of :func:`sub_multisets`.
+    of the DVV right-hand side's split of a tail into a sub-multiset and
+    the rest of it.
 
     >>> merge((2, 1), (1, 0))
     ((2, 1, 1, 0), 2)
@@ -244,20 +243,3 @@ def merge(mu, nu):
         mult *= math.comb(tail.count(v), mu.count(v))
     return tail, mult
 
-
-def sub_multisets(items):
-    """Yield (mu, nu, count) over the distinct sub-multisets mu of `items`,
-    nu the rest and `count` the number of index subsets realizing mu.  Both
-    come out descending; the empty and the full mu are included.
-
-    >>> list(sub_multisets((2, 1, 1)))[:3]
-    [((), (2, 1, 1), 1), ((1,), (2, 1), 2), ((1, 1), (2,), 1)]
-    """
-    counts = sorted(Counter(items).items(), reverse=True)
-    for picks in product(*(range(c + 1) for _, c in counts)):
-        mu, nu, mult = (), (), 1
-        for (v, c), k in zip(counts, picks):
-            mu += (v,) * k
-            nu += (v,) * (c - k)
-            mult *= math.comb(c, k)
-        yield mu, nu, mult

@@ -11,8 +11,8 @@ with the omega/Omega step the reading walk ``core.readings``, the target
 orbits ``cell_keys`` and the reader ``polynomials._read_cell``, which
 builds a cell from a {tail: int} table and checks its symmetry.  Only
 this route merges two descending legs into a tail by ``core.merge``,
-the inverse of the DVV table's ``core.sub_multisets``, which this route
-does not call.
+the inverse of the split walk of the DVV right-hand side, which this
+route does not run.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in its own

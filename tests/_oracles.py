@@ -6,6 +6,7 @@ it now runs on ints."""
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from airyqc.core import odd_weight, orbit_size
 from airyqc.correlators import cell_keys
@@ -33,6 +34,26 @@ def multiset_permutations(items):
                 counts[v] += 1
 
     yield from rec(0)
+
+
+def sub_multisets(items):
+    """Yield (mu, nu, count) over the distinct sub-multisets mu of `items`,
+    nu the rest and `count` the number of index subsets realizing mu, by a
+    product over the value counts: the reference for the split walk of
+    ``CorrelatorTable._rhs``, which visits them in this order.  Both come
+    out descending; the empty and the full mu are included.
+
+    >>> list(sub_multisets((2, 1, 1)))[:3]
+    [((), (2, 1, 1), 1), ((1,), (2, 1), 2), ((1, 1), (2,), 1)]
+    """
+    counts = sorted(Counter(items).items(), reverse=True)
+    for picks in product(*(range(c + 1) for _, c in counts)):
+        mu, nu, mult = (), (), 1
+        for (v, c), k in zip(counts, picks):
+            mu += (v,) * k
+            nu += (v,) * (c - k)
+            mult *= math.comb(c, k)
+        yield mu, nu, mult
 
 
 def from_expanded(cls, nvars, terms):

@@ -437,6 +437,19 @@ def test_too_deep_input_exits_2(capsys):
     assert list(run(capsys, "correlator", "0", exponents)) == [2, "", "error: input too deep for the recursion limit\n"]
 
 
+def test_string_chain_bound_computes_in_one_process():
+    # <tau_495 tau_0^497>_0 = 1 is the deepest string chain that a single
+    # process computes at the default recursion limit, two frames a level;
+    # any frame added per memo read would push it past the limit
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("AIRYQC_CACHE", None)
+    exponents = ",".join(["495"] + ["0"] * 497)
+    result = subprocess.run([sys.executable, "-m", "airyqc", "correlator", "0", exponents], capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+
+
 def test_too_deeply_nested_cache_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)

@@ -13,10 +13,9 @@ from airyqc.core import (
     rat_parse,
     rat_str,
     readings,
-    sub_multisets,
 )
 
-from _oracles import multiset_permutations
+from _oracles import multiset_permutations, sub_multisets
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable
+from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable, quantum_curve_report
 from airyqc.core import bounded_partitions, orbit_size, partition_walk
 from airyqc.correlators import cell_keys, shell_cells, shell_keys
 
@@ -252,6 +252,35 @@ def test_dvv_rhs_takes_any_index_as_special(table):
         if (g, a) not in SEEDS:
             for i in range(len(a)):
                 assert table.dvv_rhs(g, a, i) == table.correlator(g, a), (g, a, i)
+
+
+def test_dvv_rhs_takes_any_special_at_chi_7_and_8(table):
+    # specials larger than the rest, and rests with repeated 0s and 1s,
+    # where a copy taken into the split leaves d = len(mu) - 2 - sum(mu)
+    # unchanged or raises it, all through the split walk
+    for g, n in shell_cells(7, 8):
+        for a in cell_keys(g, n):
+            for i in range(n):
+                assert table.dvv_rhs(g, a, i) == table.correlator(g, a), (g, a, i)
+
+
+def test_dvv_memo_traffic_is_pinned():
+    # the split walk reads lower keys in a fixed order: the keys stored,
+    # the memo hits and misses, and the order the memo fills in
+    table = CorrelatorTable()
+    quantum_curve_report(15, 1, table)
+    quantum_curve_report(15, -1, table)
+    assert (len(table), table.hits, table.misses) == (471, 1894, 469)
+    assert _digest([key for key, _ in table.items()]) == "4b493b46e0dac41cbc042b6679e52dc971be4384cd27d8105f25a57fca298706"
+    table = CorrelatorTable()
+    table.fill_shell(12)
+    assert (len(table), table.hits, table.misses) == (1481, 2573, 1479)
+    # with the smallest special every split read hits; the largest one on a
+    # fresh table misses there, so the fill order follows the walk's order
+    table = CorrelatorTable()
+    assert table.dvv_rhs(3, (7, 2, 1, 1, 0), 0) == Fraction(119, 8640)
+    assert (len(table), table.hits, table.misses) == (41, 79, 39)
+    assert _digest([key for key, _ in table.items()]) == "2956a18917468fde1bf370b1bc303022ca659eccb777aea13e08415ac300c82f"
 
 
 @pytest.mark.parametrize("special", [-1, 2, True, 1.0, None])

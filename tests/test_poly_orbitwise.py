@@ -29,12 +29,12 @@ from airyqc import (
     omega_from_correlators,
     omega_step,
 )
-from airyqc.core import HALF, accumulate, readings, sub_multisets
+from airyqc.core import HALF, accumulate, readings
 from airyqc.correlators import is_stable, shell_cells
 from airyqc.polynomials import _calD_dx, _lower_cells, _split_table, _step_values, _targets
 from airyqc.suites import suite_Omega_rec, suite_omega_rec
 
-from _oracles import from_expanded, ordered_splits
+from _oracles import from_expanded, ordered_splits, sub_multisets
 
 # --- the expanded steps ------------------------------------------------------
 

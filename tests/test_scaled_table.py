@@ -5,9 +5,10 @@ ints S = 2^E(g) q^g ttau: the same string and dilaton reductions and the
 same full right-hand side, with the same special insertion (the smallest
 entry), summed in ``Fraction``s in the ttau normalization and divided by
 prod (2a_i+1)!! at the end.  Its job is the integer scale, not the choice
-of special, which only a mutated seed can see.  It shares only the
-combinatorics (``sub_multisets``, ``odd_weight``, ``is_stable``) with the
-table, no arithmetic.
+of special, which only a mutated seed can see.  It walks the splits by
+the reference ``sub_multisets`` of ``_oracles``, not by the table's own
+walk, and shares only ``odd_weight`` and ``is_stable`` with the table, no
+arithmetic.
 """
 
 import re
@@ -18,9 +19,11 @@ import pytest
 import airyqc.correlators
 from airyqc import CorrelatorTable
 from airyqc.cli import main
-from airyqc.core import odd_weight, orbit_size, sub_multisets
+from airyqc.core import odd_weight, orbit_size
 from airyqc.correlators import cell_keys, is_stable, shell_cells, shell_keys
 from test_wkb import free_sum
+
+from _oracles import sub_multisets
 
 HALF = Fraction(1, 2)
 
