@@ -226,20 +226,3 @@ def readings(orbit: tuple, k: int) -> list:
         if not i or rest[i - 1] != v
     ]
 
-
-def merge(mu, nu):
-    """(tail, mult): the descending merge of the descending tuples `mu`
-    and `nu`, and the number of position sets of the tail that realize
-    `mu`, prod_v C(count of v in the tail, count of v in mu); the inverse
-    of the DVV right-hand side's split of a tail into a sub-multiset and
-    the rest of it.
-
-    >>> merge((2, 1), (1, 0))
-    ((2, 1, 1, 0), 2)
-    """
-    tail = tuple(sorted(mu + nu, reverse=True))
-    mult = 1
-    for v in set(mu).intersection(nu):
-        mult *= math.comb(tail.count(v), mu.count(v))
-    return tail, mult
-

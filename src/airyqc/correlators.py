@@ -192,7 +192,7 @@ class CorrelatorTable:
         >>> dict(CorrelatorTable().cell_values(1, 2, -1))
         {(2, 0): Fraction(1, 8), (1, 1): Fraction(1, 24)}
         """
-        if shift not in (1, -1):
+        if type(shift) is not int or shift not in (1, -1):
             raise ValueError(f"shift must be 1 or -1, got {shift!r}")
         keys = cell_keys(g, n)
         canonical_key(g, keys[0])

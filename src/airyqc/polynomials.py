@@ -39,10 +39,10 @@ multiplicity and each tail is divided by its orbit size once
 from that table: it reads each target orbit once per distinct entry on
 w_0 as int pairs, and the readings must agree, which checks symmetry of
 w_0 against w_i; symmetry in w_1..w_n is manifest.  The EO route
-(``residues``) adds its residue terms into a {tail: int} table too and
-builds its cells through the same reader; it flattens each lower cell by
-the same reading walk ``core.readings``.  One slot map 2 w^(3/2) d_w takes
-Omega to omega monomials, orbit to orbit.
+(``residues``) reads its lower cells by the same walk and EGF weights
+and builds its cells from a {tail: int} table through the same division
+(``_per_orbit``) and reader.  One slot map 2 w^(3/2) d_w takes Omega to
+omega monomials, orbit to orbit.
 omega_{0,3} = w1 w2 w3 and omega_{1,1} = w1^2/8 (and their Omega
 counterparts) are seeded base cells: the recursion step for either target
 would need the excluded two-point cell.
@@ -437,8 +437,7 @@ def _split_table(splits):
     carries orbit_size(rest) = |rest|!/aut(rest) and each pair C(n, m), so
     a product adds mult c_1 c_2 n!/aut(tail) = mult c_1 c_2
     orbit_size(tail), and each tail is divided by its orbit size once at
-    the end.  That division is exact for any int readings of this form; a
-    remainder raises ValueError.
+    the end (``_per_orbit``), exactly for any int readings of this form.
 
     >>> _split_table([(2, {(1,): 2}, {(1,): 5, (3,): 7})])
     {(1, 1): 20, (3, 1): 14}
@@ -450,10 +449,26 @@ def _split_table(splits):
             for nu, c2 in cell2.items():
                 tail = tuple(sorted(mu + nu, reverse=True))
                 table[tail] = table.get(tail, 0) + c1 * c2
+    return _per_orbit(table)
+
+
+def _per_orbit(table):
+    """The {tail: int} `table` with each sum divided, in place, by its
+    tail's orbit size: the one division of both routes' EGF-weighted sums
+    (``_split_table``, ``residues.eo_W``); a remainder raises ValueError.
+
+    >>> _per_orbit({(1, 1): 5, (2, 1): 4})
+    {(1, 1): 5, (2, 1): 2}
+    >>> _per_orbit({(2, 1, 1): 10})
+    Traceback (most recent call last):
+        ...
+    ValueError: term sum 10 of tail (2, 1, 1) is not a multiple of its orbit size 3
+    """
     for tail, c in table.items():
-        q, r = divmod(c, orbit_size(tail))
+        k = orbit_size(tail)
+        q, r = divmod(c, k)
         if r:
-            raise ValueError(f"split term {c} of tail {tail} is not a multiple of its orbit size {orbit_size(tail)}")
+            raise ValueError(f"term sum {c} of tail {tail} is not a multiple of its orbit size {k}")
         table[tail] = q
     return table
 

@@ -7,12 +7,9 @@ Laurent series: the residue at z = 0 is read off as the coefficient of
 z^(-1), never via numerical contours, so this route shares no values with
 the correlator engine.  With the DVV table it shares only the scale
 exponent :func:`~airyqc.core._scale_exp` and the stability tests, and
-with the omega/Omega step the reading walk ``core.readings``, the target
-orbits ``cell_keys`` and the reader ``polynomials._read_cell``, which
-builds a cell from a {tail: int} table and checks its symmetry.  Only
-this route merges two descending legs into a tail by ``core.merge``,
-the inverse of the split walk of the DVV right-hand side, which this
-route does not run.
+with the omega/Omega step the EGF-weighted reading walk, the target
+orbits ``cell_keys``, the division ``polynomials._per_orbit`` and the
+reader ``polynomials._read_cell``, which checks a cell's symmetry.
 
 ``ZSeries`` is a Laurent series in the active variable z, truncated at
 order ``trunc``, whose coefficients are Laurent polynomials in its own
@@ -35,26 +32,26 @@ kernel contraction.
 spectator exponents descend (:func:`series_from_cell`), so one product
 stands for every split with the same (g_1, |A_1|), and a size pair and
 its mirror are multiplied once, at twice the weight.  The residue of each
-|A_1| is read forward: each term adds into one table keyed by its merged
-spectator tail, which fixes the z_0 exponent by the degree, and each
-target orbit reads that table once per distinct z_0 exponent; all of
-them must agree, which checks the symmetry of z_0 against the
-spectators.
+|A_1| is read forward by the EGF rule of the omega/Omega step: each
+term adds into one table at its sorted spectator tail, which fixes the
+z_0 exponent by the degree, and each target orbit reads that table once
+per distinct z_0 exponent; all of them must agree, which checks the
+symmetry of z_0 against the spectators.
 
 It runs on ints: each genus-g_i cell enters at the scale 2^E(g_i) on
-which the DVV table is integral, and the weights and the recursion's 1/2
-fold into non-negative left shifts by keeping the bracket at 2^E(g), one
-bit more than W_{g,n} needs, so only the result is divided, by
-2^(E(g)+1).
+which the DVV table is integral, and the mirror weights and the
+recursion's 1/2 fold into non-negative left shifts by keeping the
+bracket at 2^E(g), one bit more than W_{g,n} needs, so only the result
+is divided, by 2^(E(g)+1).
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ZERO, _scale_exp, merge, readings
+from .core import ZERO, _scale_exp, orbit_size, readings
 from .correlators import cell_keys, require_stable, shell_cells
-from .polynomials import SparseSymPoly, _lower_cell, _read_cell
+from .polynomials import SparseSymPoly, _lower_cell, _per_orbit, _read_cell
 
 __all__ = [
     "ZSeries",
@@ -151,13 +148,13 @@ def b02_series(sign: int, M) -> ZSeries:
 def series_from_cell(cell: SparseSymPoly, nspec: int, *, scale: int = 0, flats: dict | None = None) -> ZSeries:
     """2^scale times the terms of a stable cell W(z, w_1, ..., w_nspec),
     or W(z, -z, w_1, ..., w_nspec) when the cell has nspec + 2 variables,
-    whose spectator exponents descend along w_1 ... w_nspec, as an exact
-    ZSeries with int coefficients.  These are not the whole cell: by its
-    symmetry every other term is one of them with the spectators permuted,
-    which :func:`eo_W` accounts for when it reads the residue.  Other
-    counts of active legs and a coefficient that 2^scale does not make an
-    integer raise ValueError.  Cells are even in every variable, so the
-    sign of an active leg never matters.
+    whose spectator exponents descend along w_1 ... w_nspec, each times
+    the orbit size of its spectator tail, as an exact ZSeries with int
+    coefficients: by the cell's symmetry that many terms are the one with
+    the spectators permuted, an EGF weight :func:`eo_W` divides out once
+    per tail.  Other counts of active legs and a coefficient that 2^scale
+    does not make an integer raise ValueError.  Cells are even in every
+    variable, so the sign of an active leg never matters.
 
     ``flats``, a dict the caller keeps, lets a cell be scaled and flattened
     (:func:`_flatten`) once however often its series is asked for: it
@@ -179,8 +176,9 @@ def _flatten(cell: SparseSymPoly, active: int, scale: int) -> dict:
     orbit, descending, on the spectators, as {z-exponent: {spectator
     exponent tuple: int}}; a leg exponent a is the z-exponent -2a - 2.  An
     orbit adds one entry for each distinct ordered choice of its active
-    values (``core.readings``), and its coefficient is scaled and checked
-    for integrality once."""
+    values (``core.readings``), its coefficient scaled and checked for
+    integrality once and then weighted by the orbit size of the entry's
+    tail."""
     strata = {}
     for orbit, coeff in cell.orbits.items():
         c, r = divmod(coeff.numerator << scale, coeff.denominator)
@@ -189,7 +187,7 @@ def _flatten(cell: SparseSymPoly, active: int, scale: int) -> dict:
         for chosen, tail in readings(orbit, active):
             tgt = strata.setdefault(-2 * (sum(chosen) + active), {})
             e = tuple([-2 * a - 2 for a in tail])
-            tgt[e] = tgt.get(e, 0) + c
+            tgt[e] = tgt.get(e, 0) + c * orbit_size(tail)
     return strata
 
 
@@ -206,12 +204,12 @@ def exact_through(f1: ZSeries, f2: ZSeries):
     return min(f1.trunc + f2.valuation(), f2.trunc + f1.valuation())
 
 
-def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> None:
-    """Add the strata z^k of f1 * f2 with ``keep(k)`` true, times 2^shift,
-    into the stratum dict ``out`` in place; no other stratum is formed.  A
-    nonzero ``shift`` needs int coefficients in f1.  Exactness is the
-    caller's, by :func:`exact_through`.  The blocks are disjoint, so the
-    monomial of a term is its factors' tuples joined end to end:
+def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, scale: int = 1) -> None:
+    """Add the strata z^k of f1 * f2 with ``keep(k)`` true, times the int
+    ``scale``, into the stratum dict ``out`` in place; no other stratum is
+    formed.  Exactness is the caller's, by :func:`exact_through`.  The
+    blocks are disjoint, so the monomial of a term is its factors' tuples
+    joined end to end:
 
     >>> out = {}
     >>> _mul_into(out, kernel_series(1), b02_series(1, 1), lambda k: k <= 0)
@@ -226,8 +224,7 @@ def _mul_into(out: dict, f1: ZSeries, f2: ZSeries, keep, shift: int = 0) -> None
             tgt = out.setdefault(k, {})
             get = tgt.get
             for e1, c1 in p1.items():
-                if shift:
-                    c1 <<= shift
+                c1 *= scale
                 for e2, c2 in p2.items():
                     e = e1 + e2
                     tgt[e] = get(e, 0) + c1 * c2
@@ -266,15 +263,17 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     the z^(-1) stratum, which ``ZSeries.residue`` reads.  A residue term
     a = (v; mu; nu), mu = a[1:k+1] on leg 1's spectators and nu on leg
     2's, must have degree 3g - 3 + n and descending mu and nu, as every
-    product term does; it stands for the mult subsets A_1 of the merged
-    tail whose spectator exponents form mu, so ``core.merge(mu, nu)``
-    gives (tail, mult) and mult times the term is added into one table at
-    the tail; after the degree check v = 3g - 3 + n - sum(tail), so the
-    tail alone is the key.  ``polynomials._read_cell`` then reads that
-    table at the tail of each one-slot reading of each target orbit of
-    ``cell_keys(g, n)`` and requires the readings of an orbit to agree:
-    the symmetry of z_0 against the spectators, which the construction
-    does not give.
+    product term does.  It stands for the mult subsets A_1 of its tail
+    sorted(mu + nu) whose spectator exponents form mu, and its legs'
+    orbit sizes times the pair's C(n-1, k) (1 for the genus and base
+    terms) are mult orbit_size(tail), so it adds into one table at the
+    tail with no multiplicity, and ``polynomials._per_orbit`` divides
+    each tail by its orbit size once; after the degree check v = 3g - 3
+    + n - sum(tail), so the tail alone is the key.  ``_read_cell`` then
+    reads that table at the tail of each one-slot reading of each target
+    orbit of ``cell_keys(g, n)`` and requires the readings of an orbit
+    to agree: the symmetry of z_0 against the spectators, which the
+    construction does not give.
 
     Scale: ``inner`` holds 2^E(g) times the even part of the bracket, in
     ints, with E = :func:`~airyqc.core._scale_exp`, so the residue r is
@@ -282,7 +281,7 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     (r, 2^(E(g)+1)), so the symmetry check compares ints over one
     denominator and each orbit makes one Fraction.  Each cell enters at
     its own scale, the kernel and the W_(0,2) legs as they are, and each
-    term is shifted left by
+    term is shifted left, on top of its binomial, by
 
         E(g) - E(g-1) >= 3               the genus term,
         E(g) + 1 - E(g_1) - E(g_2) >= 1  a pair with its mirror,
@@ -304,8 +303,9 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
     says the kernel's truncation reaches every stratum of ``inner``),
     every exponent of every residue term is even and negative, every
     residue term lies on a target orbit (its degree and the descent of its
-    legs), and the readings of each orbit agree.  The output has the
-    exponent-table form of ``tW_from_correlators``.
+    legs), each tail sum is a multiple of its orbit size, and the readings
+    of each orbit agree.  The output has the exponent-table form of
+    ``tW_from_correlators``.
     """
     require_stable(g, n)
     M = 6 * g + 2 * n
@@ -339,11 +339,11 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
             exact = exact_through(f1, f2)
             if exact < 0:
                 raise ValueError(f"product exact only through z^{exact}, residue strata need z^0")
-            _mul_into(inner.setdefault(k, {}), f1, f2, lambda j: j <= 0 and not j % 2, shift)
+            _mul_into(inner.setdefault(k, {}), f1, f2, lambda j: j <= 0 and not j % 2, math.comb(n - 1, k) << shift)
 
     kernel = kernel_series(M)
     degree = 3 * g - 3 + n
-    table = {}  # {descending tail: sum of mult c}
+    table = {}  # {descending tail: sum of c}
     for k, strata in inner.items():
         even = ZSeries(n - 1, 0, strata)
         exact = exact_through(kernel, even)
@@ -358,9 +358,9 @@ def eo_W(g: int, n: int, lower: dict, *, flats: dict | None = None) -> SparseSym
             mu, nu = a[1 : k + 1], a[k + 1 :]
             if sum(a) != degree or sorted(mu, reverse=True) != list(mu) or sorted(nu, reverse=True) != list(nu):
                 raise ValueError(f"residue term {a} of W_({g},{n}), k = {k}, lies on no orbit of degree {degree}")
-            tail, mult = merge(mu, nu)
-            table[tail] = table.get(tail, 0) + mult * c
-    return _read_cell(SparseSymPoly, g, n, cell_keys(g, n), table, lambda v, num: (num, 1 << E + 1))
+            tail = tuple(sorted(a[1:], reverse=True))
+            table[tail] = table.get(tail, 0) + c
+    return _read_cell(SparseSymPoly, g, n, cell_keys(g, n), _per_orbit(table), lambda v, num: (num, 1 << E + 1))
 
 
 def eo_shell(max_chi: int) -> dict:

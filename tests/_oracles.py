@@ -1,5 +1,6 @@
 """Helpers of the test oracles that expand every split and every
-permutation, which the package itself no longer does, and the Fraction
+permutation or count the multiplicity of a merge, which the package
+itself no longer does, and the Fraction
 forms of the WKB sums and of the correlator-to-polynomial builders, which
 it now runs on ints."""
 
@@ -54,6 +55,24 @@ def sub_multisets(items):
             nu += (v,) * (c - k)
             mult *= math.comb(c, k)
         yield mu, nu, mult
+
+
+def merge(mu, nu):
+    """(tail, mult): the descending merge of the descending tuples `mu`
+    and `nu`, and the number of position sets of the tail that realize
+    `mu`, prod_v C(count of v in the tail, count of v in mu); the inverse
+    of the DVV right-hand side's split of a tail into a sub-multiset and
+    the rest of it, and the multiplicity that the EGF weights of both
+    recursion routes fold in.
+
+    >>> merge((2, 1), (1, 0))
+    ((2, 1, 1, 0), 2)
+    """
+    tail = tuple(sorted(mu + nu, reverse=True))
+    mult = 1
+    for v in set(mu).intersection(nu):
+        mult *= math.comb(tail.count(v), mu.count(v))
+    return tail, mult
 
 
 def from_expanded(cls, nvars, terms):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 from airyqc.core import (
     bounded_partitions,
     double_factorial,
-    merge,
     orbit_size,
     rat_parse,
     rat_str,
     readings,
 )
 
-from _oracles import multiset_permutations, sub_multisets
+from _oracles import merge, multiset_permutations, sub_multisets
 
 
 @pytest.mark.parametrize(
@@ -136,6 +136,17 @@ def test_merge_inverts_sub_multisets():
     for tail in DESCENDING:
         for mu, nu, mult in sub_multisets(tail):
             assert merge(mu, nu) == (tail, mult), (mu, nu)
+
+
+def test_egf_weights_fold_in_the_merge_multiplicity():
+    # the identity both recursion routes add by: two readings weighted by
+    # their orbit sizes, times C(|mu| + |nu|, |mu|), give mult times the
+    # orbit size of their merged tail
+    for mu in DESCENDING:
+        for nu in DESCENDING:
+            tail, mult = merge(mu, nu)
+            lhs = orbit_size(mu) * orbit_size(nu) * comb(len(mu) + len(nu), len(mu))
+            assert lhs == mult * orbit_size(tail), (mu, nu)
 
 
 def test_readings_are_the_distinct_orderings():

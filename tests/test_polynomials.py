@@ -89,8 +89,9 @@ def test_cell_values_rejects_a_bool_genus_and_an_unknown_shift():
     table = CorrelatorTable()
     with pytest.raises(ValueError, match="genus must be a non-negative integer"):
         omega_from_correlators(True, 1, table)
-    with pytest.raises(ValueError, match="shift must be 1 or -1"):
-        list(table.cell_values(1, 1, 3))
+    for shift in (3, True):
+        with pytest.raises(ValueError, match="shift must be 1 or -1"):
+            list(table.cell_values(1, 1, shift))
 
 
 @pytest.mark.parametrize("cell", sorted(TW_GOLD))
