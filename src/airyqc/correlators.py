@@ -87,9 +87,11 @@ def is_stable(g: int, n: int) -> bool:
 
 
 def require_stable(g, n) -> None:
-    """Raise ValueError unless (g, n) is a stable cell."""
-    if not is_stable(g, n):
-        raise ValueError(f"unstable (g, n) = ({g}, {n})")
+    """Raise ValueError unless g and n are ints, not bools, and (g, n) is stable."""
+    if type(g) is not int:
+        raise ValueError(f"genus must be a non-negative integer, got {g!r}")
+    if type(n) is not int or not is_stable(g, n):
+        raise ValueError(f"unstable (g, n) = ({g}, {n!r})")
 
 
 def cell_keys(g, n):
@@ -170,7 +172,8 @@ class CorrelatorTable:
         return (odd_weight(a, 1) << _scale_exp(g)) * self._q**g
 
     def _fraction(self, g, a, s) -> Fraction:
-        return Fraction(s, self._unit(g, a))
+        """S / unit, with no unit built for S = 0, an off-shell key's."""
+        return Fraction(s, self._unit(g, a)) if s else Fraction(0)
 
     def items(self):
         """The stored ((g, a), value) pairs, values as Fractions."""
@@ -187,7 +190,7 @@ class CorrelatorTable:
         (the omega and W weights) gives Fraction(S, 2^E(g) q^g), and shift
         -1 (the Omega weights) Fraction(S, 2^E(g) q^g prod (2a_i + 1)).
         Each key is read once through the memo, so ``hits`` and ``misses``
-        count as :meth:`correlator` would; the genus is checked as there.
+        count as :meth:`correlator` would; ``cell_keys`` checks g and n.
 
         >>> dict(CorrelatorTable().cell_values(1, 2, -1))
         {(2, 0): Fraction(1, 8), (1, 1): Fraction(1, 24)}
@@ -195,7 +198,6 @@ class CorrelatorTable:
         if type(shift) is not int or shift not in (1, -1):
             raise ValueError(f"shift must be 1 or -1, got {shift!r}")
         keys = cell_keys(g, n)
-        canonical_key(g, keys[0])
         den = self._q**g << _scale_exp(g)
         for a in keys:
             s = self._value(g, a)

@@ -32,13 +32,14 @@ follow from s.  Every lower cell is homogeneous, so each descending tail
 on w_1..w_n fixes w_0's exponent, and the step adds its genus readings,
 its split products and its transfer image forward into one {tail: int}
 table over L^2.  The split term multiplies each unordered pair of split
-cells once, each cell read once per chain and each reading carrying an
-EGF weight, so that a product adds at its sorted tail with no
-multiplicity and each tail is divided by its orbit size once
-(``_split_table``).  One reader, ``_read_cell``, builds the target cell
-from that table: it reads each target orbit once per distinct entry on
-w_0 as int pairs, and the readings must agree, which checks symmetry of
-w_0 against w_i; symmetry in w_1..w_n is manifest.  The EO route
+cells once, each cell read once per chain and only in the pairs it
+multiplies, each reading carrying an EGF weight, so that a product adds
+at its sorted tail with no multiplicity and each tail is divided by its
+orbit size once (``_split_table``).  One reader, ``_read_cell``, alone
+builds the target cell from that table: it reads each target orbit once
+per distinct entry on w_0 as int pairs, and the readings must agree,
+which checks symmetry of w_0 against w_i; symmetry in w_1..w_n is
+manifest.  ``Omega_step_dw0`` differentiates ``Omega_step``'s cell.  The EO route
 (``residues``) reads its lower cells by the same walk and EGF weights
 and builds its cells from a {tail: int} table through the same division
 (``_per_orbit``) and reader.  One slot map 2 w^(3/2) d_w takes Omega to
@@ -285,15 +286,17 @@ def _calD_dx(f):
 
 def _transfer(cell, op, L):
     """op_{w_0, w_i} (``d_op`` or ``_calD_dx``) on slot 0 of the orbit-stored
-    cell read as ints over L, run once per spectator tail: {(u, v, rest): c},
-    c/L the coefficient of w_0^u w_i^v w^rest, rest descending on the
-    spectators in any order.  The cell is symmetric, so the image does not
-    depend on i."""
-    tails = {}
-    for orbit, c in cell.orbits.items():
-        for (x,), tail in readings(orbit, 1):
-            tails.setdefault(tail, {})[x] = _over(c, L)
-    return {(u, v, tail): c for tail, f in tails.items() for (u, v), c in op(f).items()}
+    cell read as ints over L, run once per one-slot reading (x, rest):
+    {(u, v, rest): c}, c/L the coefficient of w_0^u w_i^v w^rest, rest
+    descending on the spectators in any order.  The cell is homogeneous,
+    so each rest has one x and the images of different readings share no
+    key; it is symmetric, so the image does not depend on i."""
+    return {
+        (u, v, rest): image
+        for orbit, c in cell.orbits.items()
+        for (x,), rest in readings(orbit, 1)
+        for (u, v), image in op({x: _over(c, L)}).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +382,22 @@ def _lower_cells(g, n, lower, s, op):
     (scale, reading_1, reading_2) per unordered pair, the ``_split_reading``
     of each cell over its own D_i.  A pair and its mirror add the same
     products into the same tails, so only the pair whose first cell is <=
-    its mirror's is kept, at weight w = 2, or 1 when it is its own mirror;
-    its scale w C(n, m) (L / D_1) (L / D_2) puts its products over L^2 with
-    the binomial that ``_split_table``'s EGF division expects."""
+    its mirror's is kept and read (each stable split cell lies in one), at
+    weight w = 2, or 1 when it is its own mirror; its scale w C(n, m)
+    (L / D_1) (L / D_2) puts its products over L^2 with the binomial that
+    ``_split_table``'s EGF division expects."""
     genus_cell = [_fetch(lower, g - 1, n + 2, s)] if g >= 1 else []
-    reads, pairs = {}, []
+    pairs = []
     for m in range(n + 1):
         for g1 in range(g + 1):
             pair = (g1, m + 1), (g - g1, n - m + 1)
-            if all(is_stable(*cell) for cell in pair):
-                for cell in pair:
-                    if cell not in reads:
-                        reads[cell] = _split_reading(lower, *cell, s)
-                if pair[0] <= pair[1]:
-                    pairs.append(((1 if pair[0] == pair[1] else 2) * math.comb(n, m), *pair))
+            if pair[0] <= pair[1] and all(is_stable(*cell) for cell in pair):
+                scale = (1 if pair[0] == pair[1] else 2) * math.comb(n, m)
+                pairs.append((scale, *(_split_reading(lower, *cell, s) for cell in pair)))
     transfer = [_fetch(lower, g, n, s)] if n >= 1 else []
     L = math.lcm(
         *(c.denominator for cell in [*genus_cell, *transfer] for c in cell.orbits.values()),
-        *(D for D, _ in reads.values()),
+        *(D for _, *reads in pairs for D, _ in reads),
     )
     weight = _WEIGHTS[s]
     genus = [
@@ -405,10 +406,7 @@ def _lower_cells(g, n, lower, s, op):
         for orbit, c in cell.orbits.items()
         for (x, y), rest in readings(orbit, 2)
     ]
-    splits = []
-    for scale, cell1, cell2 in pairs:
-        (D1, read1), (D2, read2) = reads[cell1], reads[cell2]
-        splits.append((scale * (L // D1) * (L // D2), read1, read2))
+    splits = [(scale * (L // D1) * (L // D2), read1, read2) for scale, (D1, read1), (D2, read2) in pairs]
     return L, genus, splits, _transfer(transfer[0], op, L) if transfer else {}
 
 
@@ -501,8 +499,8 @@ def _step_values(g, n, lower, s, op):
     """The one recursion step on the lattice s a + 1: (table, den) with
     table[tail]/den the coefficient at (e_0, tail) of omega_{g,n+1} (s = 1),
     or at half-steps (e_0 - 2, tail) of d_{w_0} Omega_{g,n+1} (s = 2), for
-    each reading (e_0, tail) of a target orbit (``_read_cell``); den = 2s L^2
-    is the same for every tail.
+    each reading (e_0, tail) of a target orbit, read by ``_read_cell``
+    alone; den = 2s L^2 is the same for every tail.
 
     The coefficient is 1/(2s) times the genus and split terms plus the
     transfer term, all added into the one {tail: int} table of
@@ -544,38 +542,35 @@ def omega_step(g: int, n: int, lower: dict) -> SparseSymPoly:
     return _read_cell(SparseSymPoly, g, n + 1, _targets(g, n + 1, 1), table, lambda e0, num: (num, den))
 
 
-def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
-    """The w_0 derivative of Omega_{g,n+1} as a plain half-step dict,
+def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
+    """One recursion step: build Omega_{g,n+1}(w_0, ..., w_n) from lower
+    cells as the antiderivative in w_0, with zero constant term, of
 
         d_{w_0} Omega_{g,n+1} = w_0^(5/2) d_x d_y Omega_{g-1,n+2}|_{x=y=w_0}
             + w_0^(5/2) sum over stable ordered splits d Omega d Omega
             + w_0^(-3/2) sum_i calD_{w_0,w_i} d_x Omega_{g,n}(x, ...).
 
-    Keys are (n+1)-tuples of half-steps; entry 0 need not lie on the Omega
-    lattice until the antiderivative is taken.  The values are
-    :func:`_step_values` on the half-step lattice 2a + 1 (s = 2) with
-    ``_calD_dx``, read at each target reading (k, tail) and spread over
-    the orderings of the tail on w_1..w_n.
-    """
-    table, den = _step_values(g, n, lower, 2, _calD_dx)
-    out = {}
-    for orbit in _targets(g, n + 1, 2):
-        for (k,), tail in readings(orbit, 1):
-            num = table.get(tail)
-            if num:
-                c = Fraction(num, den)
-                for perm, _ in readings(tail, n):
-                    out[(k - 2,) + perm] = c
-    return out
-
-
-def Omega_step(g: int, n: int, lower: dict) -> HalfPowerPoly:
-    """Antidifferentiate :func:`Omega_step_dw0` in w_0 with zero constant
-    term, orbit-wise: w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each (k, tail)
-    reading of a full orbit, and all readings of an orbit must agree (the
-    symmetry of w_0 against w_i, checked by :func:`_read_cell`)."""
+    The right side is :func:`_step_values` on the half-step lattice 2a + 1
+    (s = 2) with ``_calD_dx``, and :func:`_read_cell` takes its
+    antiderivative orbit-wise, w_0^((k-2)/2) -> (2/k) w_0^(k/2) on each
+    (k, tail) reading of a full target orbit; all readings of an orbit
+    must agree (the symmetry of w_0 against w_i)."""
     table, den = _step_values(g, n, lower, 2, _calD_dx)
     return _read_cell(HalfPowerPoly, g, n + 1, _targets(g, n + 1, 2), table, lambda k, num: (2 * num, k * den))
+
+
+def Omega_step_dw0(g: int, n: int, lower: dict) -> dict:
+    """d_{w_0} Omega_{g,n+1} as a plain half-step dict: the w_0 derivative
+    w_0^(k/2) -> (k/2) w_0^((k-2)/2) of the cell :func:`Omega_step` builds,
+    its symmetry checked there, at each one-slot reading (k, tail) of each
+    orbit and every ordering of the tail on w_1..w_n.  Keys are
+    (n+1)-tuples of half-steps, entry 0 the odd k - 2 >= -1."""
+    return {
+        (k - 2,) + perm: c * k / 2
+        for orbit, c in Omega_step(g, n, lower).orbits.items()
+        for (k,), tail in readings(orbit, 1)
+        for perm, _ in readings(tail, n)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airyqc import CorrelatorTable, canonical_key, correlator_shell, is_stable, quantum_curve_report
+from airyqc import CorrelatorTable, canonical_key, correlator_shell, correlators, is_stable, omega_base, omega_step, quantum_curve_report
 from airyqc.core import bounded_partitions, orbit_size, partition_walk
 from airyqc.correlators import cell_keys, shell_cells, shell_keys
+from airyqc.residues import eo_W
+from airyqc.wkb import diag_Omega
 
 SEEDS = {(0, (0, 0, 0)), (1, (1,))}
 
@@ -365,3 +367,41 @@ def test_add_record_rejects_and_leaves_table_unchanged(g, a, value, message):
     assert str(err.value) == message
     assert len(t) == len(before) and dict(t.items()) == before
     assert (t.hits, t.misses) == (0, 0)
+
+
+SEED_CELLS = {(0, 3): omega_base(0, 3), (1, 1): omega_base(1, 1)}
+GENUS_TRUE = "genus must be a non-negative integer, got True"
+GENUS_FLOAT = "genus must be a non-negative integer, got 1.0"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t, w: diag_Omega(True, 3, t), GENUS_TRUE),
+        (lambda t, w: diag_Omega(1.0, 3, t), GENUS_FLOAT),
+        (lambda t, w: t.core_sum(2, True), r"unstable \(g, n\) = \(2, True\)"),
+        (lambda t, w: eo_W(True, 2, w), GENUS_TRUE),
+        (lambda t, w: omega_step(True, 1, SEED_CELLS), GENUS_TRUE),
+        (lambda t, w: cell_keys(1.0, 2), GENUS_FLOAT),
+        (lambda t, w: cell_keys(1, 2.0), r"unstable \(g, n\) = \(1, 2\.0\)"),
+        (lambda t, w: dict(t.cell_values(True, 2, 1)), GENUS_TRUE),
+    ],
+    ids=["diag_Omega-bool", "diag_Omega-float", "core_sum-bool-n", "eo_W-bool", "omega_step-bool", "cell_keys-float", "cell_keys-float-n", "cell_values-bool"],
+)
+def test_entry_points_reject_non_int_cells(table, wtable6, call, message):
+    # True == 1 and 1.0 == 1: taken as ints, each call would answer for the
+    # cell (1, n) or (g, 1), or raise TypeError further in
+    with pytest.raises(ValueError, match=message):
+        call(table, wtable6)
+
+
+def test_off_shell_keys_build_no_unit(monkeypatch):
+    # an off-shell key's value is 0 without its unit prod (2a_i+1)!! 2^E(g)
+    # q^g, which for a_1 = 10^6 takes over a minute to build
+    def refuse(a, shift):
+        raise AssertionError("unit built for an off-shell key")
+
+    monkeypatch.setattr(correlators, "odd_weight", refuse)
+    t = CorrelatorTable()
+    assert t.correlator(0, (10**6, 0, 0)) == 0
+    assert t.dvv_rhs(0, (10**6, 0, 0), 0) == 0

@@ -148,15 +148,25 @@ def test_expanded_oracle_sees_the_recursion(table):
 def test_step_denominators_are_a_true_lcm(lower_cells):
     # each lower cell over its own prime denominator >= 5: a step that reads
     # its cells over anything short of the lcm of all their denominators, the
-    # transfer cell's included, drops a term.  Omega_step_dw0 does not
-    # symmetrize, so the rescaled cells need not give a symmetric target.
+    # transfer cell's included, drops a term.  The rescaled cells need not
+    # give a symmetric target, so the step's raw table is read here without
+    # the reader's symmetry check, spread over the tail orderings of each
+    # target reading.
     primes = (p for p in range(5, 1000) if all(p % d for d in range(2, p)))
     Omega = {
         cell: HalfPowerPoly(cell[1], {o: c * F(3, p) for o, c in poly.orbits.items()})
         for (cell, poly), p in zip(lower_cells[1].items(), primes)
     }
     for g, n1 in STEP_CELLS:
-        assert Omega_step_dw0(g, n1 - 1, Omega) == _expanded_Omega_step_dw0(g, n1 - 1, Omega), (g, n1)
+        table, den = _step_values(g, n1 - 1, Omega, 2, _calD_dx)
+        spread = {
+            (k - 2,) + perm: F(table[tail], den)
+            for orbit in _targets(g, n1, 2)
+            for (k,), tail in readings(orbit, 1)
+            if table.get(tail)
+            for perm, _ in readings(tail, n1 - 1)
+        }
+        assert spread == _expanded_Omega_step_dw0(g, n1 - 1, Omega), (g, n1)
 
 
 # --- the split table against the per-tail walk it replaced ----------------------
@@ -317,6 +327,8 @@ def test_steps_reject_asymmetric_lower_data():
     Olower = {(0, 3): Omega_base(0, 3), (1, 1): HalfPowerPoly(1, {(3,): F(1, 12)})}
     with pytest.raises(ValueError, match="terms are not symmetric"):
         Omega_step(1, 1, Olower)
+    with pytest.raises(ValueError, match="terms are not symmetric"):
+        Omega_step_dw0(1, 1, Olower)
     with pytest.raises(ValueError, match="terms are not symmetric"):
         _expanded_Omega_step(1, 1, Olower)
 
