@@ -2,9 +2,10 @@
 
 Every coefficient in this package is a ``fractions.Fraction``, except in the
 correlator table's memo and the EO route's series, which hold ints at the
-per-genus scale 2^E(g) of :func:`_scale_exp`, and in the sums of a
-polynomial recursion step, which are ints over one denominator per step; no
-floating point enters any computation anywhere.
+per-genus scale 2^E(g) of :func:`_scale_exp`, in the sums of a polynomial
+recursion step, which are ints over one denominator per step, and in the
+D-lemma check, whose two sides are int polynomials; no floating point enters
+any computation anywhere.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 _RAT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 
@@ -133,24 +131,6 @@ def add_over(num: int, den: int, x: int, d: int) -> tuple[int, int]:
         num *= lcm // den
         den = lcm
     return num + x * (den // d), den
-
-
-def accumulate(d: dict, key, c) -> None:
-    """Add `c` to ``d[key]`` in a sparse dict, dropping the key when the
-    sum is zero, so that ``d`` never stores a zero coefficient.
-
-    >>> d = {}
-    >>> accumulate(d, (2, 1), Fraction(1, 2))
-    >>> accumulate(d, (1, 2), Fraction(3))
-    >>> accumulate(d, (2, 1), Fraction(-1, 2))
-    >>> d
-    {(1, 2): Fraction(3, 1)}
-    """
-    c += d.get(key, ZERO)
-    if c:
-        d[key] = c
-    else:
-        d.pop(key, None)
 
 
 def partition_walk(total: int, parts: int, least: int, zeros: bool = True):

@@ -390,7 +390,10 @@ class CorrelatorTable:
 
 
 def shell_cells(min_chi: int, max_chi: int):
-    """Stable (g, n) cells with min_chi <= 2g - 2 + n <= max_chi, n >= 1."""
+    """Stable (g, n) cells with min_chi <= 2g - 2 + n <= max_chi, n >= 1;
+    a bound that is not exactly an int (``True`` is not) raises ValueError."""
+    if type(min_chi) is not int or type(max_chi) is not int:
+        raise ValueError(f"shell bounds must be ints, got ({min_chi!r}, {max_chi!r})")
     for chi in range(min_chi, max_chi + 1):
         for g in range(0, (chi + 1) // 2 + 1):
             n = chi + 2 - 2 * g

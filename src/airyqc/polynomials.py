@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import accumulate, exact, orbit_size, rat_str, readings
+from .core import exact, orbit_size, rat_str, readings
 from .correlators import CorrelatorTable, cell_keys, is_stable, require_stable
 
 __all__ = [
@@ -84,7 +84,7 @@ __all__ = [
 class _OrbitPoly:
     """Shared internals of the two symmetric polynomial types."""
 
-    __slots__ = ("nvars", "orbits", "_expanded", "_reads")
+    __slots__ = ("nvars", "orbits", "_reads")
 
     def __init__(self, nvars, orbits):
         if nvars < 1:
@@ -102,18 +102,12 @@ class _OrbitPoly:
                 clean[orbit] = coeff
         self.nvars = nvars
         self.orbits = clean
-        self._expanded = None
         self._reads = {}  # the split readings of the recursion steps, by (s, degree)
 
     def expand(self):
-        """Full {exponent tuple: coeff} dict (cached; treat as read-only)."""
-        if self._expanded is None:
-            out = {}
-            for orbit, coeff in self.orbits.items():
-                for perm, _ in readings(orbit, len(orbit)):
-                    out[perm] = coeff
-            self._expanded = out
-        return self._expanded
+        """Full {exponent tuple: coeff} dict, one entry per permutation of
+        each orbit."""
+        return {perm: coeff for orbit, coeff in self.orbits.items() for perm, _ in readings(orbit, len(orbit))}
 
     def sorted_orbits(self):
         return sorted(self.orbits.items(), key=lambda kv: kv[0], reverse=True)
@@ -262,21 +256,19 @@ def verify_d_lemma(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    terms = (
+        ((m + 3, 1), 1), ((m + 2, 2), 1), ((2, m + 2), -3), ((1, m + 3), 3),
+        ((1, m + 3), -2), ((2, m + 2), -2 * m), ((1, m + 3), 2 * m),
+    )
     lhs = {}
-    accumulate(lhs, (m + 3, 1), Fraction(1))
-    accumulate(lhs, (m + 2, 2), Fraction(1))
-    accumulate(lhs, (2, m + 2), Fraction(-3))
-    accumulate(lhs, (1, m + 3), Fraction(3))
-    accumulate(lhs, (1, m + 3), Fraction(-2))
-    accumulate(lhs, (2, m + 2), Fraction(-2 * m))
-    accumulate(lhs, (1, m + 3), Fraction(2 * m))
-
+    for key, c in terms:
+        lhs[key] = lhs.get(key, 0) + c
     rhs = {}
-    square = {(2, 0): Fraction(1), (1, 1): Fraction(-2), (0, 2): Fraction(1)}
-    for (u, v), c in d_op({m: Fraction(1)}).items():
-        for (su, sv), sc in square.items():
-            accumulate(rhs, (u + su, v + sv), c * sc)
-    return lhs == rhs
+    for (u, v), c in d_op({m: 1}).items():
+        for (su, sv), sc in (((2, 0), 1), ((1, 1), -2), ((0, 2), 1)):
+            key = (u + su, v + sv)
+            rhs[key] = rhs.get(key, 0) + c * sc
+    return {k: c for k, c in lhs.items() if c} == {k: c for k, c in rhs.items() if c}
 
 
 def _calD_dx(f):
@@ -511,6 +503,8 @@ def _step_values(g, n, lower, s, op):
     The lower cells are homogeneous, so each tail fixes e_0 = p + q + 2s - 1
     = u - s + 1 and no term reads it.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     nvars = n + 1
     require_stable(g, nvars)
     if (g, nvars) in ((0, 3), (1, 1)):

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ZERO, _scale_exp, orbit_size, readings
+from .core import _scale_exp, orbit_size, readings
 from .correlators import cell_keys, require_stable, shell_cells
 from .polynomials import SparseSymPoly, _lower_cell, _per_orbit, _read_cell
 
@@ -101,7 +101,7 @@ class ZSeries:
                     continue
                 tgt = out.setdefault(k, {})
                 for e, c in poly.items():
-                    tgt[e] = tgt.get(e, ZERO) + c
+                    tgt[e] = tgt.get(e, 0) + c
         return ZSeries(self.nspec, trunc, out)
 
     def __mul__(self, other):

@@ -1,8 +1,8 @@
 """Helpers of the test oracles that expand every split and every
 permutation or count the multiplicity of a merge, which the package
-itself no longer does, and the Fraction
+itself no longer does, the Fraction
 forms of the WKB sums and of the correlator-to-polynomial builders, which
-it now runs on ints."""
+it now runs on ints, and Dijkgraaf's closed-form two-point function."""
 
 import math
 from collections import Counter
@@ -11,6 +11,25 @@ from itertools import product
 
 from airyqc.core import odd_weight, orbit_size
 from airyqc.correlators import cell_keys
+
+
+def accumulate(d: dict, key, c) -> None:
+    """Add `c` to ``d[key]`` in a sparse dict, dropping the key when the
+    sum is zero, so that ``d`` never stores a zero coefficient: the
+    accumulator of the expanded Fraction steps.
+
+    >>> d = {}
+    >>> accumulate(d, (2, 1), Fraction(1, 2))
+    >>> accumulate(d, (1, 2), Fraction(3))
+    >>> accumulate(d, (2, 1), Fraction(-1, 2))
+    >>> d
+    {(1, 2): Fraction(3, 1)}
+    """
+    c += d.get(key, 0)
+    if c:
+        d[key] = c
+    else:
+        d.pop(key, None)
 
 
 def multiset_permutations(items):
@@ -172,3 +191,41 @@ def fraction_residual(n, terms):
     if n == 0:
         return total - Fraction(1, 4)
     return total + _w52d(sigma[n - 1], 3 * n - 3)[0] - sigma[n - 1] / 2
+
+
+# ---------------------------------------------------------------------------
+# Dijkgraaf's two-point function, a closed form that shares no code with the
+# package
+
+
+def two_point_function(g):
+    """[<tau_a tau_{3g-1-a}>_g for a = 0..3g-1], g >= 1, from Dijkgraaf's
+    two-point function (hep-th/9201003; Liu-Xu, math/0701319)
+
+        (x + y) sum <tau_a tau_b>_g x^a y^b
+            = exp((x^3 + y^3)/24) sum_n n!/(2n+1)! (x y (x + y)/2)^n.
+
+    Genus g is the part of degree 3g, the terms with k + n = g where k is
+    the power taken from the exponential, summed as ints {power of x:
+    coeff} over D = 24^g g! (2g+1)!, which every term's denominator
+    24^k k! (2n+1)! 2^n divides; it is divided by x + y exactly, with no
+    remainder.
+
+    >>> two_point_function(2)
+    [Fraction(1, 1152), Fraction(1, 384), Fraction(29, 5760), Fraction(29, 5760), Fraction(1, 384), Fraction(1, 1152)]
+    """
+    f = math.factorial
+    den = 24**g * f(g) * f(2 * g + 1)
+    rhs = [0] * (3 * g + 1)
+    for k in range(g + 1):
+        n = g - k
+        scale = den // (24**k * f(k) * f(2 * n + 1) * 2**n) * f(n)
+        for i in range(k + 1):  # (x^3 + y^3)^k
+            for j in range(n + 1):  # (x y)^n (x + y)^n
+                rhs[3 * i + n + j] += scale * math.comb(k, i) * math.comb(n, j)
+    quotient, q = [], 0
+    for c in rhs[:-1]:
+        q = c - q
+        quotient.append(Fraction(q, den))
+    assert rhs[-1] == q, "x + y does not divide the genus-g part"
+    return quotient

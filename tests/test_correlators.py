@@ -6,11 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airyqc import CorrelatorTable, canonical_key, correlator_shell, correlators, is_stable, omega_base, omega_step, quantum_curve_report
+from airyqc import (
+    CorrelatorTable,
+    Omega_base,
+    Omega_step,
+    canonical_key,
+    correlator_shell,
+    correlators,
+    eo_shell,
+    is_stable,
+    omega_base,
+    omega_step,
+    quantum_curve_report,
+)
 from airyqc.core import bounded_partitions, orbit_size, partition_walk
 from airyqc.correlators import cell_keys, shell_cells, shell_keys
 from airyqc.residues import eo_W
+from airyqc.suites import suite_omega_rec
 from airyqc.wkb import diag_Omega
+
+from _oracles import two_point_function
 
 SEEDS = {(0, (0, 0, 0)), (1, (1,))}
 
@@ -129,43 +144,19 @@ def test_split_range_edges_at_high_genus():
                 assert t.dvv_rhs(g, a, i) == t.correlator(g, a), (g, a, i)
 
 
-def dijkgraaf_two_point(g):
-    """[<tau_a tau_{3g-1-a}>_g for a = 0..3g-1] from Dijkgraaf's two-point
-    function (hep-th/9201003), written out here with no package helper:
-
-        (x1 + x2) sum <tau_a tau_b>_g x1^a x2^b
-            = exp((x1^3 + x2^3)/24) sum_n n!/(2n+1)! (x1 x2 (x1 + x2)/2)^n.
-
-    Genus g is the part of degree 3g, the terms with m + n = g where m is
-    the power taken from the exponential; set x2 = 1 and divide by x1 + 1.
-    """
-    deg = 3 * g
-    rhs = [Fraction(0)] * (deg + 1)  # rhs[i] multiplies x1^i x2^(3g - i)
-    for m in range(g + 1):
-        n = g - m
-        scale = Fraction(math.factorial(n), 24**m * math.factorial(m) * math.factorial(2 * n + 1) * 2**n)
-        for i in range(m + 1):  # (x1^3 + x2^3)^m
-            for j in range(n + 1):  # (x1 x2)^n (x1 + x2)^n
-                rhs[3 * i + n + j] += scale * math.comb(m, i) * math.comb(n, j)
-    quotient = [Fraction(0)] * deg
-    quotient[deg - 1] = rhs[deg]
-    for i in range(deg - 1, 0, -1):
-        quotient[i - 1] = rhs[i] - quotient[i]
-    assert rhs[0] == quotient[0], "x1 + x2 does not divide the genus-g part"
-    return quotient
-
-
-@st.composite
-def two_point_keys(draw, max_genus=20):
-    g = draw(st.integers(1, max_genus))
-    return g, draw(st.integers(0, 3 * g - 1))
-
-
-@settings(deadline=None)
-@given(two_point_keys())
-def test_dijkgraaf_two_point(table, key):
-    g, a = key
-    assert table.correlator(g, (a, 3 * g - 1 - a)) == dijkgraaf_two_point(g)[a]
+def test_dijkgraaf_two_point():
+    # every <tau_a tau_b>_g through genus 30 on a fresh table, against the
+    # closed form, and <tau_{3g-2}>_g against the one-point function
+    # exp(x^3/24)/x^2
+    t = CorrelatorTable()
+    wrong = [
+        (g, a)
+        for g in range(1, 31)
+        for a, value in enumerate(two_point_function(g))
+        if t.correlator(g, (a, 3 * g - 1 - a)) != value
+    ]
+    wrong += [g for g in range(1, 31) if t.correlator(g, (3 * g - 2,)) != Fraction(1, 24**g * math.factorial(g))]
+    assert wrong == []
 
 
 def test_string_equation(table):
@@ -370,8 +361,10 @@ def test_add_record_rejects_and_leaves_table_unchanged(g, a, value, message):
 
 
 SEED_CELLS = {(0, 3): omega_base(0, 3), (1, 1): omega_base(1, 1)}
+OMEGA_SEED_CELLS = {(0, 3): Omega_base(0, 3), (1, 1): Omega_base(1, 1)}
 GENUS_TRUE = "genus must be a non-negative integer, got True"
 GENUS_FLOAT = "genus must be a non-negative integer, got 1.0"
+N_TRUE = "n must be a non-negative integer, got True"
 
 
 @pytest.mark.parametrize(
@@ -385,12 +378,36 @@ GENUS_FLOAT = "genus must be a non-negative integer, got 1.0"
         (lambda t, w: cell_keys(1.0, 2), GENUS_FLOAT),
         (lambda t, w: cell_keys(1, 2.0), r"unstable \(g, n\) = \(1, 2\.0\)"),
         (lambda t, w: dict(t.cell_values(True, 2, 1)), GENUS_TRUE),
+        (lambda t, w: omega_step(1, True, SEED_CELLS), N_TRUE),
+        (lambda t, w: Omega_step(1, True, OMEGA_SEED_CELLS), N_TRUE),
+        (lambda t, w: CorrelatorTable().fill_shell(True), r"shell bounds must be ints, got \(1, True\)"),
+        (lambda t, w: CorrelatorTable().fill_shell(1.0), r"shell bounds must be ints, got \(1, 1\.0\)"),
+        (lambda t, w: eo_shell(True), r"shell bounds must be ints, got \(1, True\)"),
+        (lambda t, w: eo_shell(2.0), r"shell bounds must be ints, got \(1, 2\.0\)"),
+        (lambda t, w: suite_omega_rec(True, t), r"shell bounds must be ints, got \(1, True\)"),
     ],
-    ids=["diag_Omega-bool", "diag_Omega-float", "core_sum-bool-n", "eo_W-bool", "omega_step-bool", "cell_keys-float", "cell_keys-float-n", "cell_values-bool"],
+    ids=[
+        "diag_Omega-bool",
+        "diag_Omega-float",
+        "core_sum-bool-n",
+        "eo_W-bool",
+        "omega_step-bool",
+        "cell_keys-float",
+        "cell_keys-float-n",
+        "cell_values-bool",
+        "omega_step-bool-n",
+        "Omega_step-bool-n",
+        "fill_shell-bool",
+        "fill_shell-float",
+        "eo_shell-bool",
+        "eo_shell-float",
+        "suite_omega_rec-bool",
+    ],
 )
 def test_entry_points_reject_non_int_cells(table, wtable6, call, message):
     # True == 1 and 1.0 == 1: taken as ints, each call would answer for the
-    # cell (1, n) or (g, 1), or raise TypeError further in
+    # cell (1, n), (g, 1) or (g, 2), or for the shells through 1, or raise
+    # TypeError further in
     with pytest.raises(ValueError, match=message):
         call(table, wtable6)
 

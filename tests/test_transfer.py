@@ -28,6 +28,11 @@ def _d_op_wrong_weight(f):
     return {uv: 2 * c if uv[1] == 1 else c for uv, c in real_d_op(f).items()}
 
 
+def _d_op_raised_last_term(f):
+    # the j = m term u v^(m+1) carries weight 2m + 2 instead of 2m + 1
+    return {uv: c + 1 if uv[0] == 1 else c for uv, c in real_d_op(f).items()}
+
+
 def _calD_op_short_range(f):
     # t runs over 0..a instead of 0..a+1: the u^1 term is lost
     return {uv: c for uv, c in real_calD_op(f).items() if uv[0] != 2}
@@ -60,6 +65,11 @@ def test_wrong_d_weight_fails_lemma_and_omega_step(table, monkeypatch):
     wrong = _steps_against_series(omega_step, omega_base, omega_from_correlators, table)
     assert (0, 4) in wrong and (1, 2) in wrong
     assert not d_bridge_holds(0, 4, table)
+
+
+def test_raised_last_d_weight_fails_every_lemma(monkeypatch):
+    monkeypatch.setattr(polynomials, "d_op", _d_op_raised_last_term)
+    assert not any(verify_d_lemma(m) for m in range(6))
 
 
 def test_short_calD_range_fails_Omega_step_and_bridge(table, monkeypatch):
